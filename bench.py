@@ -107,9 +107,7 @@ def run_bench() -> dict:
     t0 = time.perf_counter()
     res = replay_to_lake(paths, out_dir, cfg, resume=False)
     headline = time.perf_counter() - t0
-    from olrx.pipelines import replay as _replay_mod
-    from olrx.stages import exchange as _exchange_mod
-    timings = dict(_replay_mod.LAST_TIMINGS) | dict(_exchange_mod.LAST_TIMINGS)
+    timings = dict(res.timings)
     st = res.stats.to_pandas()
     events = int(st["events"].sum())
     rows = int(st["rows"].sum())

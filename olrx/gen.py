@@ -91,6 +91,13 @@ class GenConfig:
                                    # generator CODE changes (digest covers
                                    # config only); v2 = rb/open xid zfill fix
 
+    def __post_init__(self) -> None:
+        # the drop and rename DDL are only emitted next to the add-column
+        # DDL; without it they would be silently left out of the stream
+        for flag in ("ddl_drop", "ddl_rename"):
+            if getattr(self, flag) and not self.ddl:
+                raise ValueError(f"{flag}=True requires ddl=True")
+
     @property
     def n_conversations(self) -> int:
         return max(4, int(150_000 * self.scale))

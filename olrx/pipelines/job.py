@@ -112,10 +112,18 @@ class TailSession:
     iteration folds its stats into a :class:`LiveMetrics` registry, writes
     an atomic JSON snapshot at ``<target.uri>/_metrics/live.json``, and —
     with ``metrics_port`` set (0 = ephemeral) — serves Prometheus text at
-    ``http://127.0.0.1:<port>/metrics`` from a stdlib daemon thread."""
+    ``http://127.0.0.1:<port>/metrics`` from a stdlib daemon thread.
+
+    The session owns one ``ApplierFleet`` for its whole life: iterations
+    reuse the same applier actors instead of spawning a fleet per call
+    (the paper's tail mode keeps its readers and buffers alive between
+    checkpoints, too). ``close()`` — or leaving a ``with`` block — kills
+    the fleet and stops the metrics server; an iteration that raises
+    discards the fleet, and the next one starts from fresh actors."""
 
     def __init__(self, spec_path: str,
                  metrics_port: "int | None" = None) -> None:
+        from olrx.stages.exchange import ApplierFleet
         from olrx.state.metrics import LiveMetrics, MetricsServer
 
         self.spec_path = spec_path
@@ -124,14 +132,28 @@ class TailSession:
         self.cfg: ReplayConfig | None = None
         self.reloads = 0
         self.metrics = LiveMetrics()
+        self.fleet = ApplierFleet()
         self.metrics_server = (MetricsServer(self.metrics, metrics_port)
                                if metrics_port is not None else None)
-        self._reload_if_changed()
+        try:
+            self._reload_if_changed()
+        except BaseException:
+            self.close()
+            raise
 
     def close(self) -> None:
+        """Kill the applier fleet (returns once its actors are dead) and
+        stop the metrics server. Idempotent."""
+        self.fleet.close()
         if self.metrics_server is not None:
             self.metrics_server.close()
             self.metrics_server = None
+
+    def __enter__(self) -> "TailSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _reload_if_changed(self) -> bool:
         st = os.stat(self.spec_path)
@@ -157,11 +179,7 @@ class TailSession:
         if not paths:
             raise ValueError("no input segments matched the job source")
         res = replay_to_lake(paths, self.job["target"]["uri"], self.cfg,
-                             resume=True)
-        # per-result timings, not the module-global LAST_TIMINGS: two
-        # concurrent replays in one process would cross-attribute the global,
-        # and a failed replay would leave stale timings for the next
-        # iteration (ADVICE r4 #4)
+                             resume=True, fleet=self.fleet)
         self.metrics.record_iteration(res, dict(res.timings), self.reloads)
         try:
             self.metrics.write_json(self.job["target"]["uri"])
@@ -178,14 +196,14 @@ def run_tail(spec_path: str, iterations: int | None = None,
     segments are picked up at each turn."""
     import time
 
-    sess = TailSession(spec_path)
     out: list[ReplayResult] = []
     i = 0
-    while iterations is None or i < iterations:
-        out.append(sess.run_once())
-        i += 1
-        if iterations is None or i < iterations:
-            time.sleep(poll_interval_s)
+    with TailSession(spec_path) as sess:
+        while iterations is None or i < iterations:
+            out.append(sess.run_once())
+            i += 1
+            if iterations is None or i < iterations:
+                time.sleep(poll_interval_s)
     return out
 
 

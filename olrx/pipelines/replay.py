@@ -36,15 +36,12 @@ import ray
 import ray.data as rd
 
 from olrx import schema as S
-from olrx.stages.apply import apply_stats, merge_apply
+from olrx.stages.apply import merge_apply
+from olrx.stages.commit import apply_and_commit, stats_row
 from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, load_control,
                                make_resolver)
 from olrx.stages.partition import detect_hot_keys
 from olrx.state import manifest as MF
-
-#: phase wall times of the most recent replay_to_lake on this driver
-#: (bench/diagnostic readout; exchange phases live in stages.exchange)
-LAST_TIMINGS: dict = {}
 
 
 @dataclass
@@ -132,7 +129,6 @@ class ReplayConfig:
     #: bound by storage bandwidth shared across appliers, while finalize
     #: CPUs have headroom — the same trade the exchange blobs make.
     output_codec: str = "zstd"
-    extra: dict = field(default_factory=dict)
 
     def safe_watermark(self, control: ControlInfo) -> int:
         if self.assume_complete_input:
@@ -178,11 +174,8 @@ class ReplayResult:
     stats: "pa.Table | None" = None          # one row per partition (lake mode)
     dataset: "rd.Dataset | None" = None      # final rows (dataset mode)
     out_dir: str | None = None
-    #: phase wall times of THIS replay (control/route/fence/finalize) — the
-    #: per-result surface; the module-global LAST_TIMINGS mirrors the most
-    #: recent replay for bench scripts, but two concurrent replays in one
-    #: process would cross-attribute it (ADVICE r4 #4), so consumers that
-    #: track iterations (TailSession) read this field
+    #: phase wall times of THIS replay (control/route/fence/finalize); kept
+    #: per result so concurrent replays in one process never cross-attribute
     timings: dict = field(default_factory=dict)
 
 
@@ -321,185 +314,14 @@ def replay_dataset(paths: list[str], cfg: ReplayConfig | None = None) -> ReplayR
     return ReplayResult(control=control, dataset=final)
 
 
-def _apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
-                      safe_watermark: int, max_commit_scn: int,
-                      max_txn_span: int = 0,
-                      counters: "dict[str, int] | None" = None,
-                      output_codec: str = "zstd",
-                      dropped: tuple = (),
-                      renamed: "dict[str, str] | None" = None,
-                      snapshot_keep: int = 1) -> pa.Table:
-    """Lake-mode per-partition apply: merge with base state, write parquet
-    atomically, then publish the manifest. Idempotent under task retries:
-    a retry re-reads the (old) manifest, recomputes the same bytes and
-    re-publishes the same files/manifest — a no-op replacement.
-
-    ``counters``: exact pre-compaction stream counts from the exchange (the
-    in-``group`` events may already be folded to winners); None → count the
-    group directly (groupby path, where events are never folded). The
-    exchange stamps ``_wm`` = the per-partition watermark its receive-time
-    counts already excluded — when it matches this partition's manifest
-    watermark, the counts stay stream-exact through the resume filter with
-    no recount (r2 advisory); a mismatch (retried finalize after a partial
-    tail commit) falls back to recounting the folded winners."""
-    part = int(group["part"][0].as_py())
-    mdir = os.path.join(out_dir, "_manifest")
-    prev = MF.read_manifest(mdir, part)
-    wm_counted = -1
-    fresh_min: "int | None" = None   # min commit SCN applied THIS run
-    from_exchange = counters is not None
-    if counters is not None:
-        counters = dict(counters)
-        wm_counted = counters.pop("_wm", -1)
-        fm = counters.pop("_min_scn", -1)
-        fresh_min = fm if fm >= 0 else None
-    else:
-        counters = apply_stats(group)
-    target_watermark = max(safe_watermark, prev.watermark_commit_scn if prev else -1)
-
-    if prev is not None:
-        if prev.watermark_commit_scn >= max_commit_scn:
-            # everything in this input already confirmed — exactly-once skip
-            # (Metadata::isNewData, /root/reference/src/metadata/Metadata.cpp:716-727)
-            return _stats_row(part, prev.rows, prev.watermark_commit_scn, True, counters)
-        # drop events at or below the partition's confirmed watermark
-        n_before = group.num_rows
-        group = group.filter(pc.greater(group["commit_scn"],
-                                        prev.watermark_commit_scn))
-        if group.num_rows != n_before and prev.watermark_commit_scn != wm_counted:
-            # the filter dropped rows the counters still include — recount
-            # (counters from a watermark-aware exchange already exclude them)
-            counters = apply_stats(group)
-        if not from_exchange and group.num_rows:
-            # groupby path: events are never folded, so the group min IS the
-            # stream min (the exchange path ships the receive-time min in
-            # counters["_min_scn"] — folded winners would over-state birth)
-            fresh_min = int(pc.min(group["commit_scn"]).as_py())
-        base = _read_base(out_dir, prev)
-        if base is not None and base.num_rows:
-            group = pa.concat_tables([_base_as_events(base, prev), group],
-                                     promote_options="default")
-    elif not from_exchange and group.num_rows:
-        fresh_min = int(pc.min(group["commit_scn"]).as_py())
-
-    final = merge_apply(group, schema_version, dropped, renamed)
-
-    part_dir = os.path.join(out_dir, f"part-{part:05d}")
-    os.makedirs(part_dir, exist_ok=True)
-    fname = f"data-w{target_watermark}.parquet"
-    fpath = os.path.join(part_dir, fname)
-    tmp = fpath + f".tmp.{os.getpid()}"
-    # zstd-1 snapshots: ~3× fewer disk/storage bytes than snappy on text —
-    # the write leg shares one storage backend across all appliers, while
-    # finalize CPUs have headroom (measured: the hi-CPU leg is write-bound)
-    pq.write_table(final, tmp, compression=output_codec,
-                   compression_level=1 if output_codec == "zstd" else None)
-    os.replace(tmp, fpath)
-
-    first_wm = target_watermark
-    if prev is not None:
-        first_wm = (prev.first_watermark if prev.first_watermark >= 0
-                    else prev.watermark_commit_scn)
-    # data birth: min commit SCN EVER applied to this partition. An
-    # old-format prev manifest (-1) keeps birth unknown — claiming a later
-    # birth than the truth would let as-of reads silently answer "empty"
-    # for SCNs where committed state existed (ADVICE r4 #1).
-    if prev is not None and prev.first_data_scn < 0:
-        first_data = -1
-    else:
-        cands = [x for x in (prev.first_data_scn if prev is not None else None,
-                             fresh_min) if x is not None and x >= 0]
-        first_data = min(cands) if cands else -1
-    m = MF.PartitionManifest(
-        partition=part,
-        watermark_commit_scn=target_watermark,
-        schema_version=schema_version,
-        dropped_columns=sorted(dropped),
-        renamed_columns=dict(renamed or {}),
-        files=[os.path.join(f"part-{part:05d}", fname)],
-        rows=final.num_rows,
-        counters=counters,
-        max_txn_span=max_txn_span,
-        first_watermark=first_wm,
-        first_data_scn=first_data,
-    )
-    MF.write_manifest(mdir, m)
-    # GC superseded snapshots, keeping the newest `snapshot_keep` per
-    # partition (reference keep-checkpoints; >1 enables SCN time travel).
-    # Best-effort and idempotent under task retries: a retry recomputes the
-    # same file set and the same survivors.
-    import re as _re
-    snaps = sorted(((int(g.group(1)), f)
-                    for f in os.listdir(part_dir)
-                    if (g := _re.match(r"data-w(\d+)\.parquet$", f))),
-                   reverse=True)
-    for _, f in snaps[max(1, snapshot_keep):]:
-        try:
-            os.remove(os.path.join(part_dir, f))
-        except OSError:
-            pass
-    return _stats_row(part, final.num_rows, target_watermark, False, counters)
-
-
-def _read_base(out_dir: str, m: MF.PartitionManifest) -> pa.Table | None:
-    tables = []
-    for rel in m.files:
-        p = os.path.join(out_dir, rel)
-        if os.path.exists(p):
-            tables.append(pq.read_table(p))
-    if not tables:
-        return None
-    return pa.concat_tables(tables, promote_options="default")
-
-
-def _base_as_events(base: pa.Table, m: MF.PartitionManifest) -> pa.Table:
-    """Existing partition snapshot re-expressed as synthetic full-image
-    inserts at the manifest watermark, so the same merge kernel handles
-    incremental upserts (events > watermark win by LWW). The snapshot's
-    columns carry the display names current at ITS write time (manifest
-    ``renamed_columns``); they map back to physical ``v_<name>`` event
-    columns here, so a rename committed between runs re-labels the same
-    physical data rather than orphaning it."""
-    n = base.num_rows
-    payload_all = [nm for nm, _ in S.payload_columns(S.MAX_SCHEMA_VERSION)]
-    rn = dict(getattr(m, "renamed_columns", {}) or {})
-    cols: dict[str, object] = {}
-    if "table_name" in base.schema.names:
-        cols["table_name"] = base["table_name"]
-    cols |= {
-        "conv_id": base["conv_id"],
-        "turn_idx": base["turn_idx"],
-        "op_code": pa.array(np.full(n, 0), pa.int8()),  # OP_I
-        "commit_scn": pa.array([m.watermark_commit_scn] * n, pa.int64()),
-        "scn": pa.array([-1] * n, pa.int64()),
-        "scn_idx": pa.array([-1] * n, pa.int32()),
-        "changed_mask": pa.array([S.full_mask(m.schema_version)] * n, pa.int32()),
-    }
-    base_names = set(base.schema.names)
-    for nm, t in S.payload_columns(S.MAX_SCHEMA_VERSION):
-        disp = rn.get(nm, nm)   # the name this snapshot stored it under
-        cols[f"v_{nm}"] = base[disp] if disp in base_names else pa.nulls(n, t)
-    _ = payload_all
-    return pa.table(cols)
-
-
-def _stats_row(part: int, rows: int, watermark: int, skipped: bool,
-               counters: dict[str, int]) -> pa.Table:
-    d = {
-        "partition": pa.array([part], pa.int32()),
-        "rows": pa.array([rows], pa.int64()),
-        "watermark_commit_scn": pa.array([watermark], pa.int64()),
-        "skipped": pa.array([skipped], pa.bool_()),
-    }
-    for k in ("events", "inserts", "updates", "deletes"):
-        d[k] = pa.array([counters.get(k, 0)], pa.int64())
-    return pa.table(d)
-
-
 def replay_to_lake(paths: list[str], out_dir: str,
-                   cfg: ReplayConfig | None = None, resume: bool = True
-                   ) -> ReplayResult:
-    """Replay into a partitioned Parquet lake table with commit manifests."""
+                   cfg: ReplayConfig | None = None, resume: bool = True,
+                   fleet=None) -> ReplayResult:
+    """Replay into a partitioned Parquet lake table with commit manifests.
+
+    ``fleet``: an ``exchange.ApplierFleet`` whose actors the actor exchange
+    reuses (a long-lived caller such as ``TailSession`` owns one); None →
+    a fleet scoped to this call."""
     cfg = cfg or ReplayConfig()
     if not resume and os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
@@ -518,7 +340,6 @@ def replay_to_lake(paths: list[str], out_dir: str,
     if cfg.end_commit_scn is not None:
         control = control.capped(cfg.end_commit_scn)
     timings: dict = {"control": round(_time.perf_counter() - _t0, 3)}
-    LAST_TIMINGS["control"] = timings["control"]
     control.max_txn_span = max(control.max_txn_span, prev_span)
     prev_ms = MF.read_all(mdir) if resume else {}
     prev_sv = max((m.schema_version for m in prev_ms.values()), default=0)
@@ -567,19 +388,19 @@ def replay_to_lake(paths: list[str], out_dir: str,
                         snapshot_keep=cfg.snapshot_keep),
             compact_threshold=cfg.applier_compact_threshold,
             multi_table=cfg.multi_table, part_watermarks=wms,
-            dropped=dropped, renamed=renamed, timings=timings)
+            dropped=dropped, renamed=renamed, timings=timings, fleet=fleet)
         MF.write_lake_watermark(mdir, safe_wm, sv)
         return ReplayResult(control=control, stats=stats, out_dir=out_dir,
                             timings=timings)
     stats_ds = events.groupby("part").map_groups(
-        lambda g: _apply_and_commit(g, out_dir, sv, safe_wm, max_commit, span,
+        lambda g: apply_and_commit(g, out_dir, sv, safe_wm, max_commit, span,
                                     output_codec=cfg.output_codec,
                                     dropped=dropped, renamed=renamed,
                                     snapshot_keep=cfg.snapshot_keep),
         batch_format="pyarrow")
     stats_df = stats_ds.to_pandas()
     if stats_df.empty:  # nothing new anywhere (all dropped at the floor)
-        stats = _stats_row(-1, 0, floor, True, {})[:0]
+        stats = stats_row(-1, 0, floor, True, {})[:0]
     else:
         stats = pa.Table.from_pandas(stats_df, preserve_index=False)
     # all partitions with events committed ≥ safe_wm; event-less partitions

@@ -1,7 +1,7 @@
 """SCN time travel over the lake's retained checkpoint snapshots.
 
 Every checkpoint writes a full per-partition snapshot named
-``data-w{watermark}.parquet`` (``replay._apply_and_commit``); with
+``data-w{watermark}.parquet`` (``stages.commit.apply_and_commit``); with
 ``ReplayConfig.snapshot_keep > 1`` the GC retains the newest K snapshots
 per partition instead of deleting the superseded one — the lake-sink
 analog of the reference's checkpoint retention (``keep-checkpoints``,

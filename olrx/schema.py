@@ -16,6 +16,7 @@ first k entries of ADDITIVE_COLUMNS.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,10 @@ MAX_SCHEMA_VERSION = len(ADDITIVE_COLUMNS)
 #: /root/reference/src/parser/Transaction.cpp:73-148; here the target is
 #: carried explicitly as (undo_scn, undo_scn_idx)).
 OPS = ("B", "C", "R", "I", "U", "D", "DDL", "PR")
+
+#: compact op encoding used downstream of decode (shrinks the shuffle payload
+#: and turns apply-side comparisons into int8 ops)
+OP_I, OP_U, OP_D = np.int8(0), np.int8(1), np.int8(2)
 
 
 def image_struct(schema_version: int = MAX_SCHEMA_VERSION) -> pa.DataType:

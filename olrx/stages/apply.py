@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from olrx import schema as S
-from olrx.stages.decode import OP_D, OP_I, OP_U
+from olrx.schema import OP_D, OP_I, OP_U
 
 
 def merge_apply(group: pa.Table, schema_version: int,

@@ -1,0 +1,195 @@
+"""Lake-mode commit of one hash partition: merge its events with the
+partition's current snapshot, write the new snapshot atomically, publish the
+manifest, and return the one-row stats table.
+
+Runs inside ``PartitionApplier.finalize_commit`` (stages/exchange.py) and in
+the groupby exchange's ``map_groups``. It deliberately imports neither pandas
+nor Ray Data: it is on the import path of every applier process, whose spawn
+time is part of each replay's wall time.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
+from olrx import schema as S
+from olrx.stages.apply import apply_stats, merge_apply
+from olrx.state import manifest as MF
+
+
+def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
+                     safe_watermark: int, max_commit_scn: int,
+                     max_txn_span: int = 0,
+                     counters: "dict[str, int] | None" = None,
+                     output_codec: str = "zstd",
+                     dropped: tuple = (),
+                     renamed: "dict[str, str] | None" = None,
+                     snapshot_keep: int = 1) -> pa.Table:
+    """Lake-mode per-partition apply: merge with base state, write parquet
+    atomically, then publish the manifest. Idempotent under task retries:
+    a retry re-reads the (old) manifest, recomputes the same bytes and
+    re-publishes the same files/manifest — a no-op replacement.
+
+    ``counters``: exact pre-compaction stream counts from the exchange (the
+    in-``group`` events may already be folded to winners); None → count the
+    group directly (groupby path, where events are never folded). The
+    exchange stamps ``_wm`` = the per-partition watermark its receive-time
+    counts already excluded — when it matches this partition's manifest
+    watermark, the counts stay stream-exact through the resume filter with
+    no recount (r2 advisory); a mismatch (retried finalize after a partial
+    tail commit) falls back to recounting the folded winners."""
+    part = int(group["part"][0].as_py())
+    mdir = os.path.join(out_dir, "_manifest")
+    prev = MF.read_manifest(mdir, part)
+    wm_counted = -1
+    fresh_min: "int | None" = None   # min commit SCN applied THIS run
+    from_exchange = counters is not None
+    if counters is not None:
+        counters = dict(counters)
+        wm_counted = counters.pop("_wm", -1)
+        fm = counters.pop("_min_scn", -1)
+        fresh_min = fm if fm >= 0 else None
+    else:
+        counters = apply_stats(group)
+    target_watermark = max(safe_watermark, prev.watermark_commit_scn if prev else -1)
+
+    if prev is not None:
+        if prev.watermark_commit_scn >= max_commit_scn:
+            # everything in this input already confirmed — exactly-once skip
+            # (Metadata::isNewData, /root/reference/src/metadata/Metadata.cpp:716-727)
+            return stats_row(part, prev.rows, prev.watermark_commit_scn, True, counters)
+        # drop events at or below the partition's confirmed watermark
+        n_before = group.num_rows
+        group = group.filter(pc.greater(group["commit_scn"],
+                                        prev.watermark_commit_scn))
+        if group.num_rows != n_before and prev.watermark_commit_scn != wm_counted:
+            # the filter dropped rows the counters still include — recount
+            # (counters from a watermark-aware exchange already exclude them)
+            counters = apply_stats(group)
+        if not from_exchange and group.num_rows:
+            # groupby path: events are never folded, so the group min IS the
+            # stream min (the exchange path ships the receive-time min in
+            # counters["_min_scn"] — folded winners would over-state birth)
+            fresh_min = int(pc.min(group["commit_scn"]).as_py())
+        base = _read_base(out_dir, prev)
+        if base is not None and base.num_rows:
+            group = pa.concat_tables([_base_as_events(base, prev), group],
+                                     promote_options="default")
+    elif not from_exchange and group.num_rows:
+        fresh_min = int(pc.min(group["commit_scn"]).as_py())
+
+    final = merge_apply(group, schema_version, dropped, renamed)
+
+    part_dir = os.path.join(out_dir, f"part-{part:05d}")
+    os.makedirs(part_dir, exist_ok=True)
+    fname = f"data-w{target_watermark}.parquet"
+    fpath = os.path.join(part_dir, fname)
+    tmp = fpath + f".tmp.{os.getpid()}"
+    # zstd-1 snapshots: ~3× fewer disk/storage bytes than snappy on text —
+    # the write leg shares one storage backend across all appliers, while
+    # finalize CPUs have headroom (measured: the hi-CPU leg is write-bound)
+    pq.write_table(final, tmp, compression=output_codec,
+                   compression_level=1 if output_codec == "zstd" else None)
+    os.replace(tmp, fpath)
+
+    first_wm = target_watermark
+    if prev is not None:
+        first_wm = (prev.first_watermark if prev.first_watermark >= 0
+                    else prev.watermark_commit_scn)
+    # data birth: min commit SCN EVER applied to this partition. An
+    # old-format prev manifest (-1) keeps birth unknown — claiming a later
+    # birth than the truth would let as-of reads silently answer "empty"
+    # for SCNs where committed state existed (ADVICE r4 #1).
+    if prev is not None and prev.first_data_scn < 0:
+        first_data = -1
+    else:
+        cands = [x for x in (prev.first_data_scn if prev is not None else None,
+                             fresh_min) if x is not None and x >= 0]
+        first_data = min(cands) if cands else -1
+    m = MF.PartitionManifest(
+        partition=part,
+        watermark_commit_scn=target_watermark,
+        schema_version=schema_version,
+        dropped_columns=sorted(dropped),
+        renamed_columns=dict(renamed or {}),
+        files=[os.path.join(f"part-{part:05d}", fname)],
+        rows=final.num_rows,
+        counters=counters,
+        max_txn_span=max_txn_span,
+        first_watermark=first_wm,
+        first_data_scn=first_data,
+    )
+    MF.write_manifest(mdir, m)
+    # GC superseded snapshots, keeping the newest `snapshot_keep` per
+    # partition (reference keep-checkpoints; >1 enables SCN time travel).
+    # Best-effort and idempotent under task retries: a retry recomputes the
+    # same file set and the same survivors.
+    snaps = sorted(((int(g.group(1)), f)
+                    for f in os.listdir(part_dir)
+                    if (g := re.match(r"data-w(\d+)\.parquet$", f))),
+                   reverse=True)
+    for _, f in snaps[max(1, snapshot_keep):]:
+        try:
+            os.remove(os.path.join(part_dir, f))
+        except OSError:
+            pass
+    return stats_row(part, final.num_rows, target_watermark, False, counters)
+
+
+def _read_base(out_dir: str, m: MF.PartitionManifest) -> pa.Table | None:
+    tables = []
+    for rel in m.files:
+        p = os.path.join(out_dir, rel)
+        if os.path.exists(p):
+            tables.append(pq.read_table(p))
+    if not tables:
+        return None
+    return pa.concat_tables(tables, promote_options="default")
+
+
+def _base_as_events(base: pa.Table, m: MF.PartitionManifest) -> pa.Table:
+    """Existing partition snapshot re-expressed as synthetic full-image
+    inserts at the manifest watermark, so the same merge kernel handles
+    incremental upserts (events > watermark win by LWW). The snapshot's
+    columns carry the display names current at ITS write time (manifest
+    ``renamed_columns``); they map back to physical ``v_<name>`` event
+    columns here, so a rename committed between runs re-labels the same
+    physical data rather than orphaning it."""
+    n = base.num_rows
+    rn = dict(getattr(m, "renamed_columns", {}) or {})
+    cols: dict[str, object] = {}
+    if "table_name" in base.schema.names:
+        cols["table_name"] = base["table_name"]
+    cols |= {
+        "conv_id": base["conv_id"],
+        "turn_idx": base["turn_idx"],
+        "op_code": pa.array(np.full(n, S.OP_I), pa.int8()),
+        "commit_scn": pa.array([m.watermark_commit_scn] * n, pa.int64()),
+        "scn": pa.array([-1] * n, pa.int64()),
+        "scn_idx": pa.array([-1] * n, pa.int32()),
+        "changed_mask": pa.array([S.full_mask(m.schema_version)] * n, pa.int32()),
+    }
+    base_names = set(base.schema.names)
+    for nm, t in S.payload_columns(S.MAX_SCHEMA_VERSION):
+        disp = rn.get(nm, nm)   # the name this snapshot stored it under
+        cols[f"v_{nm}"] = base[disp] if disp in base_names else pa.nulls(n, t)
+    return pa.table(cols)
+
+
+def stats_row(part: int, rows: int, watermark: int, skipped: bool,
+              counters: dict[str, int]) -> pa.Table:
+    d = {
+        "partition": pa.array([part], pa.int32()),
+        "rows": pa.array([rows], pa.int64()),
+        "watermark_commit_scn": pa.array([watermark], pa.int64()),
+        "skipped": pa.array([skipped], pa.bool_()),
+    }
+    for k in ("events", "inserts", "updates", "deletes"):
+        d[k] = pa.array([counters.get(k, 0)], pa.int64())
+    return pa.table(d)

@@ -33,6 +33,7 @@ import ray
 import ray.data as rd
 
 from olrx import schema as S
+from olrx.schema import OP_D, OP_I, OP_U
 from olrx.stages.partition import partition_ids
 
 #: columns the control pass reads — prune everything else at the read
@@ -56,9 +57,6 @@ def mix_pr_keys(xid_h: np.ndarray, scn: np.ndarray, scn_idx: np.ndarray
 EVENT_COLUMNS = ["scn", "scn_idx", "xid", "op", "conv_id", "turn_idx",
                  "after", "changed_mask"]
 
-#: compact op encoding used downstream of decode (shrinks the shuffle payload
-#: and turns apply-side comparisons into int8 ops)
-OP_I, OP_U, OP_D = np.int8(0), np.int8(1), np.int8(2)
 OP_LETTER = pa.array(["I", "U", "D"])
 
 

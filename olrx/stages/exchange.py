@@ -52,28 +52,40 @@ bandwidth-bound host — and the cross-node network at cluster scale — is
 payload bytes, and chat text compresses ~2.5× even under lz4;
 decompression happens per-blob at each FOLD (not piled up at finalize),
 chunked so applier heap holds only a few decoded blobs at a time.
+
+Fleet lifetime: the applier actors belong to an :class:`ApplierFleet`, and
+every exchange starts with ``ApplierFleet.begin``, which resets each
+actor's per-run state (schema, watermarks, buffers, blobs, dedupe digests,
+counters). Whoever creates the fleet owns its lifetime: a long-lived caller
+(``TailSession``) keeps one fleet across iterations, so an iteration pays
+no actor spawn; a caller that passes no fleet gets one scoped to the call,
+closed when the call returns. There is no process-global pool: idle
+appliers hold hundreds of MB each, and only an explicit owner knows when
+they can go. ``close`` kills the actors and returns once they are dead.
+Any exception inside an exchange discards the fleet (its actors' state is
+unknown), so the next call starts from fresh actors; an actor found dead
+at ``begin`` is respawned.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
 import pyarrow as pa
 import ray
 
+from olrx import schema as S
 from olrx.stages.apply import compact_events, merge_apply
+from olrx.stages.commit import apply_and_commit, stats_row
 
 #: outstanding un-acked `add_shard` calls per router worker before it waits.
 #: Bounds the actor mailbox depth and extends Ray Data's backpressure
 #: through the actors (an ack returns once the shard is folded into the
 #: applier's heap state).
 ACK_WINDOW = 32
-
-#: phase wall times of the most recent run_actor_exchange on this driver
-#: (bench/diagnostic readout; keys: route, fence, finalize)
-LAST_TIMINGS: dict = {}
 
 #: meta columns added by the router: pointer into the payload blob
 POINTER_COLUMNS = ("blob_id", "row_idx")
@@ -101,7 +113,7 @@ def _op_counts(t: pa.Table, wm_arr: "np.ndarray | None" = None
 
     ``wm_arr`` (per-partition confirmed commit-SCN watermarks, resume runs):
     rows at or below their partition's watermark are excluded, so the counts
-    match the post-watermark-filter stream that ``_apply_and_commit``
+    match the post-watermark-filter stream that ``apply_and_commit``
     actually applies — stream-exact on resume, not winner-count (r2 advisory)."""
     part = t["part"].to_numpy(zero_copy_only=False).astype(np.int64)
     op = t["op_code"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -214,13 +226,27 @@ class PartitionApplier:
     winners' payload at each geometric fold, then merges/commits the
     pre-gathered winner events at finalize."""
 
-    def __init__(self, applier_id: int, num_appliers: int,
-                 schema_version: int,
-                 compact_threshold: int = 0,
-                 multi_table: bool = False,
-                 part_watermarks: "np.ndarray | None" = None,
-                 dropped: tuple = (),
-                 renamed: "dict[str, str] | None" = None) -> None:
+    def __init__(self) -> None:
+        # all appliers finalize concurrently; each Arrow kernel spawning a
+        # full-size internal thread pool oversubscribes the node and inflates
+        # even plain numpy wall time via preemption
+        pa.set_cpu_count(2)
+        pa.set_io_thread_count(2)
+        self._fold_thread = None
+
+    def begin(self, applier_id: int, num_appliers: int,
+              schema_version: int,
+              compact_threshold: int = 0,
+              multi_table: bool = False,
+              part_watermarks: "np.ndarray | None" = None,
+              dropped: tuple = (),
+              renamed: "dict[str, str] | None" = None) -> None:
+        """Start one exchange run: reset ALL per-run state. The actor may
+        have served earlier runs (``ApplierFleet``); nothing of theirs may
+        leak into this one — a stale content digest, for one, would drop
+        this run's re-read shards as retry duplicates."""
+        if self._fold_thread is not None:
+            self._fold_thread.join()
         self.applier_id = applier_id
         self.num_appliers = num_appliers
         self.schema_version = schema_version
@@ -243,7 +269,6 @@ class PartitionApplier:
         #: kernels release the GIL, so shard appends keep draining while a
         #: fold runs; if a fold is still running when the next trigger
         #: fires, the tail simply keeps buffering until it finishes.
-        import threading
         self._fold_thread: "threading.Thread | None" = None
         self.counts: list[np.ndarray] = []    # per-shard (part*4+op, n) pairs
         self.min_scns: list[np.ndarray] = []  # per-shard (part, min commit scn)
@@ -260,11 +285,6 @@ class PartitionApplier:
         if compact_threshold:
             frac = applier_id / max(1, num_appliers - 1) if num_appliers > 1 else 0.5
             self.compact_threshold = int(compact_threshold * (0.75 + 0.5 * frac))
-        # all appliers finalize concurrently; each Arrow kernel spawning a
-        # full-size internal thread pool oversubscribes the node and inflates
-        # even plain numpy wall time via preemption
-        pa.set_cpu_count(2)
-        pa.set_io_thread_count(2)
 
     def add_shard(self, meta: pa.Table, blob_id: int, blob_ref_box: list,
                   shard_key: bytes = b"") -> int:
@@ -312,8 +332,6 @@ class PartitionApplier:
         message path. One fold at a time; ``materialized`` is only ever
         touched by the fold thread between joins, and by finalize after the
         join, so there is no concurrent access."""
-        import threading
-
         snapshot, self.meta_runs = self.meta_runs, []
         blobs, self.blobs = self.blobs, {}
         self.tail_rows = 0
@@ -379,7 +397,6 @@ class PartitionApplier:
         partition-exact."""
         held = self._gather()
         if held is None:
-            from olrx import schema as S
             return S.transcripts_schema(
                 self.schema_version, include_table=self.multi_table,
                 dropped=self.dropped, renamed=self.renamed).empty_table()
@@ -391,8 +408,6 @@ class PartitionApplier:
                         output_codec: str = "zstd",
                         snapshot_keep: int = 1) -> pa.Table:
         """Merge-apply + write parquet + manifests for owned partitions."""
-        from olrx.pipelines.replay import _apply_and_commit
-
         stats: list[pa.Table] = []
         held = self._gather()
         if held is not None:
@@ -412,7 +427,7 @@ class PartitionApplier:
                 for code, nm in ((0, "inserts"), (1, "updates"), (2, "deletes")):
                     counters[nm] = int(cnt[ops == code].sum())
                 # which watermark the receive-time counts already excluded
-                # (resume-exactness contract with _apply_and_commit)
+                # (resume-exactness contract with apply_and_commit)
                 counters["_wm"] = (int(self.part_watermarks[part_id])
                                    if self.part_watermarks is not None else -1)
                 # receive-time data birth for the manifest (folded winners'
@@ -420,7 +435,7 @@ class PartitionApplier:
                 mm = part_mins[0] == part_id
                 counters["_min_scn"] = (int(part_mins[1][mm][0])
                                         if mm.any() else -1)
-                stats.append(_apply_and_commit(
+                stats.append(apply_and_commit(
                     all_events.take(pa.array(sel)), out_dir,
                     self.schema_version, safe_watermark, max_commit_scn,
                     max_txn_span, counters=counters,
@@ -428,8 +443,7 @@ class PartitionApplier:
                     renamed=self.renamed,
                     snapshot_keep=snapshot_keep))
         if not stats:
-            from olrx.pipelines.replay import _stats_row
-            return _stats_row(-1, 0, safe_watermark, True, {})[:0]
+            return stats_row(-1, 0, safe_watermark, True, {})[:0]
         return pa.concat_tables(stats)
 
 
@@ -448,8 +462,10 @@ def make_router(appliers: list, num_appliers: int,
 
     def route(batch: pa.Table) -> pa.Table:
         if ready_refs is not None and not holder.get("ready"):
-            # ray.put(_owner=applier) needs live owners; actor spawn overlaps
-            # with the read+decode of the first blocks, so this wait is short
+            # the appliers' begin refs: ray.put(_owner=applier) needs live
+            # owners, and a shard must not arrive before its applier reset
+            # for this run. Actor spawn overlaps with the read+decode of
+            # the first blocks, so this wait is short
             ray.get(ready_refs)
             holder["ready"] = True
         pending: list = holder.setdefault("pending", [])
@@ -536,6 +552,85 @@ def _fence_and_launch(appliers: list, totals: np.ndarray, launch,
     return out
 
 
+class ApplierFleet:
+    """Owner of the :class:`PartitionApplier` actors exchanges route to.
+
+    ``begin`` grows the fleet to the run's size and resets every actor it
+    uses; ``close`` kills them all. The fleet stays usable after ``close``:
+    the next ``begin`` spawns fresh actors. See the module docstring for who
+    owns a fleet and when it is discarded."""
+
+    def __init__(self) -> None:
+        self.appliers: list = []
+
+    def begin(self, num_appliers: int, schema_version: int,
+              **run) -> "tuple[list, list]":
+        """Start a run on the first ``num_appliers`` actors, spawning any
+        that are missing or found dead. Returns ``(appliers, ready_refs)``:
+        the run's actors and their ``PartitionApplier.begin`` refs — the
+        router waits on those before it ships a shard. ``run`` are the
+        remaining ``PartitionApplier.begin`` keywords."""
+        def start(i: int):
+            return self.appliers[i].begin.remote(i, num_appliers,
+                                                 schema_version, **run)
+
+        reused = min(len(self.appliers), num_appliers)
+        while len(self.appliers) < num_appliers:
+            self.appliers.append(PartitionApplier.remote())
+        refs = [start(i) for i in range(num_appliers)]
+        # a live, idle actor answers begin in milliseconds; waiting on the
+        # reused ones finds a dead actor here instead of mid-stream
+        for i in range(reused):
+            try:
+                ray.get(refs[i])
+            except ray.exceptions.RayActorError:
+                self.appliers[i] = PartitionApplier.remote()
+                refs[i] = start(i)
+        return self.appliers[:num_appliers], refs
+
+    def close(self, timeout_s: float = 10.0) -> None:
+        """Kill every actor and return once they are dead (their processes
+        have exited, for actors on this node), or after ``timeout_s``."""
+        actors, self.appliers = self.appliers, []
+        if not actors:
+            return
+        for a in actors:
+            ray.kill(a)
+        _wait_dead(actors, time.monotonic() + timeout_s)
+
+
+def _wait_dead(actors: list, deadline: float) -> None:
+    """Poll the GCS actor table until each actor is DEAD, then wait for the
+    local ones' worker processes to exit: a killed actor's memory is only
+    free once its process is gone."""
+    # the public state API needs the dashboard; the GCS table does not
+    from ray._private import state as gcs
+
+    here = ray.get_runtime_context().get_node_id()
+    pids = []
+    for a in actors:
+        info: dict = {}
+        while time.monotonic() < deadline:
+            info = gcs.actors(actor_id=a._actor_id.hex()) or {}
+            if info.get("State", "DEAD") == "DEAD":
+                break
+            time.sleep(0.005)
+        if info.get("Pid") and info.get("Address", {}).get("NodeID") == here:
+            pids.append(int(info["Pid"]))
+    for pid in pids:
+        while _pid_running(pid) and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+
+def _pid_running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an exited, unreaped one is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
 def run_actor_exchange(events, num_appliers: int, schema_version: int,
                        commit: dict | None = None,
                        compact_threshold: int = 0,
@@ -544,7 +639,8 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
                        part_watermarks: "np.ndarray | None" = None,
                        dropped: tuple = (),
                        renamed: "dict[str, str] | None" = None,
-                       timings: "dict | None" = None):
+                       timings: "dict | None" = None,
+                       fleet: "ApplierFleet | None" = None):
     """Drive the routed stream and finalize.
 
     ``commit=None`` → final transcript rows: a list of per-applier Arrow
@@ -554,17 +650,34 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
     (small: one row per partition). ``part_watermarks`` (resume runs) makes
     the receive-time lineage counters exclude rows the commit path will
     drop at its per-partition watermark filter.
+
+    ``fleet``: the caller's :class:`ApplierFleet`, reused and left open;
+    None → a fleet scoped to this call. Either way an exception discards
+    the fleet's actors before it propagates.
     """
+    own = fleet is None
+    if own:
+        fleet = ApplierFleet()
+    try:
+        out = _exchange(fleet, events, num_appliers, schema_version, commit,
+                        as_refs, {} if timings is None else timings,
+                        compact_threshold=compact_threshold,
+                        multi_table=multi_table,
+                        part_watermarks=part_watermarks,
+                        dropped=dropped, renamed=renamed)
+    except BaseException:
+        fleet.close()
+        raise
+    if own:
+        fleet.close()
+    return out
+
+
+def _exchange(fleet: ApplierFleet, events, num_appliers: int,
+              schema_version: int, commit: "dict | None", as_refs: bool,
+              timings: dict, **run):
     codec = default_blob_codec()
-    appliers = [PartitionApplier.remote(a, num_appliers, schema_version,
-                                        compact_threshold, multi_table,
-                                        part_watermarks, dropped, renamed)
-                for a in range(num_appliers)]
-    # routers ray.put with _owner=applier, which needs the owner's address —
-    # an actor still pending creation has none ("worker_id is empty"). The
-    # readiness refs are waited on lazily inside the first route() call per
-    # worker, so actor spawn overlaps the read+decode of the first blocks.
-    ready_refs = [a.__ray_ready__.remote() for a in appliers]
+    appliers, ready_refs = fleet.begin(num_appliers, schema_version, **run)
     t0 = time.perf_counter()
     routed = events.map_batches(make_router(appliers, num_appliers,
                                             ready_refs=ready_refs, codec=codec),
@@ -577,34 +690,22 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
             np.add.at(totals, b["applier"].to_numpy(zero_copy_only=False),
                       b["sent"].to_numpy(zero_copy_only=False))
     t1 = time.perf_counter()
-    if timings is None:
-        timings = {}          # caller doesn't track; globals still mirror
     timings["route"] = round(t1 - t0, 3)
-    LAST_TIMINGS.clear()
-    LAST_TIMINGS.update(route=timings["route"])
     if commit is None:
         refs = _fence_and_launch(appliers, totals,
                                  lambda i: appliers[i].finalize_rows.remote())
-        t2 = time.perf_counter()
-        if as_refs:
-            # block until the blocks are durably in plasma, then release the
-            # actors — the refs stay valid (owned by the driver)
-            ray.wait(refs, num_returns=len(refs), fetch_local=False)
-            for a in appliers:
-                ray.kill(a)
-            timings["finalize"] = round(time.perf_counter() - t2, 3)
-            timings["fence"] = round(t2 - t1, 3)
-            LAST_TIMINGS.update(fence=timings["fence"], finalize=timings["finalize"])
-            return refs
-        outs = ray.get(refs)
     else:
         refs = _fence_and_launch(
             appliers, totals, lambda i: appliers[i].finalize_commit.remote(**commit))
-        t2 = time.perf_counter()
+    t2 = time.perf_counter()
+    if as_refs:
+        # block until the blocks are durably in plasma: the refs stay valid
+        # (owned by the driver) when a call-scoped fleet is closed next
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        out = refs
+    else:
         outs = ray.get(refs)
-    for a in appliers:
-        ray.kill(a)
+        out = pa.concat_tables([t for t in outs if t.num_rows > 0] or outs[:1])
     timings["fence"] = round(t2 - t1, 3)
     timings["finalize"] = round(time.perf_counter() - t2, 3)
-    LAST_TIMINGS.update(fence=timings["fence"], finalize=timings["finalize"])
-    return pa.concat_tables([t for t in outs if t.num_rows > 0] or outs[:1])
+    return out

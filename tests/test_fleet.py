@@ -1,0 +1,191 @@
+"""Applier fleet lifetime: reuse across runs without state bleed, recovery
+from a dead actor, teardown on close, and the applier's slim import
+closure."""
+
+import dataclasses
+import json
+import os
+import shutil
+import subprocess
+import sys
+import time
+
+import pytest
+import ray
+from ray._private import state as gcs
+
+from olrx.pipelines.replay import ReplayConfig, read_lake, replay_to_lake
+from olrx.stages.exchange import ApplierFleet
+from tests.conftest import sorted_table
+
+CFG = ReplayConfig(num_partitions=16)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _actor_ids(fleet: ApplierFleet) -> list[str]:
+    return [a._actor_id.hex() for a in fleet.appliers]
+
+
+def _alive_appliers() -> list[str]:
+    return [aid for aid, info in gcs.actors().items()
+            if info["ActorClassName"] == "PartitionApplier"
+            and info["State"] != "DEAD"]
+
+
+def _kill_and_wait(actor) -> None:
+    ray.kill(actor)
+    deadline = time.monotonic() + 30
+    while True:
+        try:
+            ray.get(actor.__ray_ready__.remote())
+        except ray.exceptions.RayActorError:
+            return
+        assert time.monotonic() < deadline, "killed actor still answers"
+        time.sleep(0.05)
+
+
+def test_applier_imports_stay_slim():
+    """Every applier process imports the exchange module and the commit
+    path it calls; neither may pull in pandas or Ray Data (both cost spawn
+    time on every replay)."""
+    code = ("import sys, olrx.stages.exchange, olrx.stages.commit\n"
+            "bad = [m for m in ('pandas', 'ray.data') if m in sys.modules]\n"
+            "print(bad)\n"
+            "sys.exit(1 if bad else 0)\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_fleet_reuse_has_no_state_bleed(tmp_path, gen_small, expected_small):
+    """Two back-to-back fresh replays of the same input through one fleet:
+    both lakes are oracle-equal and both runs' counters equal a call-scoped
+    replay's. A content digest carried over from run one would make run two
+    drop every re-read shard as a retry duplicate."""
+    _, _, paths, _ = gen_small
+    # one read block per segment and one decode batch per block: the shards,
+    # and so their digests, are the same in both runs (a batch bundling
+    # several blocks concatenates them in arrival order)
+    cfg = dataclasses.replace(CFG, read_blocks=len(paths), batch_size=None)
+    ref = replay_to_lake(paths, str(tmp_path / "ref"), cfg, resume=False)
+    want_stats = ref.stats.sort_by("partition")
+    lake = str(tmp_path / "lake")
+    fleet = ApplierFleet()
+    try:
+        ids = []
+        for _ in range(2):
+            res = replay_to_lake(paths, lake, cfg, resume=False, fleet=fleet)
+            ids.append(_actor_ids(fleet))
+            assert res.stats.sort_by("partition").equals(want_stats)
+            assert sorted_table(read_lake(lake),
+                                expected_small.schema).equals(expected_small)
+        assert ids[0] == ids[1], "the second run must reuse the fleet"
+    finally:
+        fleet.close()
+
+
+def test_failed_exchange_discards_fleet():
+    """An exception inside an exchange kills the caller's fleet before it
+    propagates: the actors' per-run state is unknown, so the next run must
+    start from fresh ones."""
+    import ray.data as rd
+
+    from olrx.stages.exchange import run_actor_exchange
+
+    def boom(batch):
+        raise RuntimeError("injected router failure")
+
+    fleet = ApplierFleet()
+    _, ready = fleet.begin(2, 0)
+    ray.get(ready)
+    ids = _actor_ids(fleet)
+    events = rd.from_items([{"x": 1}]).map_batches(boom)
+    with pytest.raises(Exception, match="injected router failure"):
+        run_actor_exchange(events, 2, 0, fleet=fleet)
+    assert fleet.appliers == []
+    assert {gcs.actors(actor_id=aid)["State"] for aid in ids} == {"DEAD"}
+
+
+def _tail_job(tmp_path, paths):
+    """A tail job spec over an initially empty directory, and a callable
+    landing the segments of the given sequence numbers there."""
+    src = tmp_path / "segments"
+    src.mkdir(parents=True)
+    spec_path = str(tmp_path / "job.json")
+    with open(spec_path, "w") as f:
+        json.dump({"source": {"directory": str(src)},
+                   "target": {"uri": str(tmp_path / "lake"),
+                              "num_partitions": 16},
+                   "mode": "tail"}, f)
+
+    def land(*seqs: int) -> None:
+        for p in paths:
+            if any(f"seg{s:04d}" in p for s in seqs):
+                shutil.copy(p, src / os.path.basename(p))
+
+    return spec_path, land
+
+
+def _two_waves(tmp_path, paths, between=None):
+    """Run a tail session over two landing waves, calling ``between(sess)``
+    after the first iteration. Returns per-iteration (stats, actor ids);
+    the session is closed."""
+    from olrx.pipelines.job import TailSession
+
+    spec_path, land = _tail_job(tmp_path, paths)
+    out = []
+    with TailSession(spec_path) as sess:
+        land(0, 1)
+        out.append((sess.run_once().stats.sort_by("partition"),
+                    _actor_ids(sess.fleet)))
+        if between is not None:
+            between(sess)
+        land(2, 3)
+        out.append((sess.run_once().stats.sort_by("partition"),
+                    _actor_ids(sess.fleet)))
+    return out
+
+
+def test_tail_session_keeps_its_fleet(tmp_path, gen_small, expected_small):
+    """Iterations reuse the same applier actors; close() returns only once
+    they are dead, leaving no applier alive."""
+    _, _, paths, _ = gen_small
+    (_, ids1), (_, ids2) = _two_waves(tmp_path, paths)
+    assert ids1 and ids1 == ids2, "run_once respawned the fleet"
+    assert sorted_table(read_lake(str(tmp_path / "lake")),
+                        expected_small.schema).equals(expected_small)
+    states = {aid: gcs.actors(actor_id=aid)["State"] for aid in ids2}
+    assert set(states.values()) == {"DEAD"}, states
+    assert _alive_appliers() == []
+
+
+def test_tail_session_recovers_killed_applier(tmp_path, gen_small,
+                                              expected_small):
+    """An applier killed between iterations is respawned at the next
+    run_once, whose lake is oracle-equal and whose counters equal those of
+    an undisturbed session over the same waves."""
+    _, _, paths, _ = gen_small
+    want = _two_waves(tmp_path / "plain", paths)
+
+    def kill_first(sess):
+        _kill_and_wait(sess.fleet.appliers[0])
+
+    (_, ids1), (stats2, ids2) = _two_waves(tmp_path / "killed", paths,
+                                           between=kill_first)
+    assert ids2[0] != ids1[0] and ids2[1:] == ids1[1:], \
+        "only the dead actor is replaced"
+    assert stats2.equals(want[1][0])
+    assert sorted_table(read_lake(str(tmp_path / "killed" / "lake")),
+                        expected_small.schema).equals(expected_small)
+    assert _alive_appliers() == []
+
+
+def test_run_tail_closes_its_session(tmp_path, gen_small):
+    from olrx.pipelines.job import run_tail
+
+    _, _, paths, _ = gen_small
+    spec_path, land = _tail_job(tmp_path, paths)
+    land(0, 1)
+    out = run_tail(spec_path, iterations=1)
+    assert len(out) == 1 and out[0].stats.num_rows > 0
+    assert _alive_appliers() == []

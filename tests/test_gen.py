@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow.compute as pc
+import pytest
 
 from olrx.gen import GenConfig, generate
 
@@ -80,3 +81,12 @@ def test_streamed_segments_match_eager_writer(tmp_path):
         assert pq.read_table(os.path.join(a, f)).equals(
             pq.read_table(os.path.join(b, f))), f
     assert meta["rows"] == res.table.num_rows
+
+
+@pytest.mark.parametrize("flag", ["ddl_drop", "ddl_rename"])
+def test_ddl_evolution_requires_ddl(flag):
+    """A drop or rename without the add-column DDL would be silently
+    ignored; the config refuses it instead."""
+    with pytest.raises(ValueError, match=f"{flag}=True requires ddl=True"):
+        GenConfig(scale=0.001, ddl=False, **{flag: True})
+    GenConfig(scale=0.001, **{flag: True})

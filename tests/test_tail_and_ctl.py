@@ -43,25 +43,25 @@ def test_tail_config_live_reload(tmp_path, gen_small):
     for p in first:
         shutil.copy(p, src / os.path.basename(p))
 
-    sess = TailSession(spec_path)
-    sess.run_once()
-    assert sess.reloads == 1
-    t1 = sorted_table(read_lake(lake))
-    assert t1.num_rows > 0
+    with TailSession(spec_path) as sess:
+        sess.run_once()
+        assert sess.reloads == 1
+        t1 = sorted_table(read_lake(lake))
+        assert t1.num_rows > 0
 
-    # config edit mid-tail: track nothing; new segments arrive
-    spec["filter"] = {"conv_regex": "^no-conversation-matches-this$"}
-    with open(spec_path, "w") as f:
-        json.dump(spec, f)
-    st = os.stat(spec_path)
-    os.utime(spec_path, ns=(st.st_atime_ns, st.st_mtime_ns + 10_000_000))
-    for p in paths:
-        if p not in first:
-            shutil.copy(p, src / os.path.basename(p))
+        # config edit mid-tail: track nothing; new segments arrive
+        spec["filter"] = {"conv_regex": "^no-conversation-matches-this$"}
+        with open(spec_path, "w") as f:
+            json.dump(spec, f)
+        st = os.stat(spec_path)
+        os.utime(spec_path, ns=(st.st_atime_ns, st.st_mtime_ns + 10_000_000))
+        for p in paths:
+            if p not in first:
+                shutil.copy(p, src / os.path.basename(p))
 
-    sess.run_once()
-    assert sess.reloads == 2, "mtime change must trigger a config rebuild"
-    assert sess.cfg.conv_regex == "^no-conversation-matches-this$"
+        sess.run_once()
+        assert sess.reloads == 2, "mtime change must trigger a config rebuild"
+        assert sess.cfg.conv_regex == "^no-conversation-matches-this$"
     t2 = sorted_table(read_lake(lake))
     # the new segments' events were all dropped by the NEW filter
     assert t2.equals(t1)
@@ -141,7 +141,7 @@ def test_exchange_retry_dedupe(tmp_path, gen_small):
     lineage counters equal the single-delivery run."""
     from olrx.stages.decode import load_control
     from olrx.pipelines.replay import _decoded_events
-    from olrx.stages.exchange import PartitionApplier, make_router
+    from olrx.stages.exchange import ApplierFleet, make_router
 
     _, _, paths, _ = gen_small
     control = load_control(paths)
@@ -151,8 +151,9 @@ def test_exchange_retry_dedupe(tmp_path, gen_small):
     sv = control.schema_version
 
     def run(n_deliveries: int) -> pa.Table:
-        appliers = [PartitionApplier.remote(0, 1, sv, 0, False)]
-        ray.get([a.__ray_ready__.remote() for a in appliers])
+        fleet = ApplierFleet()
+        appliers, ready = fleet.begin(1, sv)
+        ray.get(ready)
         for _ in range(n_deliveries):
             # a fresh router per delivery = a retried task's fresh blob-id
             # space; the shard CONTENT digests are identical
@@ -167,7 +168,7 @@ def test_exchange_retry_dedupe(tmp_path, gen_small):
         stats = ray.get(appliers[0].finalize_commit.remote(
             out_dir=out, safe_watermark=control.max_commit_scn,
             max_commit_scn=control.max_commit_scn, max_txn_span=0))
-        ray.kill(appliers[0])
+        fleet.close()
         return stats
 
     once = run(1).sort_by("partition")
