@@ -1,4 +1,4 @@
-"""Cluster-sized actor pools for stateful ops stages.
+"""Cluster-sized actor pools, bucket counts and read block counts.
 
 A hardcoded ``concurrency=2`` (round-2 state) pins the most CPU-hungry
 stages — minhash/simhash signatures, text scoring, media kernels — to two
@@ -28,3 +28,13 @@ def coarse_buckets(per_cpu: int = 4, floor: int = 32) -> int:
     round-trip per key — measured 27 s for ~80k keys vs ~1 s coarse."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
     return max(floor, per_cpu * cpus)
+
+
+def coarse_read_blocks(num_files: int | None = None) -> int:
+    """``override_num_blocks`` for a parquet read: 3× CPUs, and never more
+    blocks than files. Ray's default block count splits a few dozen small
+    files into ms-scale tasks, and the driver becomes the scheduling
+    bottleneck. One rule for the replay's decode read, its hot-key pass and
+    the lake reads."""
+    blocks = 3 * int(ray.cluster_resources().get("CPU", 8))
+    return max(1, min(blocks, num_files)) if num_files is not None else blocks

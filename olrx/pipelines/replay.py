@@ -36,6 +36,7 @@ import ray
 import ray.data as rd
 
 from olrx import schema as S
+from olrx.ops.scaling import coarse_read_blocks
 from olrx.stages.apply import merge_apply
 from olrx.stages.commit import apply_and_commit, stats_row
 from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, load_control,
@@ -49,11 +50,9 @@ class ReplayConfig:
     num_partitions: int = 32        # ≥ 4× apply parallelism for balance
     batch_size: int = 131_072       # decode batch rows (coarse: task overhead
                                     # dominates below ~20 MB blocks)
-    read_blocks: int | None = None  # override_num_blocks for reads; None →
-                                    # ~3× CPUs (coarse blocks; Ray's default
-                                    # over-splits small files into ms-scale
-                                    # tasks and the driver becomes the
-                                    # scheduling bottleneck)
+    read_blocks: int | None = None  # override_num_blocks for the decode
+                                    # and hot-key reads; None →
+                                    # scaling.coarse_read_blocks (3× CPUs)
     decode_concurrency: int | None = None  # None → ~half the CPUs
     salt_hot: bool = False          # heavy-hitter detection + turn-salting
     hot_frac_threshold: float = 0.02
@@ -72,7 +71,9 @@ class ReplayConfig:
     #: "actor" = direct applier-actor routing (SURVEY §4.2; ~1 pass through
     #: the object store instead of ~4 — better on bandwidth-bound nodes)
     exchange: str = "actor"
-    num_appliers: int | None = None   # None → 2× CPUs
+    #: None → sized to the input and the fleet's owner
+    #: (``resolved_num_appliers``)
+    num_appliers: int | None = None
     #: applier memory bound, ON by default (judge r1): when an applier's
     #: un-compacted buffer exceeds max(this, rows already folded), an
     #: OFF-PATH worker thread folds it into the per-key winner set
@@ -146,26 +147,31 @@ class ReplayConfig:
         return max(2, cpus // 2)
 
     def resolved_read_blocks(self) -> int:
-        if self.read_blocks:
-            return self.read_blocks
-        return 3 * int(ray.cluster_resources().get("CPU", 8))
+        return self.read_blocks or coarse_read_blocks()
 
-    def resolved_num_appliers(self, input_bytes: int | None = None) -> int:
+    def resolved_num_appliers(self, input_bytes: int | None = None,
+                              kept_fleet: bool = False) -> int:
+        """Applier count for one exchange. ``kept_fleet``: the actors belong
+        to a fleet that outlives the call (``TailSession``), so their spawn
+        is paid once; otherwise the call pays it."""
         if self.num_appliers:
             return self.num_appliers
         # more appliers than CPUs: finalize work is 1-thread-per-actor, so
         # extra actors load-balance the merge phase across whatever CPUs are
-        # free (actors are cheap; their heap share shrinks with A)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
+        # free (their heap share shrinks with A)
+        cpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
         cap = max(2, 2 * cpus)
         if input_bytes is None:
             return cap
-        # size the fleet to the input: actor spawn-to-ready is ~5 s for a
-        # 64-actor fleet — half the wall on a small replay. ~24 MB of input
-        # per applier keeps per-actor heap modest while small inputs spawn
-        # a handful of actors, not 2×CPUs.
+        # ~24 MB of input per applier keeps per-actor heap modest. Below
+        # that, the floor depends on who pays the spawn: each actor is a
+        # fresh process (~0.85 s to ready on one CPU, and Ray never hands
+        # a pooled worker to an actor), so a call-scoped fleet spawns one
+        # applier per CPU. A kept fleet spawns once and keeps the 2× CPUs
+        # merge balance for every later call.
         want = int(input_bytes // (24 * 2**20)) + 1
-        return max(min(8, cap), min(want, cap))
+        floor = min(8, cap if kept_fleet else cpus)
+        return max(floor, min(want, cap))
 
 
 @dataclass
@@ -296,7 +302,8 @@ def replay_dataset(paths: list[str], cfg: ReplayConfig | None = None) -> ReplayR
     sv = control.schema_version
     dropped = control.dropped_columns
     renamed = control.renamed_columns
-    hot = (detect_hot_keys(paths, frac_threshold=cfg.hot_frac_threshold)
+    hot = (detect_hot_keys(paths, frac_threshold=cfg.hot_frac_threshold,
+                           num_blocks=cfg.resolved_read_blocks())
            if cfg.salt_hot else None)
     events = _decoded_events(paths, cfg, control, hot=hot)
     if cfg.exchange == "actor":
@@ -353,9 +360,7 @@ def replay_to_lake(paths: list[str], out_dir: str,
     # renames extend/override them. A rename whose "physical" key is itself
     # a prior run's display name (the input only contains the later
     # segments) resolves through the inverse of the prior mapping.
-    prev_rn: dict[str, str] = {}
-    for m in prev_ms.values():
-        prev_rn.update(getattr(m, "renamed_columns", {}) or {})
+    prev_rn = MF.current_renames(prev_ms)
     inv_prev = {v: k for k, v in prev_rn.items()}
     renamed = dict(prev_rn)
     for ph, new in control.renamed_columns.items():
@@ -380,8 +385,10 @@ def replay_to_lake(paths: list[str], out_dir: str,
                 for p, m in ms.items():
                     if 0 <= p < cfg.num_partitions:
                         wms[p] = m.watermark_commit_scn
+        appliers = cfg.resolved_num_appliers(nbytes,
+                                             kept_fleet=fleet is not None)
         stats = run_actor_exchange(
-            events, cfg.resolved_num_appliers(nbytes), sv,
+            events, appliers, sv,
             commit=dict(out_dir=out_dir, safe_watermark=safe_wm,
                         max_commit_scn=max_commit, max_txn_span=span,
                         output_codec=cfg.output_codec,
@@ -431,7 +438,8 @@ def _resolved_hot_keys(paths: list[str], out_dir: str, cfg: ReplayConfig,
                 "hot-key partitioning is pinned at first commit — rebuild the "
                 "lake (resume=False) to change it")
         return frozenset(d["hot"])
-    hot = detect_hot_keys(paths, frac_threshold=cfg.hot_frac_threshold)
+    hot = detect_hot_keys(paths, frac_threshold=cfg.hot_frac_threshold,
+                          num_blocks=cfg.resolved_read_blocks())
     import json as _json
     os.makedirs(os.path.dirname(hp), exist_ok=True)
     tmp = hp + f".tmp.{os.getpid()}"
@@ -459,15 +467,13 @@ def read_lake(out_dir: str) -> rd.Dataset:
     ms = MF.read_all(os.path.join(out_dir, "_manifest"))
     files_of: dict[tuple, list[str]] = {}
     for m in ms.values():
-        key = tuple(sorted((getattr(m, "renamed_columns", {}) or {}).items()))
+        key = tuple(sorted((m.renamed_columns or {}).items()))
         files_of.setdefault(key, []).extend(
             os.path.join(out_dir, rel) for rel in m.files)
     schema_version = max((m.schema_version for m in ms.values()), default=0)
     dropped = tuple(sorted(
         {c for m in ms.values() for c in m.dropped_columns}))
-    renamed: dict[str, str] = {}
-    for m in ms.values():
-        renamed.update(getattr(m, "renamed_columns", {}) or {})
+    renamed = MF.current_renames(ms)
     all_files = [f for fs in files_of.values() for f in fs]
     inc = bool(all_files) and "table_name" in pq.read_schema(all_files[0]).names
     tgt = S.transcripts_schema(schema_version, include_table=inc,
@@ -484,7 +490,8 @@ def read_lake(out_dir: str) -> rd.Dataset:
             fields.append(pa.field(gname, f.type))
             if gname != f.name:
                 mapping[gname] = f.name
-        ds = rd.read_parquet(files, schema=pa.schema(fields))
+        ds = rd.read_parquet(files, schema=pa.schema(fields),
+                             override_num_blocks=coarse_read_blocks(len(files)))
         parts.append(ds.rename_columns(mapping) if mapping else ds)
     if not parts:
         return rd.from_arrow(tgt.empty_table())

@@ -27,6 +27,8 @@ import re
 
 import ray.data as rd
 
+from olrx.ops.scaling import coarse_read_blocks
+
 _SNAP_RE = re.compile(r"data-w(\d+)\.parquet$")
 
 
@@ -102,14 +104,11 @@ def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
     import pyarrow.parquet as pq
 
     groups: dict[tuple, list[str]] = {}
-    sch_of: dict[tuple, pa.Schema] = {}
     for f in files:
-        sch = pq.read_schema(f)
-        key = tuple(sch.names)
-        groups.setdefault(key, []).append(f)
-        sch_of.setdefault(key, sch)
+        groups.setdefault(tuple(pq.read_schema(f).names), []).append(f)
     if len(groups) == 1:
-        return rd.read_parquet(files)
+        return rd.read_parquet(
+            files, override_num_blocks=coarse_read_blocks(len(files)))
 
     from olrx import schema as S
     from olrx.state import manifest as MF
@@ -122,17 +121,19 @@ def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
         canon, pq.read_schema(max(files, key=_wm)).types)}
     physicals = ({n for n, _ in S.payload_columns(S.MAX_SCHEMA_VERSION)}
                  | set(S.transcripts_schema(0, include_table=True).names))
-    renamed: dict[str, str] = {}
+    # every display name any manifest records, superseded epochs included
+    # (a stale partition's snapshot carries its own epoch's label); a label
+    # two physical columns have worn proves nothing
+    phys_of: dict[str, set[str]] = {}
     for m in MF.read_all(os.path.join(out_dir, "_manifest")).values():
-        renamed.update(getattr(m, "renamed_columns", {}) or {})
+        for p, cur in (m.renamed_columns or {}).items():
+            phys_of.setdefault(cur, set()).add(p)
 
     def _phys(name: str) -> str | None:
         if name in physicals:
             return name
-        for p, cur in renamed.items():
-            if cur == name:
-                return p
-        return None
+        cands = phys_of.get(name, set())
+        return next(iter(cands)) if len(cands) == 1 else None
 
     parts: list[rd.Dataset] = []
     for names, gfiles in sorted(groups.items()):
@@ -158,7 +159,8 @@ def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
             mapping[fn] = tn
         fields += [pa.field(canon[i], canon_types[canon[i]])
                    for i in range(len(names), len(canon))]
-        ds = rd.read_parquet(gfiles, schema=pa.schema(fields))
+        ds = rd.read_parquet(gfiles, schema=pa.schema(fields),
+                             override_num_blocks=coarse_read_blocks(len(gfiles)))
         parts.append(ds.rename_columns(mapping) if mapping else ds)
     return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 

@@ -59,7 +59,11 @@ actor's per-run state (schema, watermarks, buffers, blobs, dedupe digests,
 counters). Whoever creates the fleet owns its lifetime: a long-lived caller
 (``TailSession``) keeps one fleet across iterations, so an iteration pays
 no actor spawn; a caller that passes no fleet gets one scoped to the call,
-closed when the call returns. There is no process-global pool: idle
+closed when the call returns. Each actor is a fresh process, so the owner
+also sets the size (``ReplayConfig.resolved_num_appliers``): below ~24 MB
+of input per applier, a call-scoped fleet spawns one applier per CPU and a
+kept fleet 2× CPUs (both at most 8), because only the kept fleet amortizes
+the extra spawns over later calls. There is no process-global pool: idle
 appliers hold hundreds of MB each, and only an explicit owner knows when
 they can go. ``close`` kills the actors and returns once they are dead.
 Any exception inside an exchange discards the fleet (its actors' state is

@@ -23,7 +23,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
+
+from olrx.ops.scaling import coarse_read_blocks
 
 _SALT_MULT = np.uint64(0x9E3779B97F4A7C15)
 
@@ -54,29 +57,40 @@ def partition_ids(conv_id, turn_idx, num_partitions: int,
 
 
 def detect_hot_keys(paths: list[str], key_column: str = "conv_id",
-                    frac_threshold: float = 0.01, top_per_batch: int = 50
-                    ) -> frozenset:
+                    frac_threshold: float = 0.01, top_per_batch: int = 50,
+                    num_blocks: int | None = None) -> frozenset:
     """Approximate heavy-hitter detection with one pruned-column pass.
 
     Per batch, emit only the ``top_per_batch`` most frequent keys (partial
-    counts); aggregate the small partials on the driver. A key holding
-    ≥ ``frac_threshold`` of all rows appears in the top of nearly every
-    batch, so its global count is recovered (slightly under-estimated);
-    cold keys never leave the workers. This is the pre-aggregation pattern
-    for groupby at scale — the full exact count would itself be a shuffle.
+    counts) plus the batch's row count; aggregate the small partials on the
+    driver. A key holding ≥ ``frac_threshold`` of all rows appears in the
+    top of nearly every batch, so its global count is recovered (slightly
+    under-estimated); cold keys never leave the workers. This is the
+    pre-aggregation pattern for groupby at scale — the full exact count
+    would itself be a shuffle. ``num_blocks``: read blocks (one batch
+    each); None → ``scaling.coarse_read_blocks``.
     """
-    ds = rd.read_parquet(paths, columns=[key_column])
+    ds = rd.read_parquet(paths, columns=[key_column],
+                         override_num_blocks=num_blocks or coarse_read_blocks())
 
     def partial_counts(t: pa.Table) -> pa.Table:
-        vc = t[key_column].to_pandas().value_counts().head(top_per_batch)
-        return pa.table({
-            key_column: pa.array(vc.index.astype(object), pa.string()),
-            "n": pa.array(vc.to_numpy(), pa.int64()),
-        })
+        vc = pc.value_counts(t[key_column].drop_null())
+        top = pa.table({key_column: vc.field("values"),
+                        "n": vc.field("counts").cast(pa.int64())})
+        if top.num_rows > top_per_batch:
+            top = top.take(pc.select_k_unstable(
+                top, top_per_batch, [("n", "descending")]))
+        # the batch's row count rides along under a null key
+        rows = pa.table({key_column: pa.nulls(1, top.schema[0].type),
+                         "n": pa.array([t.num_rows], pa.int64())})
+        return pa.concat_tables([top, rows])
 
-    parts = ds.map_batches(partial_counts, batch_format="pyarrow").to_pandas()
-    if parts.empty:
+    refs = ds.map_batches(partial_counts, batch_format="pyarrow").to_arrow_refs()
+    parts = pa.concat_tables(ray.get(refs)) if refs else None
+    if parts is None or parts.num_rows == 0:
         return frozenset()
-    counts = parts.groupby(key_column)["n"].sum()
-    hot = counts[counts >= frac_threshold * counts.sum()]
-    return frozenset(hot.index)
+    total = pc.sum(parts.filter(pc.is_null(parts[key_column]))["n"]).as_py()
+    counts = parts.drop_null().group_by(key_column).aggregate([("n", "sum")])
+    hot = counts.filter(pc.greater_equal(counts["n_sum"],
+                                         frac_threshold * total))
+    return frozenset(hot[key_column].to_pylist())

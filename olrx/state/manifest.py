@@ -109,6 +109,21 @@ def read_all(manifest_dir: str) -> dict[int, PartitionManifest]:
     return out
 
 
+def current_renames(ms: dict[int, PartitionManifest]) -> dict[str, str]:
+    """physical → display name of the newest rename epoch in ``ms``.
+
+    Partitions can sit at different rename epochs (a partition with no
+    events in a rename-carrying increment keeps its older mapping). Merging
+    in ascending ``(watermark_commit_scn, partition)`` order lets the
+    manifest with the greatest watermark win for each physical column,
+    whatever order the directory lists the manifests in."""
+    out: dict[str, str] = {}
+    for m in sorted(ms.values(),
+                    key=lambda m: (m.watermark_commit_scn, m.partition)):
+        out.update(m.renamed_columns or {})
+    return out
+
+
 def write_lake_watermark(manifest_dir: str, watermark_commit_scn: int,
                          schema_version: int = 0) -> None:
     """Lake-level confirmed floor, written by the driver after EVERY

@@ -69,6 +69,21 @@ class LiveMetrics:
     checkpoint_lag); gauges carry the per-iteration stage timings the
     engine already collects (ReplayResult.timings)."""
 
+    #: ``# HELP`` text per metric family (the name before any ``{labels}``)
+    HELP = {
+        "olrx_iterations_total": "Tail iterations run.",
+        "olrx_events_applied_total": "Change events applied to the lake.",
+        "olrx_dml_ops_total": "Applied DML events by operation.",
+        "olrx_config_reloads_total": "Job spec reloads seen by the tail loop.",
+        "olrx_lake_rows": "Rows in the lake table.",
+        "olrx_watermark_min": "Lowest partition watermark (commit SCN).",
+        "olrx_watermark_max": "Highest partition watermark (commit SCN).",
+        "olrx_checkpoint_lag":
+            "Commit SCNs between the lowest and highest partition watermark.",
+        "olrx_lag_partitions": "Partitions below the highest watermark.",
+        "olrx_stage_seconds": "Wall seconds of the last iteration's stages.",
+    }
+
     def __init__(self) -> None:
         import threading
         self._lock = threading.Lock()
@@ -115,12 +130,20 @@ class LiveMetrics:
                     "gauges": dict(self.gauges)}
 
     def to_prom_text(self) -> str:
+        """Prometheus text exposition (format 0.0.4): each family's samples
+        sit together under one ``# HELP`` and one ``# TYPE`` line."""
         snap = self.snapshot()
         lines = []
-        for k, v in sorted(snap["counters"].items()):
-            lines.append(f"{k} {v}")
-        for k, v in sorted(snap["gauges"].items()):
-            lines.append(f"{k} {v}")
+        for kind, samples in (("counter", snap["counters"]),
+                              ("gauge", snap["gauges"])):
+            family = None
+            for k, v in sorted(samples.items()):
+                name = k.split("{", 1)[0]
+                if name != family:
+                    family = name
+                    lines.append(f"# HELP {name} {self.HELP.get(name, name)}")
+                    lines.append(f"# TYPE {name} {kind}")
+                lines.append(f"{k} {v}")
         return "\n".join(lines) + "\n"
 
     def write_json(self, lake_dir: str) -> str:

@@ -57,6 +57,40 @@ def test_applier_imports_stay_slim():
     assert out.returncode == 0, out.stdout + out.stderr
 
 
+def test_applier_count_follows_who_pays_the_spawn():
+    """In the 4-CPU test session: below the per-applier byte budget a
+    call-scoped fleet spawns one applier per CPU and a kept fleet 2× CPUs;
+    large inputs get the 2× CPUs cap either way; ``num_appliers`` wins."""
+    small, medium, large = 2**20, 5 * 24 * 2**20, 2**30
+    assert CFG.resolved_num_appliers(small) == 4
+    assert CFG.resolved_num_appliers(small, kept_fleet=True) == 8
+    assert CFG.resolved_num_appliers(medium) == 6
+    assert CFG.resolved_num_appliers(medium, kept_fleet=True) == 8
+    assert CFG.resolved_num_appliers(large) == 8
+    assert CFG.resolved_num_appliers(large, kept_fleet=True) == 8
+    pinned = dataclasses.replace(CFG, num_appliers=3)
+    for nbytes in (small, large):
+        for kept in (False, True):
+            assert pinned.resolved_num_appliers(nbytes, kept_fleet=kept) == 3
+
+
+def test_call_scoped_replay_spawns_one_applier_per_cpu(tmp_path, gen_small,
+                                                       monkeypatch):
+    """``replay_to_lake`` without a fleet sizes its own fleet as call-scoped
+    (the kept-fleet size is checked on ``TailSession`` below)."""
+    _, _, paths, _ = gen_small
+    seen = []
+    begin = ApplierFleet.begin
+
+    def spy(self, num_appliers, *a, **kw):
+        seen.append(num_appliers)
+        return begin(self, num_appliers, *a, **kw)
+
+    monkeypatch.setattr(ApplierFleet, "begin", spy)
+    replay_to_lake(paths, str(tmp_path / "lake"), CFG, resume=False)
+    assert seen == [4]
+
+
 def test_fleet_reuse_has_no_state_bleed(tmp_path, gen_small, expected_small):
     """Two back-to-back fresh replays of the same input through one fleet:
     both lakes are oracle-equal and both runs' counters equal a call-scoped
@@ -152,6 +186,7 @@ def test_tail_session_keeps_its_fleet(tmp_path, gen_small, expected_small):
     _, _, paths, _ = gen_small
     (_, ids1), (_, ids2) = _two_waves(tmp_path, paths)
     assert ids1 and ids1 == ids2, "run_once respawned the fleet"
+    assert len(ids1) == 8, "a kept fleet keeps 2× CPUs appliers"
     assert sorted_table(read_lake(str(tmp_path / "lake")),
                         expected_small.schema).equals(expected_small)
     states = {aid: gcs.actors(actor_id=aid)["State"] for aid in ids2}

@@ -56,6 +56,29 @@ def test_hot_key_actually_spreads():
     assert len(set(hot.tolist())) > 4
 
 
+def test_detect_hot_keys_threshold_and_block_count(tmp_path):
+    """A key above ``frac_threshold`` is found and one below is not, and
+    the read's block count (one block, or the coarse 3× CPUs) does not
+    change the answer. Every file holds more distinct keys than the
+    per-batch top list, so the partial counts really are truncated."""
+    from olrx.ops.scaling import coarse_read_blocks
+    from olrx.stages.partition import detect_hot_keys
+
+    paths = []
+    for i in range(12):
+        # per file: 60 of 500 rows "hot" (12%), 10 "warm" (2%), the rest
+        # spread over 430 cold keys
+        keys = (["hot"] * 60 + ["warm"] * 10
+                + [f"cold-{i}-{j}" for j in range(430)])
+        p = str(tmp_path / f"part-{i:02d}.parquet")
+        pq.write_table(pa.table({"conv_id": keys}), p)
+        paths.append(p)
+    assert coarse_read_blocks() > 1
+    for blocks in (1, coarse_read_blocks()):
+        got = detect_hot_keys(paths, frac_threshold=0.05, num_blocks=blocks)
+        assert got == frozenset({"hot"}), (blocks, got)
+
+
 def test_no_ddl_narrow_schema():
     """Without DDL the output schema stays at version 0 (no tool_meta)."""
     cfg = GenConfig(scale=0.001, ddl=False)

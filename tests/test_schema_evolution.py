@@ -260,6 +260,54 @@ def test_rename_then_drop_by_new_name(chained_rename_dir, tmp_path):
     assert got.equals(exp)
 
 
+def _copy_stream(tmp_path) -> str:
+    import shutil
+
+    src = ensure_changelog(GenConfig(scale=0.001))
+    d = str(tmp_path / "stream")
+    os.makedirs(d)
+    for p in sorted(glob.glob(src + "/*.parquet")):
+        shutil.copy(p, os.path.join(d, os.path.basename(p)))
+    return d
+
+
+def _rename_increment(d: str, seq: int, scn: int, rename: str,
+                      conv_id: str) -> None:
+    """Append segment ``seq``: one committed RENAME at ``scn + 1`` plus one
+    committed single-row INSERT of the brand-new conversation ``conv_id``
+    at ``scn + 50`` — exactly one partition sees fresh events."""
+    full = pa.concat_tables(
+        [pq.read_table(p) for p in sorted(glob.glob(d + "/*.parquet"))])
+    donor_i = full.filter(pc.equal(full["op"], "I")).slice(0, 1).to_pylist()[0]
+    donor_b = full.filter(pc.equal(full["op"], "B")).slice(0, 1).to_pylist()[0]
+    donor_c = full.filter(pc.equal(full["op"], "C")).slice(0, 1).to_pylist()[0]
+
+    def _row(donor, **kw):
+        r = dict(donor)
+        r.update(shard=0, seq=seq, **kw)
+        return r
+
+    xr, xn = f"xren{seq}", f"xnew{seq}"
+    rows = [
+        _row(donor_b, xid=xr, scn=scn, scn_idx=0),
+        _row(donor_b, xid=xr, op="DDL", scn=scn + 1, scn_idx=1,
+             ddl='{"rename_columns": %s}' % rename),
+        _row(donor_c, xid=xr, scn=scn + 1, scn_idx=1048576),
+        _row(donor_b, xid=xn, scn=scn + 49, scn_idx=0),
+        _row(donor_i, xid=xn, scn=scn + 50, scn_idx=0,
+             conv_id=conv_id, turn_idx=0),
+        _row(donor_c, xid=xn, scn=scn + 50, scn_idx=1048576),
+    ]
+    seg = pa.Table.from_pylist(rows, schema=full.schema)
+    pq.write_table(seg, os.path.join(d, f"shard00-seg{seq:04d}.parquet"))
+
+
+def _naive(paths: list[str]) -> pa.Table:
+    return apply_naive(
+        pa.concat_tables([pq.read_table(p) for p in paths])).sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")])
+
+
 def test_rename_with_stale_partitions(tmp_path):
     """A rename increment that routes events to only ONE partition must not
     corrupt the others. Parquet schema projection matches by NAME, so before
@@ -269,49 +317,18 @@ def test_rename_with_stale_partitions(tmp_path):
     `read_lake_asof` unioned both names as separate half-null columns. Both
     reads must relabel per epoch: renames change display only, physical
     identity is stable (SystemTransaction.cpp:525)."""
-    import shutil
-
     from olrx.pipelines.replay import read_lake, replay_to_lake
     from olrx.pipelines.timetravel import read_lake_asof
     from olrx.state import manifest as MF
 
-    src = ensure_changelog(GenConfig(scale=0.001))
-    d = str(tmp_path / "stream")
-    os.makedirs(d)
-    for p in sorted(glob.glob(src + "/*.parquet")):
-        shutil.copy(p, os.path.join(d, os.path.basename(p)))
+    d = _copy_stream(tmp_path)
     out = str(tmp_path / "lake")
     cfg = ReplayConfig(num_partitions=8, snapshot_keep=4)
     # leg 1: full replay of the original stream — every snapshot says `tool`
     replay_to_lake(sorted(glob.glob(d + "/*.parquet")), out, cfg)
 
-    # increment: one committed RENAME plus one committed single-row INSERT
-    # (a brand-new conversation) — exactly one partition sees fresh events
-    full = pa.concat_tables(
-        [pq.read_table(p) for p in sorted(glob.glob(d + "/*.parquet"))])
-    donor_i = full.filter(pc.equal(full["op"], "I")).slice(0, 1).to_pylist()[0]
-    donor_b = full.filter(pc.equal(full["op"], "B")).slice(0, 1).to_pylist()[0]
-    donor_c = full.filter(pc.equal(full["op"], "C")).slice(0, 1).to_pylist()[0]
-
-    def _row(donor, **kw):
-        r = dict(donor)
-        r.update(shard=0, seq=4, **kw)
-        return r
-
-    rows = [
-        _row(donor_b, xid="xren", scn=9000, scn_idx=0),
-        _row(donor_b, xid="xren", op="DDL", scn=9001, scn_idx=1,
-             ddl='{"rename_columns": {"tool": "tool_label"}}'),
-        _row(donor_c, xid="xren", scn=9001, scn_idx=1048576),
-        _row(donor_b, xid="xnew", scn=9049, scn_idx=0),
-        _row(donor_i, xid="xnew", scn=9050, scn_idx=0,
-             conv_id="zz-new-conv", turn_idx=0),
-        _row(donor_c, xid="xnew", scn=9050, scn_idx=1048576),
-    ]
-    seg = pa.Table.from_pylist(rows, schema=full.schema)
-    pq.write_table(seg, os.path.join(d, "shard00-seg0004.parquet"))
-
     # leg 2: incremental replay — only zz-new-conv's partition rewrites
+    _rename_increment(d, 4, 9000, '{"tool": "tool_label"}', "zz-new-conv")
     paths = sorted(glob.glob(d + "/*.parquet"))
     replay_to_lake(paths, out, cfg)
     ms = MF.read_all(os.path.join(out, "_manifest"))
@@ -319,9 +336,7 @@ def test_rename_with_stale_partitions(tmp_path):
     assert epochs == {(), (("tool", "tool_label"),)}, \
         "test premise: the lake must hold BOTH rename epochs"
 
-    exp = apply_naive(
-        pa.concat_tables([pq.read_table(p) for p in paths])).sort_by(
-        [("conv_id", "ascending"), ("turn_idx", "ascending")])
+    exp = _naive(paths)
     assert "tool_label" in exp.schema.names
     got = sorted_table(read_lake(out), exp.schema)
     assert got.equals(exp)   # stale partitions' tool values NOT nulled
@@ -329,3 +344,48 @@ def test_rename_with_stale_partitions(tmp_path):
     # as-of at the final commit straddles the rename across partitions
     asof = sorted_table(read_lake_asof(out, 9050), exp.schema)
     assert asof.equals(exp)
+
+
+def test_rename_epochs_resolve_to_the_newest(tmp_path, monkeypatch):
+    """Two non-empty rename epochs side by side: a stale partition still at
+    {tool: tool_label} next to a fresh one at {tool: tool_tag} (plus the
+    untouched pre-rename partitions). The current display name is the one
+    of the manifest with the greatest watermark, so both reads label the
+    column `tool_tag` whatever order the manifests are listed in."""
+    from olrx.pipelines.replay import read_lake, replay_to_lake
+    from olrx.pipelines.timetravel import read_lake_asof
+    from olrx.stages.partition import partition_ids
+    from olrx.state import manifest as MF
+
+    conv_a = "zz-new-conv"
+    part_a = partition_ids(pa.array([conv_a]), pa.array([0]), 8)[0]
+    conv_b = next(c for c in (f"zz-new-conv-{k}" for k in range(100))
+                  if partition_ids(pa.array([c]), pa.array([0]), 8)[0]
+                  != part_a)
+    d = _copy_stream(tmp_path)
+    out = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=8, snapshot_keep=4)
+    replay_to_lake(sorted(glob.glob(d + "/*.parquet")), out, cfg)
+    _rename_increment(d, 4, 9000, '{"tool": "tool_label"}', conv_a)
+    replay_to_lake(sorted(glob.glob(d + "/*.parquet")), out, cfg)
+    _rename_increment(d, 5, 9100, '{"tool_label": "tool_tag"}', conv_b)
+    paths = sorted(glob.glob(d + "/*.parquet"))
+    replay_to_lake(paths, out, cfg)
+    ms = MF.read_all(os.path.join(out, "_manifest"))
+    epochs = {tuple(sorted(m.renamed_columns.items())) for m in ms.values()}
+    assert epochs == {(), (("tool", "tool_label"),),
+                      (("tool", "tool_tag"),)}, \
+        "test premise: the lake must hold both non-empty rename epochs"
+
+    exp = _naive(paths)
+    assert "tool_tag" in exp.schema.names
+    assert not {"tool", "tool_label"} & set(exp.schema.names)
+    read_all = MF.read_all
+    for reverse in (False, True):
+        monkeypatch.setattr(MF, "read_all", lambda mdir: dict(
+            sorted(read_all(mdir).items(), reverse=reverse)))
+        assert MF.current_renames(MF.read_all(
+            os.path.join(out, "_manifest"))) == {"tool": "tool_tag"}
+        assert sorted_table(read_lake(out), exp.schema).equals(exp), reverse
+        asof = sorted_table(read_lake_asof(out, 9150), exp.schema)
+        assert asof.equals(exp), reverse

@@ -324,3 +324,64 @@ def test_tail_live_metrics_surface(tmp_path, gen_small):
         assert via_http["counters"]["olrx_iterations_total"] == 2
     finally:
         sess.close()
+
+
+def test_metrics_endpoint_is_valid_exposition():
+    """``GET /metrics`` parses as Prometheus text format 0.0.4, line by
+    line: every family has exactly one ``# HELP`` then one ``# TYPE`` line
+    before its samples, its samples are contiguous, and every sample line is
+    ``name{labels} value`` with a float value."""
+    import re
+    import urllib.request
+
+    from olrx.state.metrics import LiveMetrics, MetricsServer
+
+    reg = LiveMetrics()
+    reg.counters['olrx_dml_ops_total{op="insert"}'] = 5
+    reg.gauges["olrx_lake_rows"] = 12.0
+    reg.gauges['olrx_stage_seconds{stage="route"}'] = 0.5
+    reg.gauges['olrx_stage_seconds{stage="fence"}'] = 0.25
+    srv = MetricsServer(reg)
+    try:
+        resp = urllib.request.urlopen(f"http://127.0.0.1:{srv.port}/metrics")
+        ctype = resp.headers["Content-Type"]
+        text = resp.read().decode()
+    finally:
+        srv.close()
+    assert ctype.startswith("text/plain") and "version=0.0.4" in ctype
+    assert text.endswith("\n")
+
+    name_re = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+    label_re = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"'
+    sample_re = re.compile(
+        rf"({name_re})(?:\{{{label_re}(?:,{label_re})*\}})? (\S+)")
+    helped, typed, closed = set(), {}, set()
+    current = None
+    samples: dict[str, list[float]] = {}
+    for line in text.splitlines():
+        if line.startswith("# HELP "):
+            name = line.split(" ", 3)[2]
+            assert re.fullmatch(name_re, name), line
+            assert name not in helped and name not in typed, line
+            helped.add(name)
+            if current is not None:
+                closed.add(current)
+            current = name
+        elif line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ")
+            assert name == current and name not in typed, line
+            assert kind in ("counter", "gauge"), line
+            typed[name] = kind
+        else:
+            m = sample_re.fullmatch(line)
+            assert m, f"not a sample line: {line!r}"
+            name = m.group(1)
+            assert name == current and name in typed, \
+                f"sample outside its family block: {line!r}"
+            assert name not in closed
+            samples.setdefault(name, []).append(float(m.group(2)))
+    assert helped == set(typed) == set(samples)
+    assert typed["olrx_dml_ops_total"] == "counter"
+    assert typed["olrx_stage_seconds"] == "gauge"
+    assert sorted(samples["olrx_stage_seconds"]) == [0.25, 0.5]
+    assert samples["olrx_lake_rows"] == [12.0]
