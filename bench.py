@@ -91,8 +91,7 @@ def run_bench() -> dict:
     cfg_kw = {}
     if os.environ.get("OLRX_COMPACT_THRESHOLD", "").strip():
         cfg_kw["applier_compact_threshold"] = int(os.environ["OLRX_COMPACT_THRESHOLD"])
-    cfg = ReplayConfig(num_partitions=max(64, NUM_CPUS * 4),
-                       decode_concurrency=max(2, NUM_CPUS // 2), **cfg_kw)
+    cfg = ReplayConfig(num_partitions=max(64, NUM_CPUS * 4), **cfg_kw)
     out_dir = f"/tmp/olrx_bench/lake-{NUM_CPUS}"
 
     # warm the Ray worker/actor pool with an untimed mini-run (first pipeline

@@ -36,6 +36,7 @@ import ray
 import ray.data as rd
 
 from olrx import schema as S
+from olrx.ops.scaling import coarse_read_blocks
 from olrx.pipelines.replay import ReplayConfig
 from olrx.stages.decode import load_control, mix_pr_keys
 
@@ -259,7 +260,7 @@ def message_stream(paths: list[str], cfg: ReplayConfig | None = None,
                    .to_arrow())
 
     ds = rd.read_parquet(paths, columns=MESSAGE_COLUMNS,
-                         override_num_blocks=cfg.resolved_read_blocks())
+                         override_num_blocks=coarse_read_blocks())
     return (ds.map_batches(decode_keep_images, batch_format="pyarrow",
                            batch_size=cfg.batch_size)
               .groupby("scn_bucket")

@@ -11,21 +11,20 @@ Pipeline shape (one wide exchange, SURVEY §4.2):
 
     read_parquet(segments, columns=pruned)          # stateless IO tasks
       → map_batches(CommitResolver)                 # filter+join+flatten+part
-      → THE exchange                                # default "actor": late-
-        (stages/exchange.py)                        # materialization applier
-                                                    # routing; "groupby" =
-                                                    # Dataset-native sort
-                                                    # shuffle + merge_apply
+      → THE exchange (stages/exchange.py)           # late-materialization
+                                                    # applier-actor routing
       → rows (dataset mode) | parquet + manifest per partition (lake mode)
 
 plus one earlier pruned-column pass (``load_control``) that reads only
-control columns to build the broadcast commit map.
+control columns to build the broadcast commit map. Both modes build their
+exchange with one plan step (``_plan``).
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,6 @@ import ray.data as rd
 
 from olrx import schema as S
 from olrx.ops.scaling import coarse_read_blocks
-from olrx.stages.apply import merge_apply
-from olrx.stages.commit import apply_and_commit, stats_row
 from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, load_control,
                                make_resolver)
 from olrx.stages.partition import detect_hot_keys
@@ -50,10 +47,6 @@ class ReplayConfig:
     num_partitions: int = 32        # ≥ 4× apply parallelism for balance
     batch_size: int = 131_072       # decode batch rows (coarse: task overhead
                                     # dominates below ~20 MB blocks)
-    read_blocks: int | None = None  # override_num_blocks for the decode
-                                    # and hot-key reads; None →
-                                    # scaling.coarse_read_blocks (3× CPUs)
-    decode_concurrency: int | None = None  # None → ~half the CPUs
     salt_hot: bool = False          # heavy-hitter detection + turn-salting
     hot_frac_threshold: float = 0.02
     salt_block: int = 64
@@ -67,10 +60,6 @@ class ReplayConfig:
     #: declared shard set; shards absent from the input pin the safe
     #: watermark at -1 (reference: per-thread states, Metadata.h:110-118)
     expected_shards: tuple[int, ...] | None = None
-    #: exchange strategy: "groupby" = Dataset-native sort shuffle;
-    #: "actor" = direct applier-actor routing (SURVEY §4.2; ~1 pass through
-    #: the object store instead of ~4 — better on bandwidth-bound nodes)
-    exchange: str = "actor"
     #: None → sized to the input and the fleet's owner
     #: (``resolved_num_appliers``)
     num_appliers: int | None = None
@@ -139,15 +128,6 @@ class ReplayConfig:
         if not shards:
             return -1
         return min(control.shard_watermarks.get(s, -1) for s in shards)
-
-    def resolved_decode_concurrency(self) -> int:
-        if self.decode_concurrency:
-            return self.decode_concurrency
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        return max(2, cpus // 2)
-
-    def resolved_read_blocks(self) -> int:
-        return self.read_blocks or coarse_read_blocks()
 
     def resolved_num_appliers(self, input_bytes: int | None = None,
                               kept_fleet: bool = False) -> int:
@@ -247,8 +227,7 @@ def oversized_xids(paths: list[str], max_events: int) -> tuple[str, ...]:
 
 def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
                     min_commit_scn_excl: int = -1,
-                    hot: frozenset | None = None,
-                    owner_sort: int = 0) -> rd.Dataset:
+                    hot: frozenset | None = None) -> rd.Dataset:
     commit_ref = ray.put(control.decode_broadcast())
     hot_ref = None
     if hot:
@@ -280,45 +259,73 @@ def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
     if cfg.multi_table or cfg.table_regex:
         cols = ["table_name"] + cols
     ds = rd.read_parquet(paths, columns=cols, filter=flt,
-                         override_num_blocks=cfg.resolved_read_blocks())
+                         override_num_blocks=coarse_read_blocks())
     return ds.map_batches(
         make_resolver(commit_ref, cfg.num_partitions, hot_ref,
                       cfg.salt_block, floor,
                       skip, cfg.conv_regex, cfg.condition,
                       include_table=cfg.multi_table,
-                      table_regex=cfg.table_regex,
-                      owner_sort=owner_sort),
+                      table_regex=cfg.table_regex),
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
     )
 
 
-def replay_dataset(paths: list[str], cfg: ReplayConfig | None = None) -> ReplayResult:
-    """Replay to final transcript rows (no sink)."""
-    cfg = cfg or ReplayConfig()
+def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
+          floor: int = -1, mdir: str | None = None,
+          kept_fleet: bool = False) -> tuple[ControlInfo, dict]:
+    """The plan both replay modes run: load and cap the control, fence the
+    schema version, drops and renames against the prior manifests
+    ``prev_ms`` (empty in dataset mode), pick the hot keys (pinned in
+    ``mdir`` when given), decode above ``floor`` and size the applier fleet.
+    Returns the control and the ``run_actor_exchange`` arguments.
+
+    The control is always the FULL (unpruned) sidecar view: the txn-span
+    bound and schema version are recomputed from history every run — a
+    span cache seeded from a partial run would silently under-prune (judge
+    ADVICE r1); prior runs' spans can only widen it."""
+    t0 = time.perf_counter()
     control = load_control(paths)
     if cfg.end_commit_scn is not None:
         control = control.capped(cfg.end_commit_scn)
-    sv = control.schema_version
-    dropped = control.dropped_columns
-    renamed = control.renamed_columns
-    hot = (detect_hot_keys(paths, frac_threshold=cfg.hot_frac_threshold,
-                           num_blocks=cfg.resolved_read_blocks())
-           if cfg.salt_hot else None)
-    events = _decoded_events(paths, cfg, control, hot=hot)
-    if cfg.exchange == "actor":
-        from olrx.stages.exchange import run_actor_exchange
-        nbytes = sum(os.path.getsize(p) for p in paths)
-        refs = run_actor_exchange(events, cfg.resolved_num_appliers(nbytes), sv,
-                                  compact_threshold=cfg.applier_compact_threshold,
-                                  as_refs=True, multi_table=cfg.multi_table,
-                                  dropped=dropped, renamed=renamed)
-        # result stays distributed: appliers return block refs, the driver
-        # never concatenates the full table (VERDICT "what's wrong" #2)
-        return ReplayResult(control=control, dataset=rd.from_arrow_refs(refs))
-    final = events.groupby("part").map_groups(
-        lambda g: merge_apply(g, sv, dropped, renamed), batch_format="pyarrow")
-    return ReplayResult(control=control, dataset=final)
+    timings["control"] = round(time.perf_counter() - t0, 3)
+    prev = prev_ms.values()
+    control.max_txn_span = max([control.max_txn_span]
+                               + [m.max_txn_span for m in prev])
+    # version fence: drops recorded by earlier runs stay dropped on resume,
+    # new drops in this input's control stream extend the set
+    dropped = tuple(sorted({c for m in prev for c in m.dropped_columns}
+                           | set(control.dropped_columns)))
+    # rename fence: prior runs' renames persist; this input's committed
+    # renames extend/override them. A rename whose "physical" key is itself
+    # a prior run's display name (the input only contains the later
+    # segments) resolves through the inverse of the prior mapping.
+    renamed = MF.current_renames(prev_ms)
+    inv_prev = {v: k for k, v in renamed.items()}
+    for ph, new in control.renamed_columns.items():
+        renamed[inv_prev.get(ph, ph)] = new
+    hot = _resolved_hot_keys(paths, cfg, mdir)
+    nbytes = sum(os.path.getsize(p) for p in paths)
+    return control, dict(
+        events=_decoded_events(paths, cfg, control,
+                               min_commit_scn_excl=floor, hot=hot),
+        num_appliers=cfg.resolved_num_appliers(nbytes, kept_fleet=kept_fleet),
+        schema_version=max([control.schema_version]
+                           + [m.schema_version for m in prev]),
+        compact_threshold=cfg.applier_compact_threshold,
+        multi_table=cfg.multi_table, dropped=dropped, renamed=renamed)
+
+
+def replay_dataset(paths: list[str], cfg: ReplayConfig | None = None) -> ReplayResult:
+    """Replay to final transcript rows (no sink)."""
+    from olrx.stages.exchange import run_actor_exchange
+    timings: dict = {}
+    control, run = _plan(paths, cfg or ReplayConfig(), timings, prev_ms={})
+    # result stays distributed: appliers return block refs, the driver
+    # never concatenates the full table (VERDICT "what's wrong" #2)
+    refs = run_actor_exchange(**run, timings=timings)
+    return ReplayResult(control=control, dataset=rd.from_arrow_refs(refs),
+                        timings=timings)
 
 
 def replay_to_lake(paths: list[str], out_dir: str,
@@ -329,107 +336,58 @@ def replay_to_lake(paths: list[str], out_dir: str,
     ``fleet``: an ``exchange.ApplierFleet`` whose actors the actor exchange
     reuses (a long-lived caller such as ``TailSession`` owns one); None →
     a fleet scoped to this call."""
+    from olrx.stages.exchange import run_actor_exchange
     cfg = cfg or ReplayConfig()
     if not resume and os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    # global floor: safe to drop in decode only what EVERY partition confirmed
     mdir = os.path.join(out_dir, "_manifest")
-    floor = MF.global_watermark(mdir, cfg.num_partitions) if resume else -1
-    prev_span = max((m.max_txn_span for m in MF.read_all(mdir).values()),
-                    default=0) if resume else 0
-    # control is always the FULL (unpruned) sidecar view: the txn-span bound
-    # and schema version are recomputed from history every run — a span cache
-    # seeded from a partial run would silently under-prune (judge ADVICE r1)
-    import time as _time
-    _t0 = _time.perf_counter()
-    control = load_control(paths)
-    if cfg.end_commit_scn is not None:
-        control = control.capped(cfg.end_commit_scn)
-    timings: dict = {"control": round(_time.perf_counter() - _t0, 3)}
-    control.max_txn_span = max(control.max_txn_span, prev_span)
-    prev_ms = MF.read_all(mdir) if resume else {}
-    prev_sv = max((m.schema_version for m in prev_ms.values()), default=0)
-    sv = max(prev_sv, control.schema_version)
-    # version fence: drops recorded by earlier runs stay dropped on resume,
-    # new drops in this input's control stream extend the set
-    dropped = tuple(sorted(
-        {c for m in prev_ms.values() for c in m.dropped_columns}
-        | set(control.dropped_columns)))
-    # rename fence: prior runs' renames persist; this input's committed
-    # renames extend/override them. A rename whose "physical" key is itself
-    # a prior run's display name (the input only contains the later
-    # segments) resolves through the inverse of the prior mapping.
-    prev_rn = MF.current_renames(prev_ms)
-    inv_prev = {v: k for k, v in prev_rn.items()}
-    renamed = dict(prev_rn)
-    for ph, new in control.renamed_columns.items():
-        renamed[inv_prev.get(ph, ph)] = new
+    # one manifest read per replay: the floor, the txn span, the fences and
+    # the per-partition watermarks all derive from it
+    ms = MF.read_all(mdir) if resume else {}
+    # global floor: safe to drop in decode only what EVERY partition confirmed
+    floor = MF.global_watermark(mdir, ms, cfg.num_partitions) if resume else -1
+    timings: dict = {}
+    control, run = _plan(paths, cfg, timings, ms, floor, mdir,
+                         kept_fleet=fleet is not None)
+    # per-partition confirmed watermarks (resume): receive-time lineage
+    # counters exclude rows the commit path's watermark filter will drop,
+    # so manifest counters stay stream-exact across resumes (r2 advisory)
+    wms = None
+    if ms:
+        wms = np.full(cfg.num_partitions, -1, np.int64)
+        for p, m in ms.items():
+            if 0 <= p < cfg.num_partitions:
+                wms[p] = m.watermark_commit_scn
     safe_wm = cfg.safe_watermark(control)
-    max_commit = control.max_commit_scn
-    hot = _resolved_hot_keys(paths, out_dir, cfg, resume)
-    events = _decoded_events(
-        paths, cfg, control, min_commit_scn_excl=floor, hot=hot)
-    span = control.max_txn_span
-    if cfg.exchange == "actor":
-        from olrx.stages.exchange import run_actor_exchange
-        nbytes = sum(os.path.getsize(p) for p in paths)
-        # per-partition confirmed watermarks (resume): receive-time lineage
-        # counters exclude rows the commit path's watermark filter will drop,
-        # so manifest counters stay stream-exact across resumes (r2 advisory)
-        wms = None
-        if resume:
-            ms = MF.read_all(mdir)
-            if ms:
-                wms = np.full(cfg.num_partitions, -1, np.int64)
-                for p, m in ms.items():
-                    if 0 <= p < cfg.num_partitions:
-                        wms[p] = m.watermark_commit_scn
-        appliers = cfg.resolved_num_appliers(nbytes,
-                                             kept_fleet=fleet is not None)
-        stats = run_actor_exchange(
-            events, appliers, sv,
-            commit=dict(out_dir=out_dir, safe_watermark=safe_wm,
-                        max_commit_scn=max_commit, max_txn_span=span,
-                        output_codec=cfg.output_codec,
-                        snapshot_keep=cfg.snapshot_keep),
-            compact_threshold=cfg.applier_compact_threshold,
-            multi_table=cfg.multi_table, part_watermarks=wms,
-            dropped=dropped, renamed=renamed, timings=timings, fleet=fleet)
-        MF.write_lake_watermark(mdir, safe_wm, sv)
-        return ReplayResult(control=control, stats=stats, out_dir=out_dir,
-                            timings=timings)
-    stats_ds = events.groupby("part").map_groups(
-        lambda g: apply_and_commit(g, out_dir, sv, safe_wm, max_commit, span,
-                                    output_codec=cfg.output_codec,
-                                    dropped=dropped, renamed=renamed,
-                                    snapshot_keep=cfg.snapshot_keep),
-        batch_format="pyarrow")
-    stats_df = stats_ds.to_pandas()
-    if stats_df.empty:  # nothing new anywhere (all dropped at the floor)
-        stats = stats_row(-1, 0, floor, True, {})[:0]
-    else:
-        stats = pa.Table.from_pandas(stats_df, preserve_index=False)
+    stats = run_actor_exchange(
+        **run, part_watermarks=wms, timings=timings, fleet=fleet,
+        commit=dict(out_dir=out_dir, safe_watermark=safe_wm,
+                    max_commit_scn=control.max_commit_scn,
+                    max_txn_span=control.max_txn_span,
+                    output_codec=cfg.output_codec,
+                    snapshot_keep=cfg.snapshot_keep))
     # all partitions with events committed ≥ safe_wm; event-less partitions
     # are trivially complete — record the lake-level floor so sparse lakes
     # still advance their resume point (judge ADVICE r1)
-    MF.write_lake_watermark(mdir, safe_wm, sv)
+    MF.write_lake_watermark(mdir, safe_wm, run["schema_version"])
     return ReplayResult(control=control, stats=stats, out_dir=out_dir,
                         timings=timings)
 
 
-def _resolved_hot_keys(paths: list[str], out_dir: str, cfg: ReplayConfig,
-                       resume: bool) -> frozenset | None:
-    """Stable hot set across resumes: detected once, persisted next to the
-    manifests, reused verbatim afterwards. Re-detecting per run would move a
+def _resolved_hot_keys(paths: list[str], cfg: ReplayConfig,
+                       mdir: str | None) -> frozenset | None:
+    """Stable hot set across resumes: detected once, persisted in the
+    manifest directory ``mdir``, reused verbatim afterwards (``mdir=None``:
+    detect, persist nothing). Re-detecting per run would move a
     conversation that crosses the frequency threshold between runs to a
-    different partition, orphaning its committed rows (partition stability is
-    the invariant `partition.py` documents)."""
+    different partition, orphaning its committed rows (partition stability
+    is the invariant `partition.py` documents)."""
     if not cfg.salt_hot:
         return None
-    hp = os.path.join(out_dir, "_manifest", "hot.json")
-    if resume and os.path.exists(hp):
-        import json as _json
+    import json as _json
+    hp = os.path.join(mdir, "hot.json") if mdir else None
+    if hp and os.path.exists(hp):
         with open(hp) as f:
             d = _json.load(f)
         if d.get("salt_block") != cfg.salt_block:
@@ -438,14 +396,13 @@ def _resolved_hot_keys(paths: list[str], out_dir: str, cfg: ReplayConfig,
                 "hot-key partitioning is pinned at first commit — rebuild the "
                 "lake (resume=False) to change it")
         return frozenset(d["hot"])
-    hot = detect_hot_keys(paths, frac_threshold=cfg.hot_frac_threshold,
-                          num_blocks=cfg.resolved_read_blocks())
-    import json as _json
-    os.makedirs(os.path.dirname(hp), exist_ok=True)
-    tmp = hp + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        _json.dump({"hot": sorted(hot), "salt_block": cfg.salt_block}, f)
-    os.replace(tmp, hp)
+    hot = detect_hot_keys(paths, frac_threshold=cfg.hot_frac_threshold)
+    if hp:
+        os.makedirs(mdir, exist_ok=True)
+        tmp = hp + f".tmp.{os.getpid()}"
+        with open(tmp, "w") as f:
+            _json.dump({"hot": sorted(hot), "salt_block": cfg.salt_block}, f)
+        os.replace(tmp, hp)
     return hot
 
 

@@ -2,10 +2,10 @@
 partition's current snapshot, write the new snapshot atomically, publish the
 manifest, and return the one-row stats table.
 
-Runs inside ``PartitionApplier.finalize_commit`` (stages/exchange.py) and in
-the groupby exchange's ``map_groups``. It deliberately imports neither pandas
-nor Ray Data: it is on the import path of every applier process, whose spawn
-time is part of each replay's wall time.
+Runs inside ``PartitionApplier.finalize_commit`` (stages/exchange.py). It
+deliberately imports neither pandas nor Ray Data: it is on the import path
+of every applier process, whose spawn time is part of each replay's wall
+time.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from olrx.state import manifest as MF
 
 def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
                      safe_watermark: int, max_commit_scn: int,
-                     max_txn_span: int = 0,
-                     counters: "dict[str, int] | None" = None,
+                     max_txn_span: int, counters: dict[str, int],
                      output_codec: str = "zstd",
                      dropped: tuple = (),
                      renamed: "dict[str, str] | None" = None,
@@ -37,26 +36,20 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
     re-publishes the same files/manifest — a no-op replacement.
 
     ``counters``: exact pre-compaction stream counts from the exchange (the
-    in-``group`` events may already be folded to winners); None → count the
-    group directly (groupby path, where events are never folded). The
-    exchange stamps ``_wm`` = the per-partition watermark its receive-time
-    counts already excluded — when it matches this partition's manifest
-    watermark, the counts stay stream-exact through the resume filter with
-    no recount (r2 advisory); a mismatch (retried finalize after a partial
-    tail commit) falls back to recounting the folded winners."""
+    in-``group`` events may already be folded to winners). The exchange
+    stamps ``_wm`` = the per-partition watermark its receive-time counts
+    already excluded — when it matches this partition's manifest watermark,
+    the counts stay stream-exact through the resume filter with no recount
+    (r2 advisory); a mismatch (retried finalize after a partial tail commit)
+    falls back to recounting the folded winners. ``_min_scn`` is the
+    receive-time min commit SCN (folded winners would over-state birth)."""
     part = int(group["part"][0].as_py())
     mdir = os.path.join(out_dir, "_manifest")
     prev = MF.read_manifest(mdir, part)
-    wm_counted = -1
-    fresh_min: "int | None" = None   # min commit SCN applied THIS run
-    from_exchange = counters is not None
-    if counters is not None:
-        counters = dict(counters)
-        wm_counted = counters.pop("_wm", -1)
-        fm = counters.pop("_min_scn", -1)
-        fresh_min = fm if fm >= 0 else None
-    else:
-        counters = apply_stats(group)
+    counters = dict(counters)
+    wm_counted = counters.pop("_wm", -1)
+    fm = counters.pop("_min_scn", -1)
+    fresh_min = fm if fm >= 0 else None   # min commit SCN applied THIS run
     target_watermark = max(safe_watermark, prev.watermark_commit_scn if prev else -1)
 
     if prev is not None:
@@ -72,17 +65,10 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
             # the filter dropped rows the counters still include — recount
             # (counters from a watermark-aware exchange already exclude them)
             counters = apply_stats(group)
-        if not from_exchange and group.num_rows:
-            # groupby path: events are never folded, so the group min IS the
-            # stream min (the exchange path ships the receive-time min in
-            # counters["_min_scn"] — folded winners would over-state birth)
-            fresh_min = int(pc.min(group["commit_scn"]).as_py())
         base = _read_base(out_dir, prev)
         if base is not None and base.num_rows:
             group = pa.concat_tables([_base_as_events(base, prev), group],
                                      promote_options="default")
-    elif not from_exchange and group.num_rows:
-        fresh_min = int(pc.min(group["commit_scn"]).as_py())
 
     final = merge_apply(group, schema_version, dropped, renamed)
 

@@ -290,7 +290,7 @@ def _prune_summaries(ctl_dir: str, keep: int = KEEP_SUMMARIES) -> None:
             pass
 
 
-def load_control(paths: list[str], read_blocks: int | None = None) -> ControlInfo:
+def load_control(paths: list[str]) -> ControlInfo:
     """Collect control rows (commit map, DDLs, shard watermarks, txn span).
 
     Fast path: per-segment control sidecars (`_ctl/<segment>`) hold only the
@@ -333,10 +333,9 @@ def load_control(paths: list[str], read_blocks: int | None = None) -> ControlInf
         except OSError:
             pass
         return info
-    if read_blocks is None:
-        read_blocks = 2 * int(ray.cluster_resources().get("CPU", 8))
-    ds = rd.read_parquet(paths, columns=CONTROL_COLUMNS,
-                         override_num_blocks=read_blocks)
+    ds = rd.read_parquet(
+        paths, columns=CONTROL_COLUMNS,
+        override_num_blocks=2 * int(ray.cluster_resources().get("CPU", 8)))
     # collect control rows as Arrow refs — no pandas round-trip; the result
     # is O(#txns), the only driver-side materialization in the engine
     refs = ds.map_batches(_control_batch, batch_format="pyarrow").to_arrow_refs()
@@ -481,11 +480,8 @@ class CommitResolver:
                  conv_regex: str | None = None,
                  condition: str | None = None,
                  include_table: bool = False,
-                 table_regex: str | None = None,
-                 owner_sort: int = 0):
+                 table_regex: str | None = None):
         bc = ray.get(commit_ref) if commit_ref is not None else (None, None, None)
-        if len(bc) == 2:   # tests may broadcast the bare commit lookup
-            bc = (*bc, None)
         self._commit_hashes, self._commit_scns, self._pr_sorted = bc
         self.num_partitions = num_partitions
         self.hot: frozenset = ray.get(hot_ref) if hot_ref is not None else frozenset()
@@ -502,11 +498,6 @@ class CommitResolver:
         # (/root/reference/src/OpenLogReplicator.cpp:1009-1045)
         self.include_table = include_table
         self.table_regex = table_regex
-        #: deprecated (kept for call-site compat): the late-materialization
-        #: router owner-sorts only the light meta columns itself, so decode
-        #: no longer pre-sorts (a payload-wide scatter gather, ~10 s per 57M
-        #: events at 4 CPUs, measured)
-        self.owner_sort = 0
         if condition:
             from olrx.functions.condition import Condition
             self.condition = Condition(condition)
@@ -514,11 +505,6 @@ class CommitResolver:
             self.condition = None
         self.payload_cols = [n for n, _ in S.payload_columns(S.MAX_SCHEMA_VERSION)]
         self.payload_types = [t for _, t in S.payload_columns(S.MAX_SCHEMA_VERSION)]
-        # bench-only probe (OLRX_TRUNCATE_TEXT=n): clip text payloads to n
-        # code units right after decode, to measure how much of the scaling
-        # gap is payload-byte DRAM traffic vs fixed/serial overhead
-        import os as _os
-        self._truncate = int(_os.environ.get("OLRX_TRUNCATE_TEXT", "0"))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Index-cascade decode: all filter/join steps operate on a shrinking
@@ -630,9 +616,6 @@ class CommitResolver:
                 cols[f"v_{name}"] = pc.struct_field(after, name)
             else:  # narrower pre-DDL segment schema: additive column reads null
                 cols[f"v_{name}"] = pa.nulls(final.num_rows, typ)
-        if self._truncate:
-            cols["v_text"] = pc.utf8_slice_codeunits(cols["v_text"], 0,
-                                                     self._truncate)
         cols["part"] = pa.array(part, pa.int32())
         return pa.table(cols)
 
@@ -662,7 +645,7 @@ def make_resolver(commit_ref, num_partitions: int, hot_ref=None,
                   salt_block: int = 64, min_commit_scn_excl: int = -1,
                   skip_xids: tuple[str, ...] = (), conv_regex: str | None = None,
                   condition: str | None = None, include_table: bool = False,
-                  table_regex: str | None = None, owner_sort: int = 0):
+                  table_regex: str | None = None):
     """Stateless decode fn for `map_batches`. The resolver object is built
     lazily once per worker process and cached — `ray.get` on the broadcast
     refs is a zero-copy shared-memory read, so there is no per-batch cost
@@ -674,8 +657,7 @@ def make_resolver(commit_ref, num_partitions: int, hot_ref=None,
             holder.append(CommitResolver(commit_ref, num_partitions, hot_ref,
                                          salt_block, min_commit_scn_excl,
                                          skip_xids, conv_regex, condition,
-                                         include_table, table_regex,
-                                         owner_sort))
+                                         include_table, table_regex))
         return holder[0](batch)
 
     return fn

@@ -1,11 +1,9 @@
-"""Direct actor exchange with late materialization — the alternative to the
-sort-based groupby.
+"""The replay's one exchange: direct applier-actor routing with late
+materialization (SURVEY §4.2).
 
-`groupby(part).map_groups` is the Dataset-native exchange but moves every
-byte through the object store ~4× (decode out → sort map → sort reduce →
-apply input). On bandwidth-contended hardware that halves scaling
-efficiency. This module implements SURVEY §4.2's intended design instead,
-refined (r2.2) so the heavy payload bytes never ride the exchange at all:
+Decoded events reach the partition appliers point to point, one pass
+through the object store, and the heavy payload bytes never ride the
+exchange at all:
 
     decode task ──┬─ payload (v_* columns, original order) ──► ONE plasma
                   │   blob per decoded batch (``ray.put``, owned by an
@@ -46,12 +44,12 @@ digest), so both the folded meta AND the lineage counters stay exact under
 Ray task retry. The fence still passes (duplicate deliveries only ever
 push `received` ABOVE the completed-task total).
 
-Payload blobs are lz4-compressed Arrow IPC by default (r3,
-``OLRX_BLOB_CODEC`` ∈ lz4|zstd|none): the exchange's scarce resource on a
-bandwidth-bound host — and the cross-node network at cluster scale — is
-payload bytes, and chat text compresses ~2.5× even under lz4;
-decompression happens per-blob at each FOLD (not piled up at finalize),
-chunked so applier heap holds only a few decoded blobs at a time.
+Payload blobs are lz4-compressed Arrow IPC (``BLOB_CODEC``): the
+exchange's scarce resource on a bandwidth-bound host — and the cross-node
+network at cluster scale — is payload bytes, and chat text compresses
+~2.5× even under lz4; decompression happens per-blob at each FOLD (not
+piled up at finalize), chunked so applier heap holds only a few decoded
+blobs at a time.
 
 Fleet lifetime: the applier actors belong to an :class:`ApplierFleet`, and
 every exchange starts with ``ApplierFleet.begin``, which resets each
@@ -90,6 +88,13 @@ from olrx.stages.commit import apply_and_commit, stats_row
 #: through the actors (an ack returns once the shard is folded into the
 #: applier's heap state).
 ACK_WINDOW = 32
+
+#: payload-blob compression. The exchange is DRAM/network-bandwidth-bound
+#: while route CPUs have headroom, so cheap compression trades spare cycles
+#: for the scarce bytes. Measured at scale 8 / 16 CPUs: lz4 42.4 s vs
+#: zstd-1 62.1 s vs uncompressed 81.3 s end to end (lz4's ~2.5× byte cut
+#: at near-memcpy speed beats zstd's ~4× at real CPU cost).
+BLOB_CODEC = "lz4"
 
 #: meta columns added by the router: pointer into the payload blob
 POINTER_COLUMNS = ("blob_id", "row_idx")
@@ -159,33 +164,18 @@ def _merge_mins(parts: list[np.ndarray]) -> np.ndarray:
     return np.stack([uniq, mn])
 
 
-def default_blob_codec() -> str:
-    """Payload-blob codec (``OLRX_BLOB_CODEC``: lz4 | zstd | none). Default
-    lz4: the exchange is DRAM/network-bandwidth-bound while route CPUs have
-    headroom, so cheap compression trades spare cycles for the scarce bytes.
-    Measured at scale 8 / 16 CPUs: lz4 42.4 s vs zstd 62.1 s vs none 81.3 s
-    end-to-end (lz4's ~2.5× byte cut at near-memcpy speed beats zstd's ~4×
-    at real CPU cost on this workload)."""
-    return os.environ.get("OLRX_BLOB_CODEC", "lz4").strip().lower()
-
-
-def _encode_payload(t: pa.Table, codec: str):
-    """Table → compressed Arrow IPC buffer (or the table itself for
-    codec='none', which keeps the zero-copy plasma read path)."""
-    if codec == "none":
-        return t
-    comp = pa.Codec(codec, compression_level=1) if codec == "zstd" else codec
+def _encode_payload(t: pa.Table) -> pa.Buffer:
+    """Table → lz4-compressed Arrow IPC buffer."""
     sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, t.schema,
-                           options=pa.ipc.IpcWriteOptions(compression=comp)) as w:
+    with pa.ipc.new_stream(
+            sink, t.schema,
+            options=pa.ipc.IpcWriteOptions(compression=BLOB_CODEC)) as w:
         w.write_table(t)
     return sink.getvalue()
 
 
-def _decode_payload(obj) -> pa.Table:
-    if isinstance(obj, pa.Table):
-        return obj
-    return pa.ipc.open_stream(obj).read_all()
+def _decode_payload(buf: pa.Buffer) -> pa.Table:
+    return pa.ipc.open_stream(buf).read_all()
 
 
 #: blobs fetched+decompressed together at finalize — bounds applier heap to
@@ -452,10 +442,9 @@ class PartitionApplier:
 
 
 def make_router(appliers: list, num_appliers: int,
-                ack_window: int = ACK_WINDOW, ready_refs: list | None = None,
-                codec: str = "zstd"):
+                ready_refs: list | None = None):
     """Stateless `map_batches` fn (fused with decode): put the batch's
-    payload columns into plasma as ONE blob (compressed Arrow IPC, owned by
+    payload columns into plasma as ONE blob (lz4 Arrow IPC, owned by
     an applier so the ref outlives this pooled worker), owner-sort only the
     light meta columns, and ship per-applier meta slices + the blob ref.
     Emits one count row per receiving applier (the per-applier fence
@@ -486,7 +475,7 @@ def make_router(appliers: list, num_appliers: int,
             v_names = [n for n in batch.column_names if n.startswith("v_")]
             # ONE plasma write for the heavy payload, original row order —
             # no payload gather anywhere on the routing path
-            blob_ref = ray.put(_encode_payload(batch.select(v_names), codec),
+            blob_ref = ray.put(_encode_payload(batch.select(v_names)),
                                _owner=appliers[blob_id % num_appliers])
             meta = batch.drop_columns(v_names)
             meta = meta.append_column(
@@ -518,9 +507,9 @@ def make_router(appliers: list, num_appliers: int,
                     pending.append(appliers[a].add_shard.remote(
                         shard, blob_id, [blob_ref], d.digest()))
                     sent_to.append(a)
-            if len(pending) > ack_window:
+            if len(pending) > ACK_WINDOW:
                 done, rest = ray.wait(pending,
-                                      num_returns=len(pending) - ack_window)
+                                      num_returns=len(pending) - ACK_WINDOW)
                 holder["pending"] = rest
         return pa.table({
             "applier": pa.array(sent_to, pa.int32()),
@@ -638,7 +627,6 @@ def _pid_running(pid: int) -> bool:
 def run_actor_exchange(events, num_appliers: int, schema_version: int,
                        commit: dict | None = None,
                        compact_threshold: int = 0,
-                       as_refs: bool = False,
                        multi_table: bool = False,
                        part_watermarks: "np.ndarray | None" = None,
                        dropped: tuple = (),
@@ -647,10 +635,9 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
                        fleet: "ApplierFleet | None" = None):
     """Drive the routed stream and finalize.
 
-    ``commit=None`` → final transcript rows: a list of per-applier Arrow
-    ObjectRefs when ``as_refs`` (feed ``ray.data.from_arrow_refs`` — the
-    result never concatenates on the driver), else one concatenated table
-    (tests / small inputs only). With ``commit`` kwargs → the stats table
+    ``commit=None`` → final transcript rows as a list of per-applier Arrow
+    ObjectRefs (feed ``ray.data.from_arrow_refs`` — the result never
+    concatenates on the driver). With ``commit`` kwargs → the stats table
     (small: one row per partition). ``part_watermarks`` (resume runs) makes
     the receive-time lineage counters exclude rows the commit path will
     drop at its per-partition watermark filter.
@@ -664,7 +651,7 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
         fleet = ApplierFleet()
     try:
         out = _exchange(fleet, events, num_appliers, schema_version, commit,
-                        as_refs, {} if timings is None else timings,
+                        {} if timings is None else timings,
                         compact_threshold=compact_threshold,
                         multi_table=multi_table,
                         part_watermarks=part_watermarks,
@@ -678,13 +665,12 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
 
 
 def _exchange(fleet: ApplierFleet, events, num_appliers: int,
-              schema_version: int, commit: "dict | None", as_refs: bool,
-              timings: dict, **run):
-    codec = default_blob_codec()
+              schema_version: int, commit: "dict | None", timings: dict,
+              **run):
     appliers, ready_refs = fleet.begin(num_appliers, schema_version, **run)
     t0 = time.perf_counter()
     routed = events.map_batches(make_router(appliers, num_appliers,
-                                            ready_refs=ready_refs, codec=codec),
+                                            ready_refs=ready_refs),
                                 batch_format="pyarrow")
     # consume the count stream: per-applier shard totals (tiny rows; a
     # streaming driver fold, no extra shuffle)
@@ -695,14 +681,12 @@ def _exchange(fleet: ApplierFleet, events, num_appliers: int,
                       b["sent"].to_numpy(zero_copy_only=False))
     t1 = time.perf_counter()
     timings["route"] = round(t1 - t0, 3)
-    if commit is None:
-        refs = _fence_and_launch(appliers, totals,
-                                 lambda i: appliers[i].finalize_rows.remote())
-    else:
-        refs = _fence_and_launch(
-            appliers, totals, lambda i: appliers[i].finalize_commit.remote(**commit))
+    refs = _fence_and_launch(
+        appliers, totals,
+        (lambda i: appliers[i].finalize_rows.remote()) if commit is None
+        else (lambda i: appliers[i].finalize_commit.remote(**commit)))
     t2 = time.perf_counter()
-    if as_refs:
+    if commit is None:
         # block until the blocks are durably in plasma: the refs stay valid
         # (owned by the driver) when a call-scoped fleet is closed next
         ray.wait(refs, num_returns=len(refs), fetch_local=False)

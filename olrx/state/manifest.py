@@ -158,16 +158,16 @@ def read_lake_watermark(manifest_dir: str) -> int:
         return -1
 
 
-def global_watermark(manifest_dir: str, num_partitions: int) -> int:
+def global_watermark(manifest_dir: str, ms: dict[int, PartitionManifest],
+                     num_partitions: int) -> int:
     """The safe resume floor: everything ≤ it is applied+durable in every
     partition (analog of the min-open-txn restart position,
     /root/reference/src/parser/TransactionBuffer.cpp:274-286). Two sources:
     the lake-level watermark (covers event-less partitions), and — when every
-    partition has a manifest — the min per-partition watermark, which can be
-    ahead of the lake file after a crash between partition commits and the
-    lake write."""
+    partition has a manifest in ``ms`` (the caller's ``read_all``) — the min
+    per-partition watermark, which can be ahead of the lake file after a
+    crash between partition commits and the lake write."""
     lake = read_lake_watermark(manifest_dir)
-    ms = read_all(manifest_dir)
     if len(ms) >= num_partitions:
         return max(lake, min(m.watermark_commit_scn for m in ms.values()))
     return lake

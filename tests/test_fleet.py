@@ -91,7 +91,8 @@ def test_call_scoped_replay_spawns_one_applier_per_cpu(tmp_path, gen_small,
     assert seen == [4]
 
 
-def test_fleet_reuse_has_no_state_bleed(tmp_path, gen_small, expected_small):
+def test_fleet_reuse_has_no_state_bleed(tmp_path, gen_small, expected_small,
+                                        monkeypatch):
     """Two back-to-back fresh replays of the same input through one fleet:
     both lakes are oracle-equal and both runs' counters equal a call-scoped
     replay's. A content digest carried over from run one would make run two
@@ -100,7 +101,9 @@ def test_fleet_reuse_has_no_state_bleed(tmp_path, gen_small, expected_small):
     # one read block per segment and one decode batch per block: the shards,
     # and so their digests, are the same in both runs (a batch bundling
     # several blocks concatenates them in arrival order)
-    cfg = dataclasses.replace(CFG, read_blocks=len(paths), batch_size=None)
+    monkeypatch.setattr("olrx.pipelines.replay.coarse_read_blocks",
+                        lambda num_files=None: len(paths))
+    cfg = dataclasses.replace(CFG, batch_size=None)
     ref = replay_to_lake(paths, str(tmp_path / "ref"), cfg, resume=False)
     want_stats = ref.stats.sort_by("partition")
     lake = str(tmp_path / "lake")

@@ -75,3 +75,25 @@ def test_manifest_atomicity(tmp_path):
     assert MF.read_manifest(str(tmp_path), 3).watermark_commit_scn == 10
     assert not [f for f in os.listdir(tmp_path) if ".tmp" in f]
     assert os.path.basename(p) == "part-00003.json"
+
+
+def test_resume_reads_manifests_once(tmp_path, gen_small, expected_small,
+                                     monkeypatch):
+    """A resume replay lists ``_manifest/`` once: the floor, the txn span,
+    the fences and the per-partition watermarks all come from one read."""
+    _, _, paths, _ = gen_small
+    out = str(tmp_path / "lake")
+    first = [p for p in paths if "seg0000" in p or "seg0001" in p]
+    replay_to_lake(first, out, CFG, resume=False)
+    calls = []
+    read_all = MF.read_all
+
+    def spy(mdir):
+        calls.append(mdir)
+        return read_all(mdir)
+
+    monkeypatch.setattr(MF, "read_all", spy)
+    replay_to_lake(paths, out, CFG, resume=True)
+    assert calls == [os.path.join(out, "_manifest")]
+    monkeypatch.undo()
+    assert _lake_table(out, expected_small.schema).equals(expected_small)

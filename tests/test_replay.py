@@ -177,3 +177,37 @@ def test_start_time_rel_matches_absolute(gen_small):
     got_plain = sorted_table(
         replay_dataset(paths, ReplayConfig(num_partitions=8)).dataset)
     assert got_all.equals(got_plain)
+
+
+def test_plan_step_callers_agree_at_a_stop_position(tmp_path, gen_small):
+    """Both callers of the replay plan step, with salting on and a stop
+    position mid-stream, equal the oracle over the transactions committed
+    at or below the cut."""
+    import json
+    import os
+
+    import pyarrow.compute as pc
+
+    from olrx.pipelines.replay import read_lake, replay_to_lake
+
+    _, _, paths, full = gen_small
+    is_commit = pc.equal(full["op"], "C")
+    commits = sorted(full.filter(is_commit)["scn"].to_pylist())
+    cut = commits[len(commits) // 2]
+    # a transaction whose commit record is beyond the cut is still open
+    head = full.filter(pc.invert(pc.and_(is_commit,
+                                         pc.greater(full["scn"], cut))))
+    exp = apply_naive(head).sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")])
+    assert 0 < exp.num_rows < apply_naive(full).num_rows
+    cfg = ReplayConfig(num_partitions=16, salt_hot=True,
+                       hot_frac_threshold=0.005, salt_block=4,
+                       end_commit_scn=cut)
+    got = sorted_table(replay_dataset(paths, cfg).dataset, exp.schema)
+    assert got.equals(exp), "dataset mode != oracle at the cut"
+    lake = str(tmp_path / "lake")
+    replay_to_lake(paths, lake, cfg, resume=False)
+    with open(os.path.join(lake, "_manifest", "hot.json")) as f:
+        assert json.load(f)["hot"], "the test must salt some key"
+    assert sorted_table(read_lake(lake), exp.schema).equals(exp), \
+        "lake mode != oracle at the cut"

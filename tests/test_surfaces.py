@@ -309,3 +309,26 @@ def test_cdc_net_changes_vs_oracle():
     assert len(got) == len(want) and list(got.columns) == list(want.columns)
     assert set(got["change_op"]) == {"upsert", "delete"}
     assert got.equals(want)
+
+
+def test_cdc_core_reads_no_environment():
+    """Configuration of the CDC core enters through ``ReplayConfig`` or the
+    job spec only: no module under stages/, pipelines/ or state/ reads an
+    environment variable."""
+    import re
+
+    root = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "olrx")
+    pat = re.compile(r"\b(environ|getenv)\b")
+    hits = []
+    for sub in ("stages", "pipelines", "state"):
+        for dirpath, _, names in os.walk(os.path.join(root, sub)):
+            for name in sorted(names):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path) as f:
+                    for i, line in enumerate(f, 1):
+                        if pat.search(line):
+                            hits.append(f"{os.path.relpath(path, root)}:{i}")
+    assert not hits, f"environment reads in the CDC core: {hits}"

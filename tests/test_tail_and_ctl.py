@@ -157,7 +157,7 @@ def test_exchange_retry_dedupe(tmp_path, gen_small):
         for _ in range(n_deliveries):
             # a fresh router per delivery = a retried task's fresh blob-id
             # space; the shard CONTENT digests are identical
-            make_router(appliers, 1, codec="zstd")(batch)
+            make_router(appliers, 1)(batch)
         # poll like the real fence until the mailbox drains the shards
         import time as _time
         deadline = _time.monotonic() + 30
