@@ -1,8 +1,12 @@
 """Lake-mode commit of one hash partition: merge its events with the
-partition's current snapshot, write the new snapshot atomically, publish the
-manifest, and return the one-row stats table.
+partition's current snapshot, write the new snapshot durably (fsync) and
+atomically (rename), publish the manifest, and return the one-row stats
+table.
 
-Runs inside ``PartitionApplier.finalize_commit`` (stages/exchange.py). It
+Runs inside ``PartitionApplier.finalize_commit`` (stages/exchange.py), on a
+thread pool when the applier holds several partitions: a call reads and
+writes only its own partition's files (``part-NNNNN/`` and its manifest),
+so concurrent calls for different partitions need no lock. It
 deliberately imports neither pandas nor Ray Data: it is on the import path
 of every applier process, whose spawn time is part of each replay's wall
 time.
@@ -80,8 +84,13 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
     # zstd-1 snapshots: ~3× fewer disk/storage bytes than snappy on text —
     # the write leg shares one storage backend across all appliers, while
     # finalize CPUs have headroom (measured: the hi-CPU leg is write-bound)
-    pq.write_table(final, tmp, compression=output_codec,
-                   compression_level=1 if output_codec == "zstd" else None)
+    with open(tmp, "wb") as f:
+        pq.write_table(final, f, compression=output_codec,
+                       compression_level=1 if output_codec == "zstd" else None)
+        # durable BEFORE it is published: the manifest written below must
+        # never point at snapshot bytes a host crash can lose
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, fpath)
 
     first_wm = target_watermark

@@ -44,6 +44,16 @@ digest), so both the folded meta AND the lineage counters stay exact under
 Ray task retry. The fence still passes (duplicate deliveries only ever
 push `received` ABOVE the completed-task total).
 
+Lake-mode finalize (``PartitionApplier.finalize_commit``) turns one
+applier's holding into per-partition commits: ONE stable ``take`` puts the
+holding in partition order and each partition is a zero-copy slice of it
+(``split_by_partition``), every partition's lineage counters come from one
+pass over the merged count arrays, and the ``apply_and_commit`` calls run
+on a pool of ``min(partitions held, pa.cpu_count())`` threads, so one
+partition's merge, zstd parquet encode, fsyncs and mkdirs overlap
+another's. The pool size is not a knob: it stays inside the 2 Arrow
+threads each applier pins because the whole fleet finalizes at once.
+
 Payload blobs are lz4-compressed Arrow IPC (``BLOB_CODEC``): the
 exchange's scarce resource on a bandwidth-bound host — and the cross-node
 network at cluster scale — is payload bytes, and chat text compresses
@@ -74,6 +84,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
@@ -211,6 +222,52 @@ def materialize_events(meta: pa.Table, blobs: dict) -> pa.Table:
         cols[n] = payload[n]
     cols["part"] = meta_sorted["part"]
     return pa.table(cols)
+
+
+def split_by_partition(events: pa.Table) -> "list[tuple[int, pa.Table]]":
+    """``(part_id, rows)`` per partition of ``events``, in partition order.
+
+    ONE stable ``take`` puts the holding in partition order, then each
+    partition is a zero-copy ``slice`` of that table; rows keep their order
+    within a partition. A take per partition would cost a full re-gather
+    each: after a stream-end ``_gather`` the holding has one chunk per
+    payload blob, and a take over a multi-chunk table gathers them all."""
+    if not events.num_rows:
+        return []
+    parts = events["part"].to_numpy(zero_copy_only=False)
+    order = np.argsort(parts, kind="stable")
+    parts = parts[order]
+    ordered = events.take(pa.array(order))
+    starts = np.flatnonzero(np.r_[True, parts[1:] != parts[:-1]])
+    ends = np.r_[starts[1:], len(parts)]
+    return [(int(parts[lo]), ordered.slice(lo, hi - lo))
+            for lo, hi in zip(starts, ends)]
+
+
+def _partition_counters(op_counts: np.ndarray, part_mins: np.ndarray,
+                        part_ids: list[int],
+                        part_watermarks: "np.ndarray | None"
+                        ) -> "list[dict[str, int]]":
+    """Manifest counters of each partition in ``part_ids``, from one pass
+    over the applier's merged lineage arrays (``_gather``): the exact
+    receive-time stream counts per op, ``_wm`` = the watermark those counts
+    already excluded (the resume-exactness contract with
+    ``apply_and_commit``) and ``_min_scn`` = the receive-time data birth
+    (the folded winners' min would over-state it: losers at earlier SCNs
+    are gone)."""
+    key, cnt = op_counts
+    n = 1 + max(max(part_ids, default=-1), int((key // 4).max(initial=-1)),
+                int(part_mins[0].max(initial=-1)))
+    by_op = np.zeros((n, 4), np.int64)
+    np.add.at(by_op, (key // 4, key % 4), cnt)
+    birth = np.full(n, -1, np.int64)
+    birth[part_mins[0]] = part_mins[1]
+    return [{"events": int(by_op[p].sum()), "inserts": int(by_op[p, 0]),
+             "updates": int(by_op[p, 1]), "deletes": int(by_op[p, 2]),
+             "_wm": (int(part_watermarks[p]) if part_watermarks is not None
+                     else -1),
+             "_min_scn": int(birth[p])}
+            for p in part_ids]
 
 
 @ray.remote
@@ -400,45 +457,55 @@ class PartitionApplier:
     def finalize_commit(self, out_dir: str, safe_watermark: int,
                         max_commit_scn: int, max_txn_span: int,
                         output_codec: str = "zstd",
-                        snapshot_keep: int = 1) -> pa.Table:
-        """Merge-apply + write parquet + manifests for owned partitions."""
-        stats: list[pa.Table] = []
+                        snapshot_keep: int = 1
+                        ) -> "tuple[pa.Table, dict[str, float]]":
+        """Merge-apply + write parquet + manifests for owned partitions.
+
+        Returns the stats rows in partition order and this applier's
+        finalize profile in seconds: ``gather`` (materialize the holding and
+        split it by partition, ``split_by_partition``) and ``commit`` (the
+        per-partition commits).
+
+        The commits overlap on ``min(partitions held, pa.cpu_count())``
+        threads; a single partition commits inline. The size is derived, not
+        a knob: ``__init__`` pins Arrow to 2 threads because the whole fleet
+        finalizes at once, and the pool stays inside that budget. No lock is
+        needed: each ``apply_and_commit`` call, the per-partition unit of
+        idempotence, touches only its own ``part-NNNNN/`` directory, its
+        own manifest and per-partition temp names. The first failing
+        partition's exception, in partition order, propagates unchanged;
+        queued commits are dropped."""
+        t0 = time.perf_counter()
         held = self._gather()
+        jobs: list = []
         if held is not None:
             all_events, op_counts, part_mins = held
-            # partition groups via a cheap int sort; per-partition event
-            # tables are gathered once (take) and committed independently
-            parts = all_events["part"].to_numpy(zero_copy_only=False)
-            order = np.argsort(parts, kind="stable")
-            parts_sorted = parts[order]
-            bounds = np.flatnonzero(np.diff(parts_sorted)) + 1
-            for sel in np.split(order, bounds):
-                part_id = int(parts[sel[0]])
-                m = (op_counts[0] // 4) == part_id
-                ops = op_counts[0][m] % 4
-                cnt = op_counts[1][m]
-                counters = {"events": int(cnt.sum())}
-                for code, nm in ((0, "inserts"), (1, "updates"), (2, "deletes")):
-                    counters[nm] = int(cnt[ops == code].sum())
-                # which watermark the receive-time counts already excluded
-                # (resume-exactness contract with apply_and_commit)
-                counters["_wm"] = (int(self.part_watermarks[part_id])
-                                   if self.part_watermarks is not None else -1)
-                # receive-time data birth for the manifest (folded winners'
-                # min would over-state it — losers at earlier SCNs are gone)
-                mm = part_mins[0] == part_id
-                counters["_min_scn"] = (int(part_mins[1][mm][0])
-                                        if mm.any() else -1)
-                stats.append(apply_and_commit(
-                    all_events.take(pa.array(sel)), out_dir,
-                    self.schema_version, safe_watermark, max_commit_scn,
-                    max_txn_span, counters=counters,
-                    output_codec=output_codec, dropped=self.dropped,
-                    renamed=self.renamed,
-                    snapshot_keep=snapshot_keep))
+            groups = split_by_partition(all_events)
+            counters = _partition_counters(
+                op_counts, part_mins, [p for p, _ in groups],
+                self.part_watermarks)
+            jobs = [(g, c) for (_, g), c in zip(groups, counters)]
+        t1 = time.perf_counter()
+
+        def commit(job: "tuple[pa.Table, dict]") -> pa.Table:
+            return apply_and_commit(
+                job[0], out_dir, self.schema_version, safe_watermark,
+                max_commit_scn, max_txn_span, counters=job[1],
+                output_codec=output_codec, dropped=self.dropped,
+                renamed=self.renamed, snapshot_keep=snapshot_keep)
+
+        if len(jobs) > 1:
+            pool = ThreadPoolExecutor(min(len(jobs), pa.cpu_count()))
+            try:
+                stats = list(pool.map(commit, jobs))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            stats = [commit(j) for j in jobs]
+        profile = {"gather": t1 - t0, "commit": time.perf_counter() - t1}
         if not stats:
-            return stats_row(-1, 0, safe_watermark, True, {})[:0]
-        return pa.concat_tables(stats)
+            return stats_row(-1, 0, safe_watermark, True, {})[:0], profile
+        return pa.concat_tables(stats), profile
 
 
 def make_router(appliers: list, num_appliers: int,
@@ -642,6 +709,11 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
     the receive-time lineage counters exclude rows the commit path will
     drop at its per-partition watermark filter.
 
+    ``timings`` receives the phase walls ``route``, ``fence`` and
+    ``finalize``; lake mode adds ``finalize_gather`` and
+    ``finalize_commit``, the largest such split of any applier's
+    ``finalize_commit``.
+
     ``fleet``: the caller's :class:`ApplierFleet`, reused and left open;
     None → a fleet scoped to this call. Either way an exception discards
     the fleet's actors before it propagates.
@@ -692,8 +764,12 @@ def _exchange(fleet: ApplierFleet, events, num_appliers: int,
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
         out = refs
     else:
-        outs = ray.get(refs)
+        outs, profiles = zip(*ray.get(refs))
         out = pa.concat_tables([t for t in outs if t.num_rows > 0] or outs[:1])
+        # the slowest applier's split of its finalize (the fleet's finalize
+        # ends with it): materialize + partition-order gather, then commits
+        for k in ("gather", "commit"):
+            timings[f"finalize_{k}"] = round(max(p[k] for p in profiles), 3)
     timings["fence"] = round(t2 - t1, 3)
     timings["finalize"] = round(time.perf_counter() - t2, 3)
     return out

@@ -165,7 +165,7 @@ def test_exchange_retry_dedupe(tmp_path, gen_small):
             assert _time.monotonic() < deadline, "shards never drained"
             _time.sleep(0.02)
         out = str(tmp_path / f"lake-{n_deliveries}")
-        stats = ray.get(appliers[0].finalize_commit.remote(
+        stats, _ = ray.get(appliers[0].finalize_commit.remote(
             out_dir=out, safe_watermark=control.max_commit_scn,
             max_commit_scn=control.max_commit_scn, max_txn_span=0))
         fleet.close()
