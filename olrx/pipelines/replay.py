@@ -26,16 +26,17 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
 from olrx import schema as S
 from olrx.ops.scaling import coarse_read_blocks
+from olrx.stages.commit import snapshot_footer
 from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, load_control,
                                make_resolver)
 from olrx.stages.partition import detect_hot_keys
@@ -292,16 +293,15 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
     prev = prev_ms.values()
     control.max_txn_span = max([control.max_txn_span]
                                + [m.max_txn_span for m in prev])
-    # version fence: drops recorded by earlier runs stay dropped on resume,
-    # new drops in this input's control stream extend the set
-    dropped = tuple(sorted({c for m in prev for c in m.dropped_columns}
-                           | set(control.dropped_columns)))
-    # rename fence: prior runs' renames persist; this input's committed
-    # renames extend/override them. A rename whose "physical" key is itself
-    # a prior run's display name (the input only contains the later
-    # segments) resolves through the inverse of the prior mapping.
+    # version and rename fences: prior runs' drops and renames persist, this
+    # input's committed ones extend them. A column the input names by a
+    # prior run's display name (the input only holds the later segments)
+    # resolves through the inverse of the prior mapping.
     renamed = MF.current_renames(prev_ms)
     inv_prev = {v: k for k, v in renamed.items()}
+    dropped = tuple(sorted({c for m in prev for c in m.dropped_columns}
+                           | {inv_prev.get(c, c)
+                              for c in control.dropped_columns}))
     for ph, new in control.renamed_columns.items():
         renamed[inv_prev.get(ph, ph)] = new
     hot = _resolved_hot_keys(paths, cfg, mdir)
@@ -345,6 +345,8 @@ def replay_to_lake(paths: list[str], out_dir: str,
     # one manifest read per replay: the floor, the txn span, the fences and
     # the per-partition watermarks all derive from it
     ms = MF.read_all(mdir) if resume else {}
+    if ms:  # an old-layout lake fails here, before any write could mix it
+        snapshot_footer(os.path.join(out_dir, next(iter(ms.values())).files[0]))
     # global floor: safe to drop in decode only what EVERY partition confirmed
     floor = MF.global_watermark(mdir, ms, cfg.num_partitions) if resume else -1
     timings: dict = {}
@@ -406,50 +408,43 @@ def _resolved_hot_keys(paths: list[str], cfg: ReplayConfig,
     return hot
 
 
+def read_snapshots(files: list[str], schema: pa.Schema,
+                   renamed: dict[str, str]) -> rd.Dataset:
+    """Read lake snapshots under the pinned physical ``schema`` and relabel
+    them to display names (physical → display ``renamed``). The relabel
+    runs inside the read tasks: Ray 2.49 takes ``_block_udf`` through
+    ``read_parquet``'s arrow args, where a ``rename_columns`` stage would
+    add a Project operator to every read. Every block has the pinned
+    schema's column order, so the new names are positional. An empty
+    mapping reads plainly."""
+    udf = {}
+    if renamed:
+        names = [renamed.get(n, n) for n in schema.names]
+        udf["_block_udf"] = partial(pa.Table.rename_columns, names=names)
+    return rd.read_parquet(files, schema=schema,
+                           override_num_blocks=coarse_read_blocks(len(files)),
+                           **udf)
+
+
 def read_lake(out_dir: str) -> rd.Dataset:
     """Read the current table state: only files referenced by manifests.
 
-    Partitions may sit at different rename epochs — a partition with no
-    fresh events across a rename-containing increment keeps its old-name
-    snapshot (the exchange only commits partitions it routed events to),
-    while its peers rewrite under the new display name. Parquet schema
-    projection matches by NAME, so reading an old-name file under the
-    unified (renamed) schema would silently NULL the renamed column's
-    data. Each manifest records ITS partition's exact display mapping, so:
-    group partitions by mapping, read each group under its own names, and
-    `rename_columns` to the unified display — renames change labels only,
-    never physical identity (SystemTransaction.cpp:525), so this is a
-    zero-copy relabel. Single-epoch lakes (the common case) take the
-    one-group fast path, identical to a plain schema-pinned read."""
+    Snapshots store physical payload names (``stages.commit``), so every
+    file reads under one pinned schema whatever rename epoch wrote it: the
+    newest schema version without any dropped column. A partition that no
+    increment touched since a column was added null-fills it; one written
+    before a drop has the column projected away. The display names of the
+    newest rename epoch (``MF.current_renames``) are one relabel at read
+    time (renames never touch physical identity,
+    SystemTransaction.cpp:525)."""
     ms = MF.read_all(os.path.join(out_dir, "_manifest"))
-    files_of: dict[tuple, list[str]] = {}
-    for m in ms.values():
-        key = tuple(sorted((m.renamed_columns or {}).items()))
-        files_of.setdefault(key, []).extend(
-            os.path.join(out_dir, rel) for rel in m.files)
+    files = [os.path.join(out_dir, rel) for m in ms.values() for rel in m.files]
     schema_version = max((m.schema_version for m in ms.values()), default=0)
     dropped = tuple(sorted(
         {c for m in ms.values() for c in m.dropped_columns}))
-    renamed = MF.current_renames(ms)
-    all_files = [f for fs in files_of.values() for f in fs]
-    inc = bool(all_files) and "table_name" in pq.read_schema(all_files[0]).names
-    tgt = S.transcripts_schema(schema_version, include_table=inc,
-                               dropped=dropped, renamed=renamed)
-    phys_of_display = {renamed.get(p, p): p
-                       for p, _ in S.payload_columns(schema_version)}
-    parts: list[rd.Dataset] = []
-    for key, files in sorted(files_of.items()):
-        renamed_g = dict(key)
-        fields, mapping = [], {}
-        for f in tgt:
-            p = phys_of_display.get(f.name, f.name)
-            gname = renamed_g.get(p, p)
-            fields.append(pa.field(gname, f.type))
-            if gname != f.name:
-                mapping[gname] = f.name
-        ds = rd.read_parquet(files, schema=pa.schema(fields),
-                             override_num_blocks=coarse_read_blocks(len(files)))
-        parts.append(ds.rename_columns(mapping) if mapping else ds)
-    if not parts:
-        return rd.from_arrow(tgt.empty_table())
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    inc = bool(files) and "table_name" in snapshot_footer(files[0])[0].names
+    schema = S.transcripts_schema(schema_version, include_table=inc,
+                                  dropped=dropped)
+    if not files:
+        return rd.from_arrow(schema.empty_table())
+    return read_snapshots(files, schema, MF.current_renames(ms))

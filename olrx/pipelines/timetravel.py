@@ -16,7 +16,10 @@ boundaries).
 
 Scale shape: the as-of read is a plain partitioned ``read_parquet`` over
 one file per partition — no replay, no shuffle; retention cost is disk
-only (K× snapshot bytes), never memory or extra write traffic.
+only (K× snapshot bytes), never memory or extra write traffic. Snapshots
+store physical column names, so snapshots of different schema or rename
+epochs read together under one pinned schema, with one footer fetch per
+read.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import re
 
 import ray.data as rd
 
-from olrx.ops.scaling import coarse_read_blocks
+from olrx import schema as S
+from olrx.pipelines.replay import read_snapshots, replay_to_lake
+from olrx.stages.commit import snapshot_footer
 
 _SNAP_RE = re.compile(r"data-w(\d+)\.parquet$")
 
@@ -85,84 +90,19 @@ def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
     """Table state as of ``commit_scn`` — a partitioned parquet read of the
     chosen snapshots, streaming like any other Dataset source.
 
-    Snapshots carry the display names current at THEIR watermark epoch, so
-    when the chosen files straddle a committed column RENAME (one partition
-    last checkpointed before it, another after), a naive multi-file read
-    would silently union two names for one physical column. Files are
-    therefore grouped by their footer schema and relabeled to the newest
-    chosen epoch's names — positions are stable under renames (the physical
-    identity/column id never changes, SystemTransaction.cpp:525) and every
-    cross-group label difference must be provably the same physical column
-    (via the manifests' rename mapping); anything unresolvable raises
-    rather than guessing, like the pruned-history case."""
+    Snapshots store physical payload names and record their rename epoch's
+    display mapping in the footer (``stages.commit``). The newest chosen
+    snapshot (the largest ``data-w{W}``) was written under the schema and
+    names current at the as-of point, so its footer — the only one this
+    read fetches — pins the schema of every chosen file and is the relabel:
+    a column added later null-fills in older snapshots, and a column
+    dropped later is projected away."""
     files = snapshot_files_asof(out_dir, commit_scn)
     if not files:  # every partition born after the as-of point
-        from olrx import schema as S
-
         return rd.from_arrow(S.transcripts_schema(0).empty_table())
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    groups: dict[tuple, list[str]] = {}
-    for f in files:
-        groups.setdefault(tuple(pq.read_schema(f).names), []).append(f)
-    if len(groups) == 1:
-        return rd.read_parquet(
-            files, override_num_blocks=coarse_read_blocks(len(files)))
-
-    from olrx import schema as S
-    from olrx.state import manifest as MF
-
-    def _wm(f: str) -> int:
-        return int(_SNAP_RE.search(f).group(1))
-
-    canon = tuple(pq.read_schema(max(files, key=_wm)).names)
-    canon_types = {n: t for n, t in zip(
-        canon, pq.read_schema(max(files, key=_wm)).types)}
-    physicals = ({n for n, _ in S.payload_columns(S.MAX_SCHEMA_VERSION)}
-                 | set(S.transcripts_schema(0, include_table=True).names))
-    # every display name any manifest records, superseded epochs included
-    # (a stale partition's snapshot carries its own epoch's label); a label
-    # two physical columns have worn proves nothing
-    phys_of: dict[str, set[str]] = {}
-    for m in MF.read_all(os.path.join(out_dir, "_manifest")).values():
-        for p, cur in (m.renamed_columns or {}).items():
-            phys_of.setdefault(cur, set()).add(p)
-
-    def _phys(name: str) -> str | None:
-        if name in physicals:
-            return name
-        cands = phys_of.get(name, set())
-        return next(iter(cands)) if len(cands) == 1 else None
-
-    parts: list[rd.Dataset] = []
-    for names, gfiles in sorted(groups.items()):
-        if len(names) > len(canon):
-            raise ValueError(
-                f"as-of read at commit SCN {commit_scn}: snapshot epochs "
-                f"disagree beyond renames/additive adds ({len(names)} vs "
-                f"{len(canon)} columns); retain aligned checkpoints "
-                "(ReplayConfig.snapshot_keep) or re-checkpoint")
-        mapping: dict[str, str] = {}
-        fields = []
-        for i, fn in enumerate(names):
-            tn = canon[i]
-            fields.append(pa.field(fn, canon_types[tn]))
-            if fn == tn:
-                continue
-            pf, pt = _phys(fn), _phys(tn)
-            if pf is None or pt is None or pf != pt:
-                raise ValueError(
-                    f"as-of read at commit SCN {commit_scn}: cannot prove "
-                    f"snapshot column {fn!r} and {tn!r} share a physical "
-                    "identity; history spans an unrecorded rename")
-            mapping[fn] = tn
-        fields += [pa.field(canon[i], canon_types[canon[i]])
-                   for i in range(len(names), len(canon))]
-        ds = rd.read_parquet(gfiles, schema=pa.schema(fields),
-                             override_num_blocks=coarse_read_blocks(len(gfiles)))
-        parts.append(ds.rename_columns(mapping) if mapping else ds)
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    newest = max(files, key=lambda f: int(_SNAP_RE.search(f).group(1)))
+    schema, renamed = snapshot_footer(newest)
+    return read_snapshots(files, schema, renamed)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +132,6 @@ def q_cdc_time_travel(sf_dir: str) -> rd.Dataset:
     resume in one verified pipeline."""
     from olrx.gen import GenConfig, ensure_changelog, scale_for_sf_dir
     from olrx.pipelines.queries import _replay_cfg, changelog_paths_for
-    from olrx.pipelines.replay import replay_to_lake
 
     paths = changelog_paths_for(sf_dir)
     split = _split_scn(paths)

@@ -14,6 +14,7 @@ time.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 
@@ -25,6 +26,12 @@ import pyarrow.parquet as pq
 from olrx import schema as S
 from olrx.stages.apply import apply_stats, merge_apply
 from olrx.state import manifest as MF
+
+#: snapshot footer key: the display mapping (physical → display name) of the
+#: rename epoch that wrote the snapshot, as JSON; ``{}`` when none. Written
+#: on every snapshot, so its absence marks a lake written before snapshots
+#: stored physical column names.
+RENAMES_KEY = b"olrx.renames"
 
 
 def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
@@ -74,7 +81,11 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
             group = pa.concat_tables([_base_as_events(base, prev), group],
                                      promote_options="default")
 
-    final = merge_apply(group, schema_version, dropped, renamed)
+    # physical payload names on disk: a rename rewrites no data and leaves
+    # every snapshot readable under one schema; only the footer mapping
+    # carries the epoch's display names
+    final = merge_apply(group, schema_version, dropped).replace_schema_metadata(
+        {RENAMES_KEY: json.dumps(renamed or {}, sort_keys=True)})
 
     part_dir = os.path.join(out_dir, f"part-{part:05d}")
     os.makedirs(part_dir, exist_ok=True)
@@ -137,6 +148,20 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
     return stats_row(part, final.num_rows, target_watermark, False, counters)
 
 
+def snapshot_footer(path: str) -> "tuple[pa.Schema, dict[str, str]]":
+    """One snapshot's schema (physical names) and its footer's display
+    mapping. A snapshot without the mapping predates physical names on
+    disk; reading it under physical names would silently null every
+    renamed column, so this raises instead."""
+    schema = pq.read_schema(path)
+    raw = (schema.metadata or {}).get(RENAMES_KEY)
+    if raw is None:
+        raise ValueError(
+            f"{path}: lake written before physical column names; rebuild "
+            "with replay_to_lake(..., resume=False)")
+    return schema.remove_metadata(), json.loads(raw)
+
+
 def _read_base(out_dir: str, m: MF.PartitionManifest) -> pa.Table | None:
     tables = []
     for rel in m.files:
@@ -151,13 +176,11 @@ def _read_base(out_dir: str, m: MF.PartitionManifest) -> pa.Table | None:
 def _base_as_events(base: pa.Table, m: MF.PartitionManifest) -> pa.Table:
     """Existing partition snapshot re-expressed as synthetic full-image
     inserts at the manifest watermark, so the same merge kernel handles
-    incremental upserts (events > watermark win by LWW). The snapshot's
-    columns carry the display names current at ITS write time (manifest
-    ``renamed_columns``); they map back to physical ``v_<name>`` event
-    columns here, so a rename committed between runs re-labels the same
-    physical data rather than orphaning it."""
+    incremental upserts (events > watermark win by LWW). The snapshot
+    stores physical payload names, so each maps straight to its
+    ``v_<name>`` event column whatever was renamed since; a column added
+    after the snapshot was written reads as nulls."""
     n = base.num_rows
-    rn = dict(getattr(m, "renamed_columns", {}) or {})
     cols: dict[str, object] = {}
     if "table_name" in base.schema.names:
         cols["table_name"] = base["table_name"]
@@ -170,10 +193,9 @@ def _base_as_events(base: pa.Table, m: MF.PartitionManifest) -> pa.Table:
         "scn_idx": pa.array([-1] * n, pa.int32()),
         "changed_mask": pa.array([S.full_mask(m.schema_version)] * n, pa.int32()),
     }
-    base_names = set(base.schema.names)
     for nm, t in S.payload_columns(S.MAX_SCHEMA_VERSION):
-        disp = rn.get(nm, nm)   # the name this snapshot stored it under
-        cols[f"v_{nm}"] = base[disp] if disp in base_names else pa.nulls(n, t)
+        cols[f"v_{nm}"] = (base[nm] if nm in base.schema.names
+                           else pa.nulls(n, t))
     return pa.table(cols)
 
 

@@ -43,9 +43,9 @@ class PartitionManifest:
     dropped_columns: list[str] = field(default_factory=list)
     #: physical → current display name from committed RENAME DDLs (the
     #: other non-additive dictionary mutation — reference
-    #: SystemTransaction::processUpdate, SystemTransaction.cpp:525). The
-    #: snapshot's columns carry the CURRENT names; resume maps them back to
-    #: physical via this dict before re-expressing the base as events.
+    #: SystemTransaction::processUpdate, SystemTransaction.cpp:525). Display
+    #: only: snapshots store physical names, and readers relabel them with
+    #: the newest epoch's mapping (``current_renames``).
     renamed_columns: dict = field(default_factory=dict)
     #: max observed (commit_scn - begin_scn): the scan-pruning bound for
     #: incremental re-reads (events of unconfirmed txns have scn > W - span)

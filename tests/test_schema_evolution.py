@@ -137,6 +137,8 @@ def test_rename_column_lake_fence_and_resume(tmp_path):
     from olrx.pipelines.replay import read_lake, replay_to_lake
     from olrx.state import manifest as MF
 
+    from olrx.pipelines.timetravel import read_lake_asof
+
     d = ensure_changelog(GenConfig(scale=0.001, ddl_rename=True))
     meta = json.load(open(os.path.join(d, "_COMPLETE")))
     paths = sorted(glob.glob(d + "/*.parquet"))
@@ -144,7 +146,7 @@ def test_rename_column_lake_fence_and_resume(tmp_path):
     exp = apply_naive(full).sort_by(
         [("conv_id", "ascending"), ("turn_idx", "ascending")])
     out = str(tmp_path / "lake")
-    cfg = ReplayConfig(num_partitions=8)
+    cfg = ReplayConfig(num_partitions=8, snapshot_keep=2)
     # leg 1: stop BEFORE the rename commits — the lake snapshot stores `tool`
     import dataclasses
     cfg1 = dataclasses.replace(cfg, end_commit_scn=meta["rename_scn"] - 1)
@@ -158,6 +160,20 @@ def test_rename_column_lake_fence_and_resume(tmp_path):
     ms = MF.read_all(os.path.join(out, "_manifest"))
     assert ms and all(m.renamed_columns == {"tool": "tool_label"}
                       for m in ms.values())
+    # snapshots store the physical name; the rename lives in footers only
+    for m in ms.values():
+        names = pq.read_schema(os.path.join(out, m.files[0])).names
+        assert "tool" in names and "tool_label" not in names
+    # the pre-rename snapshots' footer mapping keeps their epoch's label
+    cut = meta["rename_scn"] - 1
+    late = full.filter(pc.and_(pc.equal(full["op"], "C"),
+                               pc.greater(full["scn"], cut)))["xid"]
+    exp_cut = apply_naive(full.filter(pc.invert(
+        pc.is_in(full["xid"], value_set=late.combine_chunks())))).sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")])
+    assert "tool" in exp_cut.schema.names
+    asof = sorted_table(read_lake_asof(out, cut), exp_cut.schema)
+    assert asof.equals(exp_cut)
 
 
 def _synthetic_ddl_segment(src_dir: str, dst_dir: str, *, seq: int,
@@ -260,10 +276,10 @@ def test_rename_then_drop_by_new_name(chained_rename_dir, tmp_path):
     assert got.equals(exp)
 
 
-def _copy_stream(tmp_path) -> str:
+def _copy_stream(tmp_path, **gen) -> str:
     import shutil
 
-    src = ensure_changelog(GenConfig(scale=0.001))
+    src = ensure_changelog(GenConfig(scale=0.001, **gen))
     d = str(tmp_path / "stream")
     os.makedirs(d)
     for p in sorted(glob.glob(src + "/*.parquet")):
@@ -272,10 +288,17 @@ def _copy_stream(tmp_path) -> str:
 
 
 def _rename_increment(d: str, seq: int, scn: int, rename: str,
-                      conv_id: str) -> None:
-    """Append segment ``seq``: one committed RENAME at ``scn + 1`` plus one
-    committed single-row INSERT of the brand-new conversation ``conv_id``
-    at ``scn + 50`` — exactly one partition sees fresh events."""
+                      conv_id: str) -> str:
+    return _ddl_increment(d, seq, scn, '{"rename_columns": %s}' % rename,
+                          conv_id)
+
+
+def _ddl_increment(d: str, seq: int, scn: int, ddl: str,
+                   conv_id: str) -> str:
+    """Append segment ``seq``: one committed DDL ``ddl`` at ``scn + 1`` plus
+    one committed single-row INSERT of the brand-new conversation
+    ``conv_id`` at ``scn + 50`` — exactly one partition sees fresh events.
+    Returns the segment's path."""
     full = pa.concat_tables(
         [pq.read_table(p) for p in sorted(glob.glob(d + "/*.parquet"))])
     donor_i = full.filter(pc.equal(full["op"], "I")).slice(0, 1).to_pylist()[0]
@@ -287,11 +310,10 @@ def _rename_increment(d: str, seq: int, scn: int, rename: str,
         r.update(shard=0, seq=seq, **kw)
         return r
 
-    xr, xn = f"xren{seq}", f"xnew{seq}"
+    xr, xn = f"xddl{seq}", f"xnew{seq}"
     rows = [
         _row(donor_b, xid=xr, scn=scn, scn_idx=0),
-        _row(donor_b, xid=xr, op="DDL", scn=scn + 1, scn_idx=1,
-             ddl='{"rename_columns": %s}' % rename),
+        _row(donor_b, xid=xr, op="DDL", scn=scn + 1, scn_idx=1, ddl=ddl),
         _row(donor_c, xid=xr, scn=scn + 1, scn_idx=1048576),
         _row(donor_b, xid=xn, scn=scn + 49, scn_idx=0),
         _row(donor_i, xid=xn, scn=scn + 50, scn_idx=0,
@@ -299,7 +321,9 @@ def _rename_increment(d: str, seq: int, scn: int, rename: str,
         _row(donor_c, xid=xn, scn=scn + 50, scn_idx=1048576),
     ]
     seg = pa.Table.from_pylist(rows, schema=full.schema)
-    pq.write_table(seg, os.path.join(d, f"shard00-seg{seq:04d}.parquet"))
+    out = os.path.join(d, f"shard00-seg{seq:04d}.parquet")
+    pq.write_table(seg, out)
+    return out
 
 
 def _naive(paths: list[str]) -> pa.Table:
@@ -389,3 +413,80 @@ def test_rename_epochs_resolve_to_the_newest(tmp_path, monkeypatch):
         assert sorted_table(read_lake(out), exp.schema).equals(exp), reverse
         asof = sorted_table(read_lake_asof(out, 9150), exp.schema)
         assert asof.equals(exp), reverse
+
+
+def test_drop_by_prior_display_name(tmp_path):
+    """An increment passed without its earlier segments names columns by
+    the prior run's display names. Its DROP of `tool_label` must resolve
+    through the prior rename to physical `tool`, as its renames do — not be
+    recorded under the display name and silently ignored."""
+    from olrx.pipelines.replay import read_lake, replay_to_lake
+    from olrx.state import manifest as MF
+
+    d = _copy_stream(tmp_path, ddl_rename=True)
+    out = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=8)
+    replay_to_lake(sorted(glob.glob(d + "/*.parquet")), out, cfg)
+    seg = _ddl_increment(d, 4, 9000, '{"drop_columns": ["tool_label"]}',
+                         "zz-new-conv")
+    replay_to_lake([seg], out, cfg, resume=True)
+    ms = MF.read_all(os.path.join(out, "_manifest"))
+    assert {tuple(m.dropped_columns) for m in ms.values()} == {(), ("tool",)}
+    exp = _naive(sorted(glob.glob(d + "/*.parquet")))
+    assert not {"tool", "tool_label"} & set(exp.schema.names)
+    got = sorted_table(read_lake(out), exp.schema)
+    assert got.equals(exp)
+
+
+def test_asof_across_drop(tmp_path):
+    """An as-of read whose chosen snapshots straddle a committed DROP: the
+    partitions the drop increment did not touch still store `tool_meta`,
+    the rewritten one does not. The newest snapshot's schema projects the
+    column away from the older ones."""
+    from olrx.pipelines.replay import read_lake, replay_to_lake
+    from olrx.pipelines.timetravel import read_lake_asof
+
+    d = _copy_stream(tmp_path)
+    out = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=8, snapshot_keep=4)
+    replay_to_lake(sorted(glob.glob(d + "/*.parquet")), out, cfg)
+    _ddl_increment(d, 4, 9000, '{"drop_columns": ["tool_meta"]}',
+                   "zz-new-conv")
+    paths = sorted(glob.glob(d + "/*.parquet"))
+    res = replay_to_lake(paths, out, cfg)
+    exp = _naive(paths)
+    assert "tool_meta" not in exp.schema.names
+    stale = [f for f in glob.glob(out + "/part-*/data-w*.parquet")
+             if "tool_meta" in pq.read_schema(f).names]
+    assert stale, "test premise: untouched snapshots still store tool_meta"
+    assert sorted_table(read_lake(out), exp.schema).equals(exp)
+    asof = read_lake_asof(out, res.control.max_commit_scn)
+    assert sorted_table(asof, exp.schema).equals(exp)
+
+
+def test_old_layout_lake_fails_fast(tmp_path):
+    """A snapshot without the footer display mapping was written before
+    snapshots stored physical names. Every entry point refuses such a lake
+    with a rebuild hint instead of nulling renamed columns, and a resume
+    refuses before writing anything."""
+    from olrx.pipelines.replay import read_lake, replay_to_lake
+    from olrx.pipelines.timetravel import read_lake_asof, snapshot_watermarks
+
+    paths = sorted(glob.glob(
+        ensure_changelog(GenConfig(scale=0.001)) + "/*.parquet"))
+    out = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=1)
+    replay_to_lake(paths, out, cfg)
+    (snap,) = glob.glob(out + "/part-*/data-w*.parquet")
+    pq.write_table(pq.read_table(snap).replace_schema_metadata(None), snap)
+    mpath = os.path.join(out, "_manifest", "part-00000.json")
+    before = open(mpath).read(), os.path.getmtime(snap)
+    msg = "lake written before physical column names"
+    with pytest.raises(ValueError, match=msg):
+        read_lake(out)
+    (wm,) = snapshot_watermarks(out)[0]
+    with pytest.raises(ValueError, match=msg):
+        read_lake_asof(out, wm)
+    with pytest.raises(ValueError, match=msg):
+        replay_to_lake(paths, out, cfg, resume=True)
+    assert (open(mpath).read(), os.path.getmtime(snap)) == before

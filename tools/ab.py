@@ -1,0 +1,134 @@
+"""Interleaved A/B of the benchmark: a git revision against this checkout.
+
+    python3 tools/ab.py --rev REV --workload W --pairs N --seed0 S
+
+Checks REV out as a ``git worktree`` under a temp dir, then runs
+``BENCHMARK.json``'s command (``perfbench/run.py --workload W --seed S+i
+--seconds <run_seconds> --trace 0``) once in each tree per pair, sequentially.
+The side that runs first alternates from pair to pair, so drift of the host
+within the window lands on both sides. Each run's last stdout line is its
+result object.
+
+Prints, for every ``end_to_end`` metric of ``BENCHMARK.json``: the parent
+(REV) median with its quartiles and IQR, the change median, the relative
+change, and how many pairs the change won; then every run. Exits 1 if any
+run failed or reported ``correct: false`` or failed operations. The
+worktree is removed on exit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def run_once(tree: str, cmd: list[str], workload: str, seed: int,
+             seconds: float) -> dict:
+    """One benchmark run in ``tree``; its parsed result object, or a
+    failed stand-in when the run crashed or printed no result."""
+    argv = cmd + ["--workload", workload, "--seed", str(seed),
+                  "--seconds", str(seconds), "--trace", "0"]
+    p = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = p.stdout.strip().splitlines()
+    try:
+        res = json.loads(lines[-1])
+        res["metrics"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        sys.stderr.write(p.stderr[-2000:])
+        return {"correct": False, "failed": -1, "metrics": {},
+                "error": f"exit {p.returncode}, no result line"}
+    return res
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rev", required=True, help="parent revision")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed0", type=int, required=True)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    metrics = bench["end_to_end"]
+
+    tmp = tempfile.mkdtemp(prefix="olrx-ab-")
+    parent = os.path.join(tmp, "parent")
+    subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
+                    parent, args.rev], check=True, capture_output=True)
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    try:
+        trees = {"parent": parent, "change": ROOT}
+        for i in range(args.pairs):
+            seed = args.seed0 + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                res = run_once(trees[side], bench["command"], args.workload,
+                               seed, bench["run_seconds"])
+                res["seed"], res["first"] = seed, side == order[0]
+                runs[side].append(res)
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                      f"correct={res.get('correct')} "
+                      f"failed={res.get('failed')}", file=sys.stderr,
+                      flush=True)
+    finally:
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
+                        parent], capture_output=True)
+        subprocess.run(["git", "-C", ROOT, "worktree", "prune"],
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    def value(res: dict, name: str) -> float | None:
+        m = res["metrics"].get(name)
+        return None if m is None else float(m["value"])
+
+    print(f"A/B {args.workload}: parent {args.rev} vs change {ROOT}, "
+          f"{args.pairs} pairs, seeds {args.seed0}–{args.seed0 + args.pairs - 1}")
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        pairs = [(value(p, name), value(c, name))
+                 for p, c in zip(runs["parent"], runs["change"])]
+        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+        if not pairs:
+            print(f"  {name}: no samples")
+            continue
+        q1, med_p, q3 = quartiles([p for p, _ in pairs])
+        med_c = statistics.median(c for _, c in pairs)
+        wins = sum((c > p) if higher else (c < p) for p, c in pairs)
+        rel = (med_c - med_p) / med_p * 100 if med_p else float("nan")
+        print(f"  {name} ({m['unit']}, {m['better']} is better): "
+              f"{med_p:.4g} [{q1:.4g}–{q3:.4g}, IQR {q3 - q1:.3g}] → "
+              f"{med_c:.4g} ({rel:+.1f}%, {wins}/{len(pairs)} wins)")
+    print("runs:")
+    for side in ("parent", "change"):
+        for r in runs[side]:
+            vals = " ".join(f"{m['name']}={value(r, m['name'])}"
+                            for m in metrics if m["name"] in r["metrics"])
+            print(f"  {side} seed {r['seed']}"
+                  f"{' (first)' if r['first'] else ''}: "
+                  f"correct={r.get('correct')} failed={r.get('failed')} "
+                  f"{vals}{' ' + r['error'] if 'error' in r else ''}")
+    bad = [r for rs in runs.values() for r in rs
+           if not r.get("correct") or r.get("failed", 1) != 0]
+    if bad:
+        print(f"{len(bad)} run(s) incorrect or with failed operations")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
