@@ -180,7 +180,8 @@ class TailSession:
             raise ValueError("no input segments matched the job source")
         res = replay_to_lake(paths, self.job["target"]["uri"], self.cfg,
                              resume=True, fleet=self.fleet)
-        self.metrics.record_iteration(res, dict(res.timings), self.reloads)
+        self.metrics.record_iteration(res, dict(res.timings), self.reloads,
+                                      segments_landed=len(paths))
         try:
             self.metrics.write_json(self.job["target"]["uri"])
         except OSError:

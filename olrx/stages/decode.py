@@ -3,10 +3,15 @@
 Replaces the reference's record parser + transaction buffer for the batch
 case where whole transactions are present in the input (SURVEY §2.2-2.3):
 
-- ``load_control``  — column-pruned pass collecting commit/DDL control rows
-  (the analog of scanning redo for 0x0502/0x0504/0x1801 vectors,
+- ``load_control``  — collects commit/DDL control rows (the analog of
+  scanning redo for 0x0502/0x0504/0x1801 vectors,
   /root/reference/src/parser/Parser.cpp:213-576) into a small broadcastable
-  table: the commit map ``xid → commit_scn``.
+  table: the commit map ``xid → commit_scn``. It is incremental: one
+  checkpoint per ``_ctl`` directory carries the folded state and the
+  segments it covers, so a call reads only the sidecars and footers it has
+  not seen. The fold is exact — a full scan is the same fold from an empty
+  state — and it indexes each segment's scn range, which the event read
+  uses to skip segments that cannot contribute.
 - ``CommitResolver`` — actor-pool `map_batches` stage: inner-joins each event
   batch against the broadcast commit map (drops rolled-back / open txns —
   /root/reference/src/parser/Transaction.cpp:207-210), flattens the ``after``
@@ -23,12 +28,17 @@ per log segment range.
 
 from __future__ import annotations
 
+import copy
+import glob
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -86,6 +96,10 @@ class ControlInfo:
     #: likewise never changes, and the op list replays to the current
     #: mapping (chains a→b→c resolve by last op per physical).
     rename_ops: tuple = ()
+    #: segment path → (bytes, min scn, max scn) from the footer statistics
+    #: (min and max None when the footer has none); None when the input
+    #: has no sidecars. ``segments_to_read`` prunes the event read with it.
+    segments: "dict[str, tuple] | None" = None
 
     @property
     def schema_version(self) -> int:
@@ -123,6 +137,7 @@ class ControlInfo:
             dropped_columns=tuple(c for _, c in kept_drops),
             drop_scns=tuple(s for s, _ in kept_drops),
             rename_ops=tuple(op for op in self.rename_ops if op[0] <= e),
+            segments=self.segments,
         )
         if self.lookup_arrays is not None:
             h, scn = self.lookup_arrays
@@ -130,6 +145,24 @@ class ControlInfo:
             info.lookup_arrays = (np.ascontiguousarray(h[keep]),
                                   np.ascontiguousarray(scn[keep]))
         return info
+
+    def segments_to_read(self, paths: list[str], above: "int | None",
+                         at_most: "int | None") -> list[str]:
+        """The segments of ``paths`` that can hold an event with
+        ``above < scn <= at_most`` (None: unbounded). A segment without a
+        known range is always read. When none qualifies (an idle resume),
+        the newest segment, so the read keeps one input whose rows the same
+        scn filter drops."""
+        if self.segments is None:
+            return list(paths)
+
+        def meets(p: str) -> bool:
+            _, lo, hi = self.segments.get(p, (0, None, None))
+            return hi is None or ((above is None or hi > above)
+                                  and (at_most is None or lo <= at_most))
+
+        keep = [p for p in paths if meets(p)]
+        return keep or sorted(paths, key=lambda p: self.segments[p][2])[-1:]
 
     #: precomputed by load_control (hashing millions of xids is seconds of
     #: serial driver time — do it once, not per consumer)
@@ -167,172 +200,406 @@ def _control_batch(t: pa.Table) -> pa.Table:
     return out.append_column("xid_h", pa.array(h, pa.uint64()))
 
 
-def changelog_empty_control() -> pa.Table:
-    return pa.table({
-        "xid": pa.array([], pa.string()), "op": pa.array([], pa.string()),
-        "scn": pa.array([], pa.int64()), "scn_idx": pa.array([], pa.int32()),
-        "ddl": pa.array([], pa.string()), "shard": pa.array([], pa.int16()),
-        "undo_scn": pa.array([], pa.int64()),
-        "undo_scn_idx": pa.array([], pa.int32()),
-    })
+#: bump when the checkpoint layout or the ControlInfo derivation changes —
+#: an older checkpoint then reads as absent
+_CTL_SUMMARY_VERSION = 6
+
+#: the one control checkpoint of a ``_ctl`` directory
+CHECKPOINT_NAME = "_control.arrowctl"
+
+_OPEN_SCHEMA = pa.schema([("xid_h", pa.uint64()), ("scn_min", pa.int64()),
+                          ("scn_max", pa.int64()), ("b", pa.int8()),
+                          ("c", pa.int8()), ("r", pa.int8())])
 
 
-def _sidecar_paths(paths: list[str]) -> list[str] | None:
-    import os
-    side = [os.path.join(os.path.dirname(p), "_ctl", os.path.basename(p))
-            for p in paths]
-    return side if all(os.path.exists(sp) for sp in side) else None
+def _sidecar(path: str) -> str:
+    return os.path.join(os.path.dirname(path), "_ctl", os.path.basename(path))
 
 
-#: bump when ControlInfo derivation changes — invalidates summary caches
-_CTL_SUMMARY_VERSION = 5
-
-#: checkpoints kept per _ctl directory — a growing tail directory writes one
-#: summary per file-set digest; older ones are pruned on each write, the
-#: reference's keep-checkpoints policy
-#: (/root/reference/src/metadata/Metadata.cpp:619-674)
-KEEP_SUMMARIES = 4
-
-
-def _summary_cache_path(side: list[str]) -> str:
-    """Digest of the sidecar FILE SET (paths + sizes + mtimes): any segment
-    addition/rewrite changes the digest and misses the cache."""
-    import hashlib
-    import os
-    h = hashlib.sha256(str(_CTL_SUMMARY_VERSION).encode())
-    for p in side:
-        st = os.stat(p)
-        h.update(p.encode())
-        h.update(f"{st.st_size}:{st.st_mtime_ns}".encode())
-    return os.path.join(os.path.dirname(side[0]),
-                        f"_summary-{h.hexdigest()[:16]}.arrowctl")
-
-
-def _save_control_summary(cp: str, info: ControlInfo) -> None:
-    """Checkpoint a ControlInfo as JSON header + Arrow IPC streams — a
-    NON-EXECUTABLE format (r2 advisory: a pickle checkpoint in a shared /tmp
-    data dir is an arbitrary-code-execution vector; Arrow IPC deserializes
-    data, never code). Layout: one JSON line of the plain fields, then three
-    IPC streams (commit_map; precomputed lookup arrays; PR anti-join keys)."""
-    import json
-    import os
-    lh, lscn = info.commit_lookup_arrays()   # precompute: cached loads skip
-    pr = info.pr_sorted if info.pr_sorted is not None else np.zeros(0, np.uint64)
-    head = json.dumps({
-        "v": _CTL_SUMMARY_VERSION,
-        "ddl_scns": [int(x) for x in info.ddl_scns],
-        "dropped_columns": list(info.dropped_columns),
-        "drop_scns": [int(x) for x in info.drop_scns],
-        "rename_ops": [[int(s_), p_, n_] for s_, p_, n_ in info.rename_ops],
-        "max_commit_scn": int(info.max_commit_scn),
-        "shard_watermarks": {str(k): int(v)
-                             for k, v in info.shard_watermarks.items()},
-        "max_txn_span": int(info.max_txn_span),
-    })
-    tmp = cp + f".tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(head.encode() + b"\n")
-        for t in (info.commit_map,
-                  pa.table({"lh": pa.array(lh, pa.uint64()),
-                            "lscn": pa.array(lscn, pa.int64())}),
-                  pa.table({"pr": pa.array(pr, pa.uint64())})):
-            with pa.ipc.new_stream(f, t.schema) as w:
-                w.write_table(t)
-    os.replace(tmp, cp)
-    _prune_summaries(os.path.dirname(cp))
-
-
-def _load_control_summary(cp: str) -> "ControlInfo | None":
-    import json
-    with open(cp, "rb") as f:
-        head = json.loads(f.readline().decode())
-        if head.get("v") != _CTL_SUMMARY_VERSION:
-            return None
-        commit_map = pa.ipc.open_stream(f).read_all()
-        lk = pa.ipc.open_stream(f).read_all()
-        pr = pa.ipc.open_stream(f).read_all()["pr"].to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-    info = ControlInfo(
-        commit_map=commit_map,
-        ddl_scns=[int(x) for x in head["ddl_scns"]],
-        dropped_columns=tuple(head.get("dropped_columns", [])),
-        drop_scns=tuple(int(x) for x in head.get("drop_scns", [])),
-        rename_ops=tuple((int(o[0]), o[1], o[2])
-                         for o in head.get("rename_ops", [])),
-        max_commit_scn=int(head["max_commit_scn"]),
-        shard_watermarks={int(k): int(v)
-                          for k, v in head["shard_watermarks"].items()},
-        max_txn_span=int(head["max_txn_span"]),
-        pr_sorted=pr,
-    )
-    info.lookup_arrays = (
-        lk["lh"].to_numpy(zero_copy_only=False).astype(np.uint64),
-        lk["lscn"].to_numpy(zero_copy_only=False).astype(np.int64))
-    return info
-
-
-def _prune_summaries(ctl_dir: str, keep: int = KEEP_SUMMARIES) -> None:
-    """Keep the newest ``keep`` summary checkpoints (any extension — legacy
-    .pkl included); a steady-state tail dir holds a bounded set instead of
-    one file per historical file-set digest (judge r2 'what's missing' #2)."""
-    import glob as _glob
-    import os
-    files = [p for p in _glob.glob(os.path.join(ctl_dir, "_summary-*"))
-             if ".tmp." not in p]
-    # stale-version checkpoints (e.g. legacy pickle) can never load — drop now
-    dead = [p for p in files if not p.endswith(".arrowctl")]
-    live = sorted((p for p in files if p.endswith(".arrowctl")),
-                  key=lambda p: os.stat(p).st_mtime_ns, reverse=True)
-    for p in dead + live[keep:]:
+def _file_stats(paths: list[str]) -> "dict[str, tuple[int, ...]] | None":
+    """path → (segment size, mtime_ns, sidecar size, mtime_ns); None when
+    any segment lacks its sidecar."""
+    out = {}
+    for p in paths:
         try:
-            os.remove(p)
+            cs = os.stat(_sidecar(p))
+        except FileNotFoundError:
+            return None
+        ss = os.stat(p)
+        out[p] = (ss.st_size, ss.st_mtime_ns, cs.st_size, cs.st_mtime_ns)
+    return out
+
+
+def _scn_range(path: str) -> tuple[int | None, int | None]:
+    """(min, max) ``scn`` of a segment from the row-group statistics in its
+    footer; (None, None) when a row group has none."""
+    md = pq.read_metadata(path)
+    cols = [md.schema.column(j).path for j in range(md.num_columns)]
+    if "scn" not in cols or md.num_row_groups == 0:
+        return None, None
+    j = cols.index("scn")
+    lo = hi = None
+    for i in range(md.num_row_groups):
+        st = md.row_group(i).column(j).statistics
+        if st is None or not st.has_min_max:
+            return None, None
+        lo = st.min if lo is None else min(lo, st.min)
+        hi = st.max if hi is None else max(hi, st.max)
+    return int(lo), int(hi)
+
+
+def _merge_sorted(keys: np.ndarray, vals: "np.ndarray | None",
+                  new_keys: np.ndarray, new_vals: "np.ndarray | None" = None):
+    """Insert ``new_keys`` (and aligned values) into the sorted ``keys``:
+    O(n + m), not a re-sort of the whole history."""
+    order = np.argsort(new_keys, kind="stable")
+    pos = np.searchsorted(keys, new_keys[order], side="right")
+    merged = np.insert(keys, pos, new_keys[order])
+    if vals is None:
+        return merged
+    return merged, np.insert(vals, pos, new_vals[order])
+
+
+def _ddl_facts(ddl_rows: pa.Table, lookup: tuple[np.ndarray, np.ndarray]):
+    """(add-DDL commit SCNs, dropped physical columns, their drop SCNs,
+    rename ops) from the DDL rows whose transaction committed, replayed in
+    commit order — so the order the rows landed in does not matter.
+    Payloads name columns by their CURRENT display name at commit time;
+    ``cur`` (physical → current) resolves them back to physical."""
+    ddl_scns: list[int] = []
+    dropped: list[str] = []
+    drop_scns: list[int] = []
+    rename_ops: list[tuple[int, str, str]] = []
+    if not ddl_rows.num_rows or not len(lookup[0]):
+        return ddl_scns, dropped, drop_scns, rename_ops
+    d_h = ddl_rows["xid_h"].to_numpy(zero_copy_only=False)
+    pos = np.clip(np.searchsorted(lookup[0], d_h), 0, len(lookup[0]) - 1)
+    found = lookup[0][pos] == d_h
+    cscn = lookup[1][pos]
+    payloads = ddl_rows["ddl"].to_pylist()
+    committed = sorted((int(cscn[i]), payloads[i] or "")
+                       for i in np.flatnonzero(found))
+    cur: dict[str, str] = {}
+
+    def _phys(name: str) -> str:
+        for k, v in cur.items():
+            if v == name:
+                return k
+        return name
+
+    for scn_i, raw in committed:
+        try:
+            p = json.loads(raw) if raw else {}
+        except ValueError:
+            p = {}
+        if p.get("drop_columns"):
+            for c in p["drop_columns"]:
+                ph = _phys(c)
+                if ph not in dropped:
+                    dropped.append(ph)
+                    drop_scns.append(scn_i)
+        elif p.get("rename_columns"):
+            # reference SystemTransaction::processUpdate of a dictionary
+            # row (SystemTransaction.cpp:525): name mapping change only
+            for old, new in sorted(p["rename_columns"].items()):
+                ph = _phys(old)
+                rename_ops.append((scn_i, ph, new))
+                cur[ph] = new
+        else:
+            ddl_scns.append(scn_i)
+    return ddl_scns, dropped, drop_scns, rename_ops
+
+
+class _ControlState:
+    """What ``load_control`` carries from one call to the next: the index
+    of the segments folded so far and the control facts they add up to.
+
+    Every fact folds exactly, whatever order the segments land in:
+    commits, PR keys and DDL rows append; shard watermarks and
+    ``max_commit_scn`` take maxima. ``max_txn_span`` needs both ends of a
+    transaction, so the state keeps, per ``xid_h``, the min/max B/C SCN and
+    the B, C and R flags of every transaction still missing its B row or
+    its C/R row (the reference's min-open-transaction restart state,
+    ``TransactionBuffer.cpp:274-286``). A
+    transaction leaves that set once it has B and C (its span is final and
+    joins ``span_done``) or B and R (rolled back)."""
+
+    def __init__(self) -> None:
+        #: path as passed in → (segment size, mtime_ns, sidecar size,
+        #: mtime_ns, footer scn min, max); min and max None without
+        #: statistics. A path resolves against the same directory the
+        #: checkpoint was found through, and every entry is re-stat'ed.
+        self.segments: dict[str, tuple] = {}
+        self.commit_map = pa.table({"xid": pa.array([], pa.string()),
+                                    "commit_scn": pa.array([], pa.int64())})
+        self.lookup = (np.zeros(0, np.uint64), np.zeros(0, np.int64))
+        self.pr_sorted = np.zeros(0, np.uint64)
+        self.shard_watermarks: dict[int, int] = {}
+        self.max_commit_scn = -1
+        self.span_done = 0
+        self.open_txns = _OPEN_SCHEMA.empty_table()
+        self.ddl_rows = pa.table({"xid_h": pa.array([], pa.uint64()),
+                                  "ddl": pa.array([], pa.string())})
+
+    def fold(self, ctl: pa.Table) -> None:
+        """Fold control rows (sidecar layout, with ``xid_h``) in."""
+        op = ctl["op"]
+        commits = ctl.filter(pc.equal(op, "C"))
+        if commits.num_rows:
+            scn = commits["scn"].cast(pa.int64())
+            self.commit_map = pa.concat_tables([self.commit_map, pa.table(
+                {"xid": commits["xid"], "commit_scn": scn})]).combine_chunks()
+            s = scn.to_numpy()
+            self.lookup = _merge_sorted(
+                *self.lookup, commits["xid_h"].to_numpy(zero_copy_only=False), s)
+            self.max_commit_scn = max(self.max_commit_scn, int(s.max()))
+        # partial-rollback targets: (xid, undo_scn, undo_scn_idx) of PR
+        # rows, mixed to one sorted key array for the decode anti-join
+        if "undo_scn" in ctl.schema.names:
+            prs = ctl.filter(pc.equal(op, "PR"))
+            if prs.num_rows:
+                self.pr_sorted = _merge_sorted(self.pr_sorted, None, mix_pr_keys(
+                    prs["xid_h"].to_numpy(zero_copy_only=False),
+                    prs["undo_scn"].cast(pa.int64()).to_numpy(zero_copy_only=False),
+                    prs["undo_scn_idx"].cast(pa.int64()).to_numpy(zero_copy_only=False)))
+        ddls = ctl.filter(pc.equal(op, "DDL"))
+        if ddls.num_rows:
+            self.ddl_rows = pa.concat_tables(
+                [self.ddl_rows, ddls.select(["xid_h", "ddl"])]).combine_chunks()
+        if ctl.num_rows:
+            per_shard = ctl.group_by("shard").aggregate([("scn", "max")])
+            for sh, w in zip(per_shard["shard"].to_pylist(),
+                             per_shard["scn_max"].to_pylist()):
+                self.shard_watermarks[sh] = max(
+                    w, self.shard_watermarks.get(sh, w))
+        self._fold_spans(ctl.filter(pc.is_in(op, value_set=pa.array(
+            ["B", "C", "R"]))))
+
+    def _fold_spans(self, bcr: pa.Table) -> None:
+        """max (commit - begin) SCN over committed transactions — the safe
+        scan-pruning bound for event reads: any event of a txn with
+        commit > W has scn > W - span. Arrow's multithreaded hash
+        aggregation pairs the rows (a single-threaded searchsorted pairing
+        measured 5.6 s at 4.8M txns)."""
+        if not bcr.num_rows:
+            return
+        op = bcr["op"]
+        is_r = pc.equal(op, "R")
+        scn = pc.if_else(is_r, pa.scalar(None, pa.int64()),
+                         bcr["scn"].cast(pa.int64()))
+        rows = pa.table([bcr["xid_h"], scn, scn,
+                         pc.equal(op, "B").cast(pa.int8()),
+                         pc.equal(op, "C").cast(pa.int8()),
+                         is_r.cast(pa.int8())], schema=_OPEN_SCHEMA)
+        g = (pa.concat_tables([self.open_txns, rows]).group_by("xid_h")
+             .aggregate([("scn_min", "min"), ("scn_max", "max"), ("b", "max"),
+                         ("c", "max"), ("r", "max")]))
+        g = g.rename_columns(["xid_h"] + [n.rsplit("_", 1)[0]
+                                          for n in g.column_names[1:]])
+        has_c = pc.equal(g["c"], 1)
+        done = pc.and_(pc.equal(g["b"], 1), pc.or_(has_c, pc.equal(g["r"], 1)))
+        self.span_done = max(self.span_done,
+                             _max_span(g.filter(pc.and_(done, has_c))))
+        self.open_txns = g.filter(pc.invert(done)).select(_OPEN_SCHEMA.names)
+
+    def copy(self) -> "_ControlState":
+        """A copy that folds without touching this state: ``fold`` rebinds
+        its tables and arrays, and mutates only these two dicts."""
+        out = copy.copy(self)
+        out.segments = dict(self.segments)
+        out.shard_watermarks = dict(self.shard_watermarks)
+        return out
+
+    def fold_segments(self, paths: list[str],
+                      stats: dict[str, tuple[int, ...]]) -> None:
+        """Fold the sidecars of the segments ``paths`` in and index the
+        segments' footer scn ranges."""
+        import pyarrow.dataset as pads
+        self.fold(pads.dataset([_sidecar(p) for p in paths],
+                               format="parquet").to_table().combine_chunks())
+        for p in paths:
+            self.segments[p] = stats[p] + _scn_range(p)
+
+    def info(self, paths: "list[str] | None") -> ControlInfo:
+        """The ControlInfo of the folded state; ``paths`` (None: no index)
+        key its segment ranges."""
+        ddl_scns, dropped, drop_scns, rename_ops = _ddl_facts(
+            self.ddl_rows, self.lookup)
+        # a transaction whose C landed before its B still bounds the span
+        # with the rows seen so far, exactly as a scan of them would
+        span = max(self.span_done, _max_span(
+            self.open_txns.filter(pc.equal(self.open_txns["c"], 1))))
+        segments = None
+        if paths is not None:
+            segments = {}
+            for p in paths:
+                size, _, _, _, lo, hi = self.segments[p]
+                segments[p] = (size, lo, hi)
+        info = ControlInfo(
+            commit_map=self.commit_map, ddl_scns=ddl_scns,
+            max_commit_scn=self.max_commit_scn,
+            shard_watermarks=dict(self.shard_watermarks), max_txn_span=span,
+            pr_sorted=self.pr_sorted, dropped_columns=tuple(dropped),
+            drop_scns=tuple(drop_scns), rename_ops=tuple(rename_ops),
+            segments=segments)
+        info.lookup_arrays = self.lookup
+        return info
+
+    def write(self, cp: str) -> None:
+        """Checkpoint as a JSON header line + Arrow IPC streams — a
+        NON-EXECUTABLE format (a pickle checkpoint in a shared data dir is
+        an arbitrary-code-execution vector; Arrow IPC deserializes data,
+        never code). Atomic (``os.replace``) and best-effort: an unwritable
+        directory just keeps no checkpoint."""
+        head = json.dumps({
+            "v": _CTL_SUMMARY_VERSION,
+            "max_commit_scn": int(self.max_commit_scn),
+            "span_done": int(self.span_done),
+            "shard_watermarks": {str(k): int(v)
+                                 for k, v in self.shard_watermarks.items()},
+            "segments": self.segments,
+        })
+        tmp = cp + f".tmp.{os.getpid()}"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(head.encode() + b"\n")
+                for t in (self.commit_map,
+                          pa.table({"lh": self.lookup[0], "lscn": self.lookup[1]}),
+                          pa.table({"pr": pa.array(self.pr_sorted, pa.uint64())}),
+                          self.open_txns, self.ddl_rows):
+                    with pa.ipc.new_stream(f, t.schema) as w:
+                        w.write_table(t)
+            os.replace(tmp, cp)
+            # digest-named checkpoints of the earlier one-per-file-set layout
+            for old in glob.glob(os.path.join(os.path.dirname(cp), "_summary-*")):
+                os.remove(old)
         except OSError:
-            pass
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+    @classmethod
+    def read(cls, cp: str) -> "_ControlState | None":
+        """The checkpoint at ``cp``; None when it is missing, of another
+        version, truncated or corrupt."""
+        try:
+            with open(cp, "rb") as f:
+                head = json.loads(f.readline().decode())
+                if head.get("v") != _CTL_SUMMARY_VERSION:
+                    return None
+                cm, lk, pr, open_txns, ddl_rows = (
+                    pa.ipc.open_stream(f).read_all() for _ in range(5))
+            st = cls.__new__(cls)    # every field is set below
+            st.max_commit_scn = int(head["max_commit_scn"])
+            st.span_done = int(head["span_done"])
+            st.shard_watermarks = {int(k): int(v) for k, v
+                                   in head["shard_watermarks"].items()}
+            st.segments = {p: tuple(e) for p, e in head["segments"].items()}
+            st.commit_map = cm
+            st.lookup = (lk["lh"].to_numpy(), lk["lscn"].to_numpy())
+            st.pr_sorted = pr["pr"].to_numpy()
+            st.open_txns, st.ddl_rows = open_txns, ddl_rows
+            return st
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+
+def _max_span(g: pa.Table) -> int:
+    if not g.num_rows:
+        return 0
+    return int(pc.max(pc.subtract(g["scn_max"], g["scn_min"])).as_py() or 0)
 
 
 def load_control(paths: list[str]) -> ControlInfo:
-    """Collect control rows (commit map, DDLs, shard watermarks, txn span).
+    """Collect control rows (commit map, DDLs, shard watermarks, txn span)
+    and index each segment's scn range.
 
-    Fast path: per-segment control sidecars (`_ctl/<segment>`) hold only the
-    B/C/R/DDL rows with precomputed xid hashes — O(#txns) bytes instead of a
-    full-stream scan. Fallback: pruned-column Ray pass over the segments.
+    Fast path: per-segment control sidecars (``_ctl/<segment>``) hold only
+    the B/C/R/DDL/PR rows with precomputed xid hashes — O(#txns) bytes
+    instead of a full-stream scan. The state they fold into is
+    CHECKPOINTED once per ``_ctl`` directory (``CHECKPOINT_NAME``, in the
+    directory of the first segment), with the segments it covers, so a call
+    reads only the sidecars and footers it has not seen — the analog of the
+    reference restarting from persisted transaction state rather than
+    re-scanning redo (the reference's ``SerializerJson.cpp:62-87`` and
+    ``TransactionBuffer.cpp:274-286``).
 
-    The derived ControlInfo is additionally CHECKPOINTED next to the sidecars
-    keyed by the file-set digest, so a steady-state tail/replay run loads the
-    commit map in ~ms instead of re-aggregating millions of control rows —
-    the analog of the reference persisting transaction/schema state in
-    checkpoint files rather than re-scanning redo on every start
-    (/root/reference/src/metadata/SerializerJson.cpp:62-87,
-    /root/reference/src/parser/TransactionBuffer.cpp:274-286). Best-effort:
-    unwritable directories just skip the checkpoint.
+    - Every covered segment is in ``paths`` with unchanged stats: fold in
+      only the new ones (none: return without writing).
+    - Otherwise (a covered file changed, vanished or is not in ``paths``):
+      fold from an empty state over ``paths``. A full scan is that same
+      fold, so the two agree exactly for any landing order.
+    - The result is written back unless ``paths`` is a strict subset of a
+      checkpoint whose files are all unchanged, so a subset call never
+      evicts the superset a tail loop relies on.
 
-    The scan is deliberately NOT pruned by a resume floor: ``max_txn_span``
-    must bound every transaction, including ones that straddle the floor —
-    pruning the B rows below the floor makes the span (and therefore the
-    event-read pruning bound in replay) unsound. Span is recomputed from the
-    full control set (or its checkpoint) on every run."""
-    side = _sidecar_paths(paths)
-    if side is not None:
-        import os
-        cp = _summary_cache_path(side)
-        if os.path.exists(cp):
-            try:
-                info = _load_control_summary(cp)
-                if info is not None:
-                    return info
-            except (OSError, ValueError, KeyError, pa.ArrowInvalid):
-                pass   # corrupt/partial checkpoint: recompute
-        import pyarrow.dataset as pads
-        dset = pads.dataset(side, format="parquet")
-        ctl = dset.to_table()   # multithreaded scan of the index
-        ctl = (ctl.combine_chunks() if ctl.num_rows
-               else changelog_empty_control())
-        info = _control_info_from(ctl)
-        try:
-            _save_control_summary(cp, info)
-        except OSError:
-            pass
-        return info
+    Nothing is pruned by a resume floor: ``max_txn_span`` stays exact over
+    all history, because the event read's pruning bound relies on it.
+
+    Fallback without sidecars: a pruned-column Ray pass over the segments,
+    with no checkpoint and no segment index."""
+    stats = _file_stats(paths)
+    if stats is None:
+        return _control_by_ray(paths)
+    cp = os.path.join(os.path.dirname(_sidecar(paths[0])), CHECKPOINT_NAME)
+    old = _checkpoint(cp)
+    covered = old.segments if old is not None else {}
+    same = all(covered[p][:4] == st for p, st in stats.items() if p in covered)
+    state = (old if old is not None and same and covered.keys() <= stats.keys()
+             else _ControlState())
+    new = [p for p in stats if p not in state.segments]
+    if new:
+        state = state.copy()
+        state.fold_segments(new, stats)
+        rest = {p: covered[p][:4] for p in covered.keys() - stats.keys()}
+        if not (same and stats.keys() < covered.keys() and _unchanged(rest)):
+            state.write(cp)
+            _remember(cp, state)
+    return state.info(paths)
+
+
+#: the checkpoint this process last read or wrote: (path, its file's
+#: (inode, size, mtime_ns), the state). A call finding that file unchanged
+#: skips the read. Correctness never rests on the key: the state's own
+#: segment stats are checked on every call, and folds go into a copy.
+_last: "tuple[str, tuple[int, int, int], _ControlState] | None" = None
+
+
+def _file_key(cp: str) -> "tuple[int, int, int] | None":
+    try:
+        st = os.stat(cp)
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _checkpoint(cp: str) -> "_ControlState | None":
+    key = _file_key(cp)
+    if key is None:
+        return None
+    last = _last
+    if last is not None and last[:2] == (cp, key):
+        return last[2]
+    state = _ControlState.read(cp)
+    if state is not None:
+        _remember(cp, state)
+    return state
+
+
+def _remember(cp: str, state: "_ControlState") -> None:
+    global _last
+    key = _file_key(cp)
+    _last = (cp, key, state) if key is not None else None
+
+
+def _unchanged(entries: dict[str, tuple[int, ...]]) -> bool:
+    """Every segment and sidecar of ``entries`` still has its stats."""
+    try:
+        return _file_stats(list(entries)) == entries
+    except FileNotFoundError:
+        return False
+
+
+def _control_by_ray(paths: list[str]) -> ControlInfo:
     ds = rd.read_parquet(
         paths, columns=CONTROL_COLUMNS,
         override_num_blocks=2 * int(ray.cluster_resources().get("CPU", 8)))
@@ -340,122 +607,11 @@ def load_control(paths: list[str]) -> ControlInfo:
     # is O(#txns), the only driver-side materialization in the engine
     refs = ds.map_batches(_control_batch, batch_format="pyarrow").to_arrow_refs()
     tables = [t for t in ray.get(refs) if t.num_rows]
-    ctl = pa.concat_tables(tables, promote_options="default").combine_chunks()         if tables else changelog_empty_control()
-    return _control_info_from(ctl)
-
-
-def _control_info_from(ctl: pa.Table) -> ControlInfo:
-    if "xid_h" not in ctl.schema.names:
-        import pandas as _pd
-        h = _pd.util.hash_array(np.asarray(
-            ctl["xid"].to_numpy(zero_copy_only=False), dtype=object))
-        ctl = ctl.append_column("xid_h", pa.array(h, pa.uint64()))
-    commits = ctl.filter(pc.equal(ctl["op"], "C"))
-    commit_map = pa.table({
-        "xid": commits["xid"].combine_chunks(),
-        "commit_scn": commits["scn"].cast(pa.int64()).combine_chunks(),
-    })
-    # max transaction span (commit - begin) — the safe scan-pruning bound for
-    # event reads: any event of a txn with commit > W has scn > W - span
-    # (reference analog: min-open-txn restart position,
-    # /root/reference/src/parser/TransactionBuffer.cpp:274-286).
-    # Paired via the worker-computed hashes — an Acero join over millions of
-    # xids (or re-hashing them serially here) costs seconds of driver time.
-    c_hashes = commits["xid_h"].to_numpy(zero_copy_only=False)
-    c_order = np.argsort(c_hashes)
-    lookup = (np.ascontiguousarray(c_hashes[c_order]),
-              np.ascontiguousarray(commit_map["commit_scn"].to_numpy()[c_order]))
-    # span = max over committed txns of (commit_scn - begin_scn), recomputed
-    # every run (soundness; judge ADVICE r1). Arrow's multithreaded hash
-    # aggregation — per xid_h, max(scn) - min(scn) over its B and C rows —
-    # replaces a driver-serial searchsorted pairing that measured 5.6 s at
-    # 4.8M txns (binary search is cache-hostile; the hash agg is ~10×).
-    # Open/rolled-back txns contribute only their B row → span 0 → harmless.
-    max_txn_span = 0
-    if commit_map.num_rows:
-        bc = ctl.filter(pc.is_in(ctl["op"], value_set=pa.array(["B", "C"])))
-        if bc.num_rows:
-            isc = pc.equal(bc["op"], "C").cast(pa.int8())
-            g = (bc.select(["xid_h", "scn"]).append_column("isc", isc)
-                 .group_by("xid_h")
-                 .aggregate([("scn", "min"), ("scn", "max"), ("isc", "max")]))
-            # only COMMITTED txns bound the replay scan; open/rolled-back
-            # groups (no C row) must not inflate the span
-            g = g.filter(pc.equal(g["isc_max"], 1))
-            if g.num_rows:
-                max_txn_span = int(pc.max(
-                    pc.subtract(g["scn_max"], g["scn_min"])).as_py() or 0)
-    # committed DDLs: DDL row whose xid is in the commit map (hash lookup).
-    # Payloads are parsed here (O(#DDLs) — a handful per stream): adds drive
-    # the schema version, drops collect into dropped_columns in commit order
-    ddls = ctl.filter(pc.equal(ctl["op"], "DDL"))
-    ddl_scns: list[int] = []
-    dropped_columns: list[str] = []
-    drop_scns: list[int] = []
-    rename_ops: list[tuple[int, str, str]] = []
-    if ddls.num_rows and commit_map.num_rows:
-        import json as _json
-        d_h = ddls["xid_h"].to_numpy(zero_copy_only=False)
-        pos = np.clip(np.searchsorted(lookup[0], d_h), 0, len(lookup[0]) - 1)
-        found = lookup[0][pos] == d_h
-        cscn = lookup[1][pos]
-        payloads = ddls["ddl"].to_pylist()
-        committed = sorted((int(cscn[i]), payloads[i] or "")
-                           for i in np.flatnonzero(found))
-        # DDL payloads name columns by their CURRENT display name at commit
-        # time; `cur` (physical → current) resolves them back to physical
-        cur: dict[str, str] = {}
-
-        def _phys(name: str) -> str:
-            for k, v in cur.items():
-                if v == name:
-                    return k
-            return name
-
-        for scn_i, raw in committed:
-            try:
-                p = _json.loads(raw) if raw else {}
-            except ValueError:
-                p = {}
-            if p.get("drop_columns"):
-                for c in p["drop_columns"]:
-                    ph = _phys(c)
-                    if ph not in dropped_columns:
-                        dropped_columns.append(ph)
-                        drop_scns.append(scn_i)
-            elif p.get("rename_columns"):
-                # reference SystemTransaction::processUpdate of a dictionary
-                # row (SystemTransaction.cpp:525): name mapping change only
-                for old, new in sorted(p["rename_columns"].items()):
-                    ph = _phys(old)
-                    rename_ops.append((scn_i, ph, new))
-                    cur[ph] = new
-            else:
-                ddl_scns.append(scn_i)
-    # partial-rollback targets: (xid, undo_scn, undo_scn_idx) of PR rows,
-    # mixed to one sorted key array for the decode anti-join
-    pr_sorted = np.zeros(0, np.uint64)
-    if "undo_scn" in ctl.schema.names:
-        prs = ctl.filter(pc.equal(ctl["op"], "PR"))
-        if prs.num_rows:
-            pr_sorted = np.sort(mix_pr_keys(
-                prs["xid_h"].to_numpy(zero_copy_only=False),
-                prs["undo_scn"].cast(pa.int64()).to_numpy(zero_copy_only=False),
-                prs["undo_scn_idx"].cast(pa.int64()).to_numpy(zero_copy_only=False)))
-    max_commit = int(pc.max(commit_map["commit_scn"]).as_py()) if commit_map.num_rows else -1
-    shard_wm: dict[int, int] = {}
-    if ctl.num_rows:
-        per_shard = ctl.group_by("shard").aggregate([("scn", "max")])
-        shard_wm = dict(zip(per_shard["shard"].to_pylist(),
-                            per_shard["scn_max"].to_pylist()))
-    info = ControlInfo(commit_map=commit_map, ddl_scns=ddl_scns,
-                       max_commit_scn=max_commit, shard_watermarks=shard_wm,
-                       max_txn_span=max_txn_span, pr_sorted=pr_sorted,
-                       dropped_columns=tuple(dropped_columns),
-                       drop_scns=tuple(drop_scns),
-                       rename_ops=tuple(rename_ops))
-    info.lookup_arrays = lookup
-    return info
+    state = _ControlState()
+    if tables:
+        state.fold(pa.concat_tables(tables, promote_options="default")
+                   .combine_chunks())
+    return state.info(None)
 
 
 class CommitResolver:

@@ -82,6 +82,10 @@ class LiveMetrics:
             "Commit SCNs between the lowest and highest partition watermark.",
         "olrx_lag_partitions": "Partitions below the highest watermark.",
         "olrx_stage_seconds": "Wall seconds of the last iteration's stages.",
+        "olrx_segments_landed":
+            "Segments in the source directory at the last iteration.",
+        "olrx_segments_read":
+            "Segments the last iteration's event read opened.",
     }
 
     def __init__(self) -> None:
@@ -97,10 +101,13 @@ class LiveMetrics:
         }
         self.gauges: dict[str, float] = {}
 
-    def record_iteration(self, result, timings: dict, reloads: int) -> None:
+    def record_iteration(self, result, timings: dict, reloads: int,
+                         segments_landed: int | None = None) -> None:
         """Fold one tail iteration's ReplayResult into the registry.
         Per-iteration deltas come from the stats table (already
-        retry-deduped by the exchange); absolute gauges from the lake."""
+        retry-deduped by the exchange); absolute gauges from the lake.
+        ``segments_landed``: the input's segment count, next to the count
+        the event read opened after pruning."""
         st = result.stats.to_pandas() if result.stats is not None else None
         with self._lock:
             c = self.counters
@@ -121,6 +128,10 @@ class LiveMetrics:
                 self.gauges["olrx_checkpoint_lag"] = float(
                     m.watermark_max - m.watermark_min)
                 self.gauges["olrx_lag_partitions"] = float(m.lag_partitions)
+            self.gauges["olrx_segments_read"] = float(
+                len(result.segments_read))
+            if segments_landed is not None:
+                self.gauges["olrx_segments_landed"] = float(segments_landed)
             for k, v in (timings or {}).items():
                 self.gauges[f"olrx_stage_seconds{{stage=\"{k}\"}}"] = float(v)
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import glob
+import os
+import shutil
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -55,3 +58,53 @@ def sorted_table(obj, schema=None) -> pa.Table:
         keys = [("table_name", "ascending")] + keys
     t = obj.sort_by(keys)
     return t.cast(schema) if schema is not None else t
+
+
+def fresh_scan(paths, tmp_path):
+    """``load_control`` over a checkpoint-free copy of ``paths``."""
+    from olrx.stages.decode import load_control
+
+    d = tmp_path / f"fresh-{len(os.listdir(tmp_path))}"
+    os.makedirs(d / "_ctl")
+    for p in paths:
+        name = os.path.basename(p)
+        shutil.copy(p, d / name)
+        shutil.copy(os.path.join(os.path.dirname(p), "_ctl", name),
+                    d / "_ctl" / name)
+    return load_control([str(d / os.path.basename(p)) for p in paths])
+
+
+def assert_same_control(got, want):
+    """Every ControlInfo fact equal; segment ranges compared by file name."""
+    assert got.commit_map.sort_by("xid").equals(want.commit_map.sort_by("xid"))
+    for a, b in zip(got.commit_lookup_arrays(), want.commit_lookup_arrays()):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got.pr_sorted, want.pr_sorted)
+    assert got.ddl_scns == want.ddl_scns
+    assert got.dropped_columns == want.dropped_columns
+    assert got.drop_scns == want.drop_scns
+    assert got.rename_ops == want.rename_ops
+    assert got.shard_watermarks == want.shard_watermarks
+    assert got.max_commit_scn == want.max_commit_scn
+    assert got.max_txn_span == want.max_txn_span
+
+    def ranges(info):
+        return {os.path.basename(p): r for p, r in info.segments.items()}
+
+    assert ranges(got) == ranges(want)
+
+
+@pytest.fixture
+def sidecar_reads(monkeypatch):
+    """Counts the sidecars ``load_control`` folds in."""
+    from olrx.stages import decode
+
+    seen: list[str] = []
+    fold = decode._ControlState.fold_segments
+
+    def spy(self, paths, stats):
+        seen.extend(paths)
+        return fold(self, paths, stats)
+
+    monkeypatch.setattr(decode._ControlState, "fold_segments", spy)
+    return seen

@@ -1,0 +1,216 @@
+"""Incremental control checkpoint and per-segment SCN pruning: the folded
+control equals a full scan for any landing order, a tail iteration's cost
+follows the new segments, and pruning never loses a transaction."""
+
+import glob
+import os
+import shutil
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
+from olrx.gen import GenConfig, ensure_changelog, write_control_sidecars
+from olrx.oracle import apply_naive
+from olrx.pipelines.replay import ReplayConfig, read_lake, replay_to_lake
+from olrx.stages.decode import CHECKPOINT_NAME, _ControlState, load_control
+from olrx.state import manifest as MF
+from tests.conftest import assert_same_control, fresh_scan, sorted_table
+
+TAIL = ReplayConfig(num_partitions=8, assume_complete_input=False,
+                    expected_shards=(0, 1))
+
+
+def _land(paths, land_dir):
+    """Copy segments into ``land_dir``, sidecar first; the landed paths."""
+    out = []
+    for p in paths:
+        name = os.path.basename(p)
+        os.makedirs(os.path.join(land_dir, "_ctl"), exist_ok=True)
+        shutil.copy(os.path.join(os.path.dirname(p), "_ctl", name),
+                    os.path.join(land_dir, "_ctl", name))
+        shutil.copy(p, os.path.join(land_dir, name))
+        out.append(os.path.join(land_dir, name))
+    return out
+
+
+def _pairs(paths):
+    """Segments grouped by sequence, in landing order."""
+    by_seq: dict[str, list[str]] = {}
+    for p in paths:
+        by_seq.setdefault(os.path.basename(p).split("-")[1], []).append(p)
+    return [sorted(v) for _, v in sorted(by_seq.items())]
+
+
+def test_fold_equals_full_scan(tmp_path):
+    """Landed pair by pair, and again with shard 1 three segments behind
+    shard 0, the folded control equals a full scan of a checkpoint-free
+    copy at every prefix — on a stream with add/drop/rename DDL,
+    rollbacks, partial rollbacks and open transactions."""
+    d = ensure_changelog(GenConfig(scale=0.002, segments_per_shard=8,
+                                   ddl_drop=True, ddl_rename=True))
+    paths = sorted(glob.glob(d + "/*.parquet"))
+    s0 = [p for p in paths if "shard00" in p]
+    s1 = [p for p in paths if "shard01" in p]
+    lagged = []
+    for i in range(len(s0) + 3):
+        lagged += s0[i:i + 1] + (s1[i - 3:i - 2] if i >= 3 else [])
+    by_pair = [p for pr in _pairs(paths) for p in pr]
+    for name, order in (("pairs", by_pair), ("lagged", lagged)):
+        land = str(tmp_path / name)
+        landed: list[str] = []
+        for p in order:
+            landed += _land([p], land)
+            got = load_control(sorted(landed))
+            assert_same_control(got, fresh_scan(sorted(landed), tmp_path))
+        # the stream exercises every fact the fold carries
+        assert got.dropped_columns and got.rename_ops and len(got.pr_sorted)
+        st = _ControlState.read(os.path.join(land, "_ctl", CHECKPOINT_NAME))
+        flags = st.open_txns.to_pydict()
+        assert any(b and not c and not r for b, c, r
+                   in zip(flags["b"], flags["c"], flags["r"])), "open txns"
+        side = pa.concat_tables(pq.read_table(
+            os.path.join(d, "_ctl", os.path.basename(p)), columns=["op"])
+            for p in paths)
+        assert pc.sum(pc.equal(side["op"], "R")).as_py() > 0
+
+
+def test_tail_iteration_cost_follows_new_segments(tmp_path, sidecar_reads):
+    """One new pair after 10 committed pairs and one after 100: both
+    iterations open the same number of sidecars (the new pair's) and
+    hand the event read the same number of segments."""
+    d = ensure_changelog(GenConfig(scale=0.01, segments_per_shard=110))
+    pairs = _pairs(sorted(glob.glob(d + "/*.parquet")))
+    assert len(pairs) > 101
+    land, lake = str(tmp_path / "land"), str(tmp_path / "lake")
+    landed: list[str] = []
+    seen = {}
+    for k in (10, 100):
+        landed += _land([p for pr in pairs[len(landed) // 2:k] for p in pr],
+                        land)
+        replay_to_lake(sorted(landed), lake, TAIL)
+        landed += _land(pairs[k], land)
+        sidecar_reads.clear()
+        res = replay_to_lake(sorted(landed), lake, TAIL)
+        seen[k] = (len(sidecar_reads), len(res.segments_read))
+    assert seen[10] == seen[100], seen
+    assert seen[100][0] == 2
+    assert seen[100][1] < 10
+
+
+def _with(row: pa.Table, **cols) -> pa.Table:
+    """A one-row table with the named columns replaced."""
+    for k, v in cols.items():
+        i = row.schema.get_field_index(k)
+        row = row.set_column(i, k, pa.array([v], row.schema.field(k).type))
+    return row
+
+
+def _late_txn_stream(tmp_path, b_seq: int, c_seq: int):
+    """A copy of a generated stream plus one shard-0 transaction that
+    begins and inserts three fresh rows in segment ``b_seq`` and commits
+    in segment ``c_seq``. Returns (segment paths, its xid, its begin SCN,
+    the stream, the stream without its commit)."""
+    d = ensure_changelog(GenConfig(scale=0.002, segments_per_shard=8))
+    src = str(tmp_path / "src")
+    for p in sorted(glob.glob(d + "/*.parquet")):
+        _land([p], src)
+    early = os.path.join(src, f"shard00-seg{b_seq:04d}.parquet")
+    late = os.path.join(src, f"shard00-seg{c_seq:04d}.parquet")
+    xid = "xlate"
+    t, lt = pq.read_table(early), pq.read_table(late)
+
+    def like(table, op):
+        return table.filter(pc.equal(table["op"], op)).slice(0, 1)
+
+    begin = pc.min(t["scn"]).as_py() + 1
+    mid = (pc.min(lt["scn"]).as_py() + pc.max(lt["scn"]).as_py()) // 2
+    mid += (6 - (mid - 1000)) % 13      # no other commit shares this SCN
+    ins = [_with(like(t, "I"), xid=xid, scn=begin + j, scn_idx=j,
+                 turn_idx=5_000_000 + j) for j in (1, 2, 3)]
+    for path, table, rows in (
+            (early, t, [_with(like(t, "B"), xid=xid, scn=begin, scn_idx=0)]
+             + ins),
+            (late, lt, [_with(like(lt, "C"), xid=xid, scn=mid,
+                              scn_idx=1 << 20)])):
+        pq.write_table(pa.concat_tables([table] + rows).sort_by(
+            [("scn", "ascending"), ("scn_idx", "ascending")]), path)
+        os.remove(os.path.join(src, "_ctl", os.path.basename(path)))
+    write_control_sidecars([early, late])
+    paths = sorted(glob.glob(src + "/*.parquet"))
+    full = pa.concat_tables([pq.read_table(p) for p in paths])
+    without = full.filter(pc.invert(pc.and_(pc.equal(full["op"], "C"),
+                                            pc.equal(full["xid"], xid))))
+    return paths, xid, begin, full, without
+
+
+def _expected(table):
+    return apply_naive(table).sort_by([("conv_id", "ascending"),
+                                       ("turn_idx", "ascending")])
+
+
+def test_late_commit_below_floor_is_applied(tmp_path):
+    """A transaction begins in a segment that lies more than the prior
+    span below the floor and commits in a newly landed segment: the span
+    widens in that iteration, its old segment comes back into the read,
+    and the lake equals the oracle."""
+    paths, xid, begin, full, without = _late_txn_stream(tmp_path, 1, 6)
+    want = _expected(full)
+    assert not _expected(without).equals(want), "the txn must be visible"
+    pairs = _pairs(paths)
+    early = os.path.join(os.path.dirname(paths[0]), "shard00-seg0001.parquet")
+    land, lake = str(tmp_path / "land"), str(tmp_path / "lake")
+    mdir = os.path.join(lake, "_manifest")
+    landed = _land([p for pr in pairs[:5] for p in pr], land)
+    replay_to_lake(sorted(landed), lake, TAIL)
+    landed += _land(pairs[5], land)
+    floor = MF.global_watermark(mdir, MF.read_all(mdir), TAIL.num_partitions)
+    res = replay_to_lake(sorted(landed), lake, TAIL)
+    assert xid not in res.control.commit_map["xid"].to_pylist()
+    assert begin <= floor - res.control.max_txn_span
+    read = {os.path.basename(p) for p in res.segments_read}
+    assert os.path.basename(early) not in read
+    landed += _land([p for pr in pairs[6:] for p in pr], land)
+    res = replay_to_lake(sorted(landed), lake, TAIL)
+    assert xid in res.control.commit_map["xid"].to_pylist()
+    assert os.path.basename(early) in {os.path.basename(p)
+                                       for p in res.segments_read}
+    assert sorted_table(read_lake(lake), want.schema).equals(want)
+
+
+def test_txn_open_across_iterations_is_applied(tmp_path):
+    """A transaction stays open across two iterations and commits in the
+    third: it is applied once, and the lake equals the oracle."""
+    paths, xid, _, full, without = _late_txn_stream(tmp_path, 4, 6)
+    want = _expected(full)
+    assert not _expected(without).equals(want), "the txn must be visible"
+    pairs = _pairs(paths)
+    land, lake = str(tmp_path / "land"), str(tmp_path / "lake")
+    landed: list[str] = []
+    for upto in (5, 6, len(pairs)):
+        landed += _land([p for pr in pairs[len(landed) // 2:upto]
+                         for p in pr], land)
+        res = replay_to_lake(sorted(landed), lake, TAIL)
+        committed = xid in res.control.commit_map["xid"].to_pylist()
+        assert committed == (upto == len(pairs))
+    assert sorted_table(read_lake(lake), want.schema).equals(want)
+
+
+def test_txn_max_events_resume_equals_one_shot(tmp_path, gen_small):
+    """With ``txn_max_events`` set, a replay resumed over two increments
+    (the second reading a pruned segment list) equals the one-shot replay
+    over all segments."""
+    import dataclasses
+
+    from olrx.pipelines.replay import oversized_xids
+
+    _, _, paths, _ = gen_small
+    cfg = dataclasses.replace(TAIL, txn_max_events=15)
+    assert oversized_xids(paths, cfg.txn_max_events)
+    one = str(tmp_path / "one")
+    replay_to_lake(paths, one, cfg)
+    two = str(tmp_path / "two")
+    replay_to_lake([p for p in paths if "seg0000" in p or "seg0001" in p],
+                   two, cfg)
+    res = replay_to_lake(paths, two, cfg)
+    assert set(res.segments_read) < set(paths), "the resume must prune"
+    assert sorted_table(read_lake(two)).equals(sorted_table(read_lake(one)))

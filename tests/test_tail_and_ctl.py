@@ -14,7 +14,7 @@ import ray
 
 from olrx.pipelines.replay import ReplayConfig, read_lake, replay_to_lake
 from olrx.state import manifest as MF
-from tests.conftest import sorted_table
+from tests.conftest import assert_same_control, fresh_scan, sorted_table
 
 CFG = ReplayConfig(num_partitions=16)
 
@@ -93,18 +93,131 @@ def _copied_changelog(tmp_path, gen_small):
 
 
 def test_summary_checkpoint_pruning(tmp_path, gen_small):
-    """A long tail sequence (new file-set digest per iteration) must leave
-    at most KEEP_SUMMARIES checkpoint files (reference keep-checkpoints,
-    Metadata.cpp:619-674)."""
-    from olrx.stages.decode import KEEP_SUMMARIES, load_control
+    """Bounded disk use: a growing tail sequence (a new file set per call)
+    leaves exactly one checkpoint file in ``_ctl/`` after every load."""
+    from olrx.stages.decode import CHECKPOINT_NAME, load_control
 
     paths = _copied_changelog(tmp_path, gen_small)
-    assert len(paths) > KEEP_SUMMARIES + 1
+    assert len(paths) > 2
+    ctl_dir = os.path.join(os.path.dirname(paths[0]), "_ctl")
     for i in range(1, len(paths) + 1):
         load_control(paths[:i])
+        kept = [f for f in os.listdir(ctl_dir) if not f.endswith(".parquet")]
+        assert kept == [CHECKPOINT_NAME], kept
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_checkpoint_corrupt_falls_back(tmp_path, gen_small, damage,
+                                       sidecar_reads):
+    """A truncated or corrupt checkpoint reads as absent: the load folds
+    every sidecar again, equals a fresh scan, and rewrites a good one."""
+    from olrx.stages.decode import CHECKPOINT_NAME, load_control
+
+    paths = _copied_changelog(tmp_path, gen_small)
+    load_control(paths)
+    cp = os.path.join(os.path.dirname(paths[0]), "_ctl", CHECKPOINT_NAME)
+    raw = open(cp, "rb").read()
+    with open(cp, "wb") as f:
+        f.write(raw[: len(raw) // 2] if damage == "truncated"
+                else b"\x00garbage" + raw[::-1])
+    sidecar_reads.clear()
+    got = load_control(paths)
+    assert len(sidecar_reads) == len(paths)
+    assert_same_control(got, fresh_scan(paths, tmp_path))
+    sidecar_reads.clear()
+    assert_same_control(load_control(paths), got)
+    assert sidecar_reads == [], "the rewritten checkpoint must load"
+    # and it round-trips through the file, not only through this process
+    from olrx.stages.decode import _ControlState
+    assert_same_control(_ControlState.read(cp).info(paths), got)
+
+
+@pytest.mark.parametrize("change", ["touched", "rewritten", "removed"])
+def test_checkpoint_changed_segment_full_fold(tmp_path, gen_small, change,
+                                              sidecar_reads):
+    """A covered segment rewritten in place (new mtime, or new content and
+    size) or removed forces a fold from empty that equals a fresh scan."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from olrx.gen import write_control_sidecars
+    from olrx.stages.decode import load_control
+
+    paths = _copied_changelog(tmp_path, gen_small)
+    load_control(paths)
+    victim = paths[2]
+    side = os.path.join(os.path.dirname(victim), "_ctl",
+                        os.path.basename(victim))
+    if change == "touched":
+        st = os.stat(victim)
+        os.utime(victim, ns=(st.st_atime_ns, st.st_mtime_ns + 10_000_000))
+    elif change == "rewritten":
+        # drop the segment's commit records: its txns become open
+        t = pq.read_table(victim)
+        pq.write_table(t.filter(pc.not_equal(t["op"], "C")), victim)
+        os.remove(side)
+        write_control_sidecars([victim])
+    else:
+        os.remove(victim)
+        os.remove(side)
+        paths = [p for p in paths if p != victim]
+    sidecar_reads.clear()
+    got = load_control(paths)
+    assert len(sidecar_reads) == len(paths), "must fold from empty"
+    assert_same_control(got, fresh_scan(paths, tmp_path))
+
+
+def test_checkpoint_read_only_dir(tmp_path, gen_small, monkeypatch):
+    """A read-only ``_ctl`` directory still loads correctly and nothing is
+    written into it."""
+    import builtins
+
+    from olrx.stages import decode
+
+    paths = _copied_changelog(tmp_path, gen_small)
     ctl_dir = os.path.join(os.path.dirname(paths[0]), "_ctl")
-    summaries = [f for f in os.listdir(ctl_dir) if f.startswith("_summary-")]
-    assert 1 <= len(summaries) <= KEEP_SUMMARIES
+    for f in os.listdir(ctl_dir):
+        if not f.endswith(".parquet"):
+            os.remove(os.path.join(ctl_dir, f))
+    before = sorted(os.listdir(ctl_dir))
+    # the mode bits alone do not stop a superuser: refuse writes there too
+    real_open = builtins.open
+
+    def ro_open(file, mode="r", *a, **kw):
+        if (str(file).startswith(ctl_dir)
+                and any(c in mode for c in "wax+")):
+            raise PermissionError(13, "Read-only directory", file)
+        return real_open(file, mode, *a, **kw)
+
+    monkeypatch.setattr(decode, "open", ro_open, raising=False)
+    os.chmod(ctl_dir, 0o555)
+    try:
+        first = decode.load_control(paths[:4])
+        got = decode.load_control(paths)
+        assert sorted(os.listdir(ctl_dir)) == before
+    finally:
+        os.chmod(ctl_dir, 0o755)
+    assert_same_control(got, fresh_scan(paths, tmp_path))
+    assert_same_control(first, fresh_scan(paths[:4], tmp_path))
+
+
+def test_checkpoint_subset_keeps_superset(tmp_path, gen_small, sidecar_reads):
+    """A subset call after a superset call equals a fresh scan of the
+    subset and leaves the superset checkpoint in place: the next superset
+    call reads no sidecar."""
+    from olrx.stages.decode import CHECKPOINT_NAME, load_control
+
+    paths = _copied_changelog(tmp_path, gen_small)
+    full = load_control(paths)
+    cp = os.path.join(os.path.dirname(paths[0]), "_ctl", CHECKPOINT_NAME)
+    raw, st = open(cp, "rb").read(), os.stat(cp)
+    subset = paths[:3]
+    assert_same_control(load_control(subset), fresh_scan(subset, tmp_path))
+    assert open(cp, "rb").read() == raw
+    assert os.stat(cp).st_mtime_ns == st.st_mtime_ns
+    sidecar_reads.clear()
+    assert_same_control(load_control(paths), full)
+    assert sidecar_reads == []
 
 
 def test_control_summary_roundtrip(tmp_path, gen_small):
@@ -319,6 +432,13 @@ def test_tail_live_metrics_surface(tmp_path, gen_small):
         base = f"http://127.0.0.1:{sess.metrics_server.port}"
         prom = urllib.request.urlopen(f"{base}/metrics").read().decode()
         assert f"olrx_events_applied_total {ev2}" in prom
+        # the event read's input is visible next to the landed input (no
+        # sidecars landed here, so there is no index and nothing is pruned)
+        typed, samples = _parse_exposition(prom)
+        assert typed["olrx_segments_read"] == "gauge"
+        assert typed["olrx_segments_landed"] == "gauge"
+        assert samples["olrx_segments_landed"] == [float(len(paths))]
+        assert samples["olrx_segments_read"] == [float(len(paths))]
         via_http = json.loads(
             urllib.request.urlopen(f"{base}/metrics.json").read())
         assert via_http["counters"]["olrx_iterations_total"] == 2
@@ -331,7 +451,6 @@ def test_metrics_endpoint_is_valid_exposition():
     line: every family has exactly one ``# HELP`` then one ``# TYPE`` line
     before its samples, its samples are contiguous, and every sample line is
     ``name{labels} value`` with a float value."""
-    import re
     import urllib.request
 
     from olrx.state.metrics import LiveMetrics, MetricsServer
@@ -349,8 +468,19 @@ def test_metrics_endpoint_is_valid_exposition():
     finally:
         srv.close()
     assert ctype.startswith("text/plain") and "version=0.0.4" in ctype
-    assert text.endswith("\n")
+    typed, samples = _parse_exposition(text)
+    assert typed["olrx_dml_ops_total"] == "counter"
+    assert typed["olrx_stage_seconds"] == "gauge"
+    assert sorted(samples["olrx_stage_seconds"]) == [0.25, 0.5]
+    assert samples["olrx_lake_rows"] == [12.0]
 
+
+def _parse_exposition(text: str):
+    """Check ``text`` line by line as Prometheus text format 0.0.4 and
+    return (family → type, family → sample values)."""
+    import re
+
+    assert text.endswith("\n")
     name_re = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
     label_re = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"'
     sample_re = re.compile(
@@ -381,7 +511,4 @@ def test_metrics_endpoint_is_valid_exposition():
             assert name not in closed
             samples.setdefault(name, []).append(float(m.group(2)))
     assert helped == set(typed) == set(samples)
-    assert typed["olrx_dml_ops_total"] == "counter"
-    assert typed["olrx_stage_seconds"] == "gauge"
-    assert sorted(samples["olrx_stage_seconds"]) == [0.25, 0.5]
-    assert samples["olrx_lake_rows"] == [12.0]
+    return typed, samples

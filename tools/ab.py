@@ -1,6 +1,6 @@
 """Interleaved A/B of the benchmark: a git revision against this checkout.
 
-    python3 tools/ab.py --rev REV --workload W --pairs N --seed0 S
+    python3 tools/ab.py --rev REV --workload W --pairs N --seed0 S [--trace]
 
 Checks REV out as a ``git worktree`` under a temp dir, then runs
 ``BENCHMARK.json``'s command (``perfbench/run.py --workload W --seed S+i
@@ -11,7 +11,12 @@ result object.
 
 Prints, for every ``end_to_end`` metric of ``BENCHMARK.json``: the parent
 (REV) median with its quartiles and IQR, the change median, the relative
-change, and how many pairs the change won; then every run. Exits 1 if any
+change, and how many pairs the change won; then every run. ``--trace``
+runs both sides with ``--trace 1`` and also prints the parent median
+[IQR] → change median of every ``per_layer`` metric, so a claim can be
+stated for the layer it touched. ``--records DIR`` keeps each run's full
+record (the line before the result) as ``DIR/<side>-<seed>.json``, since
+the parent's own copy goes with its worktree. Exits 1 if any
 run failed or reported ``correct: false`` or failed operations. The
 worktree is removed on exit.
 """
@@ -38,16 +43,23 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 
 def run_once(tree: str, cmd: list[str], workload: str, seed: int,
-             seconds: float) -> dict:
+             seconds: float, trace: bool = False) -> dict:
     """One benchmark run in ``tree``; its parsed result object, or a
-    failed stand-in when the run crashed or printed no result."""
+    failed stand-in when the run crashed or printed no result. A traced
+    run's result line holds the per-layer metrics (kept as ``per_layer``);
+    its end-to-end ones come from the run record printed just before."""
     argv = cmd + ["--workload", workload, "--seed", str(seed),
-                  "--seconds", str(seconds), "--trace", "0"]
+                  "--seconds", str(seconds), "--trace", str(int(trace))]
     p = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = p.stdout.strip().splitlines()
     try:
         res = json.loads(lines[-1])
         res["metrics"]
+        res["record"] = json.loads(lines[-2])
+        if trace:
+            res["per_layer"] = res["metrics"]
+            res["metrics"] = {k: {"value": v} for k, v
+                              in res["record"]["end_to_end"].items()}
     except (IndexError, ValueError, KeyError, TypeError):
         sys.stderr.write(p.stderr[-2000:])
         return {"correct": False, "failed": -1, "metrics": {},
@@ -61,6 +73,9 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed0", type=int, required=True)
+    ap.add_argument("--trace", action="store_true",
+                    help="trace both sides and compare per-layer metrics")
+    ap.add_argument("--records", help="directory to keep each run's record in")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -78,8 +93,13 @@ def main(argv: list[str]) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 res = run_once(trees[side], bench["command"], args.workload,
-                               seed, bench["run_seconds"])
+                               seed, bench["run_seconds"], args.trace)
                 res["seed"], res["first"] = seed, side == order[0]
+                if args.records and "record" in res:
+                    os.makedirs(args.records, exist_ok=True)
+                    with open(os.path.join(args.records,
+                                           f"{side}-{seed}.json"), "w") as f:
+                        json.dump(res.pop("record"), f)
                 runs[side].append(res)
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       f"correct={res.get('correct')} "
@@ -92,27 +112,35 @@ def main(argv: list[str]) -> int:
                        capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
-    def value(res: dict, name: str) -> float | None:
-        m = res["metrics"].get(name)
+    def value(res: dict, name: str, key: str = "metrics") -> float | None:
+        m = res.get(key, {}).get(name)
         return None if m is None else float(m["value"])
 
+    def table(specs: list[dict], key: str) -> None:
+        for m in specs:
+            name, higher = m["name"], m["better"] == "higher"
+            pairs = [(value(p, name, key), value(c, name, key))
+                     for p, c in zip(runs["parent"], runs["change"])]
+            pairs = [(p, c) for p, c in pairs
+                     if p is not None and c is not None]
+            if not pairs:
+                print(f"  {name}: no samples")
+                continue
+            q1, med_p, q3 = quartiles([p for p, _ in pairs])
+            med_c = statistics.median(c for _, c in pairs)
+            wins = sum((c > p) if higher else (c < p) for p, c in pairs)
+            rel = (med_c - med_p) / med_p * 100 if med_p else float("nan")
+            print(f"  {name} ({m['unit']}, {m['better']} is better): "
+                  f"{med_p:.4g} [{q1:.4g}–{q3:.4g}, IQR {q3 - q1:.3g}] → "
+                  f"{med_c:.4g} ({rel:+.1f}%, {wins}/{len(pairs)} wins)")
+
     print(f"A/B {args.workload}: parent {args.rev} vs change {ROOT}, "
-          f"{args.pairs} pairs, seeds {args.seed0}–{args.seed0 + args.pairs - 1}")
-    for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
-        pairs = [(value(p, name), value(c, name))
-                 for p, c in zip(runs["parent"], runs["change"])]
-        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
-        if not pairs:
-            print(f"  {name}: no samples")
-            continue
-        q1, med_p, q3 = quartiles([p for p, _ in pairs])
-        med_c = statistics.median(c for _, c in pairs)
-        wins = sum((c > p) if higher else (c < p) for p, c in pairs)
-        rel = (med_c - med_p) / med_p * 100 if med_p else float("nan")
-        print(f"  {name} ({m['unit']}, {m['better']} is better): "
-              f"{med_p:.4g} [{q1:.4g}–{q3:.4g}, IQR {q3 - q1:.3g}] → "
-              f"{med_c:.4g} ({rel:+.1f}%, {wins}/{len(pairs)} wins)")
+          f"{args.pairs} pairs, seeds {args.seed0}–{args.seed0 + args.pairs - 1}"
+          f"{', traced' if args.trace else ''}")
+    table(metrics, "metrics")
+    if args.trace:
+        print("per layer:")
+        table(bench["per_layer"], "per_layer")
     print("runs:")
     for side in ("parent", "change"):
         for r in runs[side]:
