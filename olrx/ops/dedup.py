@@ -14,6 +14,8 @@ extension; patterns per the Ray guide's sketch/pre-aggregation rules):
 
 from __future__ import annotations
 
+import logging
+
 from olrx.ops.scaling import actor_pool
 
 import numpy as np
@@ -21,6 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
+
+log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -190,7 +194,7 @@ def _segment_pair_rows(keys: tuple, order_vals: np.ndarray, cap: int,
     bad = (m < 2) | (m > cap)
     if label is not None:
         for sz in m[m > cap]:
-            print(f"{label}: skipping oversized bucket ({sz} rows)")
+            log.warning("%s: skipping oversized bucket (%d rows)", label, sz)
     if bad.any():
         order = order[~bad[seg_id]]
         if len(order) < 2:

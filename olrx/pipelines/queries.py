@@ -575,11 +575,11 @@ def q_cdc_message_stream(sf_dir: str) -> pa.Table:
     ds = message_stream(paths, _replay_cfg())
 
     def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-        ops = t["msg"].to_pandas().str.extract(r'"op": "(\w+)"')[0]
-        vc = ops.value_counts()
-        return pa.table({"mop": pa.array(vc.index.astype(object), pa.string()),
-                         "n": pa.array(vc.to_numpy(), pa.int64())})
+        ops = pc.struct_field(pc.extract_regex(t["msg"], r'"op": "(?P<op>\w+)"'),
+                              "op")
+        vc = pc.value_counts(ops.drop_null())
+        return pa.table({"mop": vc.field("values").cast(pa.string()),
+                         "n": vc.field("counts").cast(pa.int64())})
 
     from ray.data.aggregate import Sum
     agg = (ds.map_batches(partial, batch_format="pyarrow")

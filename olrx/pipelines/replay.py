@@ -429,6 +429,8 @@ def _resolved_hot_keys(paths: list[str], cfg: ReplayConfig,
         tmp = hp + f".tmp.{os.getpid()}"
         with open(tmp, "w") as f:
             _json.dump({"hot": sorted(hot), "salt_block": cfg.salt_block}, f)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, hp)
     return hot
 

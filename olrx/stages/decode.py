@@ -12,6 +12,8 @@ case where whole transactions are present in the input (SURVEY §2.2-2.3):
   not seen. The fold is exact — a full scan is the same fold from an empty
   state — and it indexes each segment's scn range, which the event read
   uses to skip segments that cannot contribute.
+- ``hot_partials`` — the per-segment hot-key counts a salting replay sums,
+  kept in the same checkpoint and computed only for segments it lacks.
 - ``CommitResolver`` — actor-pool `map_batches` stage: inner-joins each event
   batch against the broadcast commit map (drops rolled-back / open txns —
   /root/reference/src/parser/Transaction.cpp:207-210), flattens the ``after``
@@ -44,6 +46,7 @@ import ray.data as rd
 
 from olrx import schema as S
 from olrx.schema import OP_D, OP_I, OP_U
+from olrx.stages import partition
 from olrx.stages.partition import partition_ids
 
 #: columns the control pass reads — prune everything else at the read
@@ -202,7 +205,7 @@ def _control_batch(t: pa.Table) -> pa.Table:
 
 #: bump when the checkpoint layout or the ControlInfo derivation changes —
 #: an older checkpoint then reads as absent
-_CTL_SUMMARY_VERSION = 6
+_CTL_SUMMARY_VERSION = 7
 
 #: the one control checkpoint of a ``_ctl`` directory
 CHECKPOINT_NAME = "_control.arrowctl"
@@ -322,7 +325,12 @@ class _ControlState:
     its C/R row (the reference's min-open-transaction restart state,
     ``TransactionBuffer.cpp:274-286``). A
     transaction leaves that set once it has B and C (its span is final and
-    joins ``span_done``) or B and R (rolled back)."""
+    joins ``span_done``) or B and R (rolled back).
+
+    ``partials`` holds the heavy-hitter partial of every covered segment a
+    salting call has asked for (``partition.segment_partials`` layout).
+    It is per segment, not folded, so a segment whose stats are unchanged
+    keeps its partial across a fold from empty."""
 
     def __init__(self) -> None:
         #: path as passed in → (segment size, mtime_ns, sidecar size,
@@ -340,6 +348,7 @@ class _ControlState:
         self.open_txns = _OPEN_SCHEMA.empty_table()
         self.ddl_rows = pa.table({"xid_h": pa.array([], pa.uint64()),
                                   "ddl": pa.array([], pa.string())})
+        self.partials = partition.PARTIALS_SCHEMA.empty_table()
 
     def fold(self, ctl: pa.Table) -> None:
         """Fold control rows (sidecar layout, with ``xid_h``) in."""
@@ -420,6 +429,10 @@ class _ControlState:
         for p in paths:
             self.segments[p] = stats[p] + _scn_range(p)
 
+    def partials_of(self, paths: list[str]) -> pa.Table:
+        return self.partials.filter(pc.is_in(
+            self.partials["seg"], value_set=pa.array(paths, pa.string())))
+
     def info(self, paths: "list[str] | None") -> ControlInfo:
         """The ControlInfo of the folded state; ``paths`` (None: no index)
         key its segment ranges."""
@@ -466,7 +479,7 @@ class _ControlState:
                 for t in (self.commit_map,
                           pa.table({"lh": self.lookup[0], "lscn": self.lookup[1]}),
                           pa.table({"pr": pa.array(self.pr_sorted, pa.uint64())}),
-                          self.open_txns, self.ddl_rows):
+                          self.open_txns, self.ddl_rows, self.partials):
                     with pa.ipc.new_stream(f, t.schema) as w:
                         w.write_table(t)
             os.replace(tmp, cp)
@@ -486,8 +499,8 @@ class _ControlState:
                 head = json.loads(f.readline().decode())
                 if head.get("v") != _CTL_SUMMARY_VERSION:
                     return None
-                cm, lk, pr, open_txns, ddl_rows = (
-                    pa.ipc.open_stream(f).read_all() for _ in range(5))
+                cm, lk, pr, open_txns, ddl_rows, partials = (
+                    pa.ipc.open_stream(f).read_all() for _ in range(6))
             st = cls.__new__(cls)    # every field is set below
             st.max_commit_scn = int(head["max_commit_scn"])
             st.span_done = int(head["span_done"])
@@ -498,6 +511,7 @@ class _ControlState:
             st.lookup = (lk["lh"].to_numpy(), lk["lscn"].to_numpy())
             st.pr_sorted = pr["pr"].to_numpy()
             st.open_txns, st.ddl_rows = open_txns, ddl_rows
+            st.partials = partials
             return st
         except (OSError, ValueError, KeyError, TypeError):
             return None
@@ -540,12 +554,28 @@ def load_control(paths: list[str]) -> ControlInfo:
     stats = _file_stats(paths)
     if stats is None:
         return _control_by_ray(paths)
-    cp = os.path.join(os.path.dirname(_sidecar(paths[0])), CHECKPOINT_NAME)
+    return _folded(paths, stats, _checkpoint_path(paths)).info(paths)
+
+
+def _checkpoint_path(paths: list[str]) -> str:
+    return os.path.join(os.path.dirname(_sidecar(paths[0])), CHECKPOINT_NAME)
+
+
+def _folded(paths: list[str], stats: dict[str, tuple[int, ...]],
+            cp: str) -> _ControlState:
+    """The control state over exactly ``paths``, folded incrementally from
+    the checkpoint ``cp`` and written back by the rules ``load_control``
+    states. A fold from empty keeps the partials of unchanged segments."""
     old = _checkpoint(cp)
     covered = old.segments if old is not None else {}
     same = all(covered[p][:4] == st for p, st in stats.items() if p in covered)
-    state = (old if old is not None and same and covered.keys() <= stats.keys()
-             else _ControlState())
+    if old is not None and same and covered.keys() <= stats.keys():
+        state = old
+    else:
+        state = _ControlState()
+        if old is not None:
+            state.partials = old.partials_of(
+                [p for p, st in stats.items() if covered.get(p, ())[:4] == st])
     new = [p for p in stats if p not in state.segments]
     if new:
         state = state.copy()
@@ -554,7 +584,36 @@ def load_control(paths: list[str]) -> ControlInfo:
         if not (same and stats.keys() < covered.keys() and _unchanged(rest)):
             state.write(cp)
             _remember(cp, state)
-    return state.info(paths)
+    return state
+
+
+def hot_partials(paths: list[str]) -> pa.Table:
+    """The heavy-hitter partials of ``paths`` (``partition.segment_partials``
+    layout). Read from the control checkpoint where it has them; one Ray
+    pass computes the rest and writes them back into the checkpoint that
+    covers ``paths``, so a subset call adds to its superset and never
+    evicts it. A checkpoint that does not cover every path with unchanged
+    stats is first brought up to date by ``load_control``'s fold. Input
+    without sidecars gets the same per-segment computation, with nothing
+    persisted."""
+    stats = _file_stats(paths)
+    if stats is None:
+        return partition.segment_partials(paths)
+    cp = _checkpoint_path(paths)
+    home = _checkpoint(cp)
+    if home is None or any(home.segments.get(p, ())[:4] != st
+                           for p, st in stats.items()):
+        home = _folded(paths, stats, cp)
+    have = set(pc.unique(home.partials["seg"]).to_pylist())
+    missing = [p for p in paths if p not in have]
+    if missing:
+        home = home.copy()
+        home.partials = pa.concat_tables(
+            [home.partials, partition.segment_partials(missing)]
+        ).combine_chunks()
+        home.write(cp)
+        _remember(cp, home)
+    return home.partials_of(paths)
 
 
 #: the checkpoint this process last read or wrote: (path, its file's

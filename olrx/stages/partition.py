@@ -23,10 +23,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
-import ray.data as rd
-
-from olrx.ops.scaling import coarse_read_blocks
 
 _SALT_MULT = np.uint64(0x9E3779B97F4A7C15)
 
@@ -56,41 +54,75 @@ def partition_ids(conv_id, turn_idx, num_partitions: int,
     return (h % np.uint64(num_partitions)).astype(np.int32)
 
 
-def detect_hot_keys(paths: list[str], key_column: str = "conv_id",
-                    frac_threshold: float = 0.01, top_per_batch: int = 50,
-                    num_blocks: int | None = None) -> frozenset:
-    """Approximate heavy-hitter detection with one pruned-column pass.
+#: keys kept per segment in a heavy-hitter partial
+HOT_TOP = 50
 
-    Per batch, emit only the ``top_per_batch`` most frequent keys (partial
-    counts) plus the batch's row count; aggregate the small partials on the
-    driver. A key holding ≥ ``frac_threshold`` of all rows appears in the
-    top of nearly every batch, so its global count is recovered (slightly
-    under-estimated); cold keys never leave the workers. This is the
-    pre-aggregation pattern for groupby at scale — the full exact count
-    would itself be a shuffle. ``num_blocks``: read blocks (one batch
-    each); None → ``scaling.coarse_read_blocks``.
-    """
-    ds = rd.read_parquet(paths, columns=[key_column],
-                         override_num_blocks=num_blocks or coarse_read_blocks())
+PARTIALS_SCHEMA = pa.schema([("seg", pa.string()), ("conv_id", pa.string()),
+                              ("n", pa.int64())])
 
-    def partial_counts(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t[key_column].drop_null())
-        top = pa.table({key_column: vc.field("values"),
-                        "n": vc.field("counts").cast(pa.int64())})
-        if top.num_rows > top_per_batch:
+
+def _partials_of(paths: list[str]) -> pa.Table:
+    """The heavy-hitter partial of each segment: its ``HOT_TOP`` most
+    frequent ``conv_id`` counts (ties broken by key, so the kept set
+    depends only on the file) plus its row count under a null key."""
+    out = [PARTIALS_SCHEMA.empty_table()]
+    for p in paths:
+        keys = pq.read_table(p, columns=["conv_id"])["conv_id"]
+        vc = pc.value_counts(keys.combine_chunks().cast(pa.string()))
+        top = pa.table({"conv_id": vc.field("values"),
+                        "n": vc.field("counts").cast(pa.int64())}).drop_null()
+        if top.num_rows > HOT_TOP:
             top = top.take(pc.select_k_unstable(
-                top, top_per_batch, [("n", "descending")]))
-        # the batch's row count rides along under a null key
-        rows = pa.table({key_column: pa.nulls(1, top.schema[0].type),
-                         "n": pa.array([t.num_rows], pa.int64())})
-        return pa.concat_tables([top, rows])
+                top, HOT_TOP, [("n", "descending"), ("conv_id", "ascending")]))
+        top = pa.concat_tables([top, pa.table(
+            {"conv_id": pa.nulls(1, pa.string()),
+             "n": pa.array([len(keys)], pa.int64())})])
+        out.append(top.add_column(0, "seg", pa.array([p] * top.num_rows,
+                                                     pa.string())))
+    return pa.concat_tables(out)
 
-    refs = ds.map_batches(partial_counts, batch_format="pyarrow").to_arrow_refs()
-    parts = pa.concat_tables(ray.get(refs)) if refs else None
-    if parts is None or parts.num_rows == 0:
+
+_partials_task = ray.remote(_partials_of)
+
+
+def segment_partials(paths: list[str]) -> pa.Table:
+    """Per-segment heavy-hitter partials of ``paths`` as ``(seg, conv_id,
+    n)`` rows, in one Ray pass of one task per CPU (never more than
+    segments). A segment is always one unit, so the result does not depend
+    on the task count."""
+    if not paths:
+        return PARTIALS_SCHEMA.empty_table()
+    n = min(int(ray.cluster_resources().get("CPU", 8)), len(paths))
+    chunks = np.array_split(np.arange(len(paths)), n)
+    return pa.concat_tables(ray.get([
+        _partials_task.remote([paths[i] for i in c]) for c in chunks]))
+
+
+def hot_set(partials: pa.Table, frac_threshold: float) -> frozenset:
+    """The keys whose summed partial counts reach ``frac_threshold`` of the
+    summed row counts."""
+    total = pc.sum(partials.filter(pc.is_null(partials["conv_id"]))["n"]).as_py()
+    if not total:
         return frozenset()
-    total = pc.sum(parts.filter(pc.is_null(parts[key_column]))["n"]).as_py()
-    counts = parts.drop_null().group_by(key_column).aggregate([("n", "sum")])
+    counts = partials.drop_null().group_by("conv_id").aggregate([("n", "sum")])
     hot = counts.filter(pc.greater_equal(counts["n_sum"],
                                          frac_threshold * total))
-    return frozenset(hot[key_column].to_pylist())
+    return frozenset(hot["conv_id"].to_pylist())
+
+
+def detect_hot_keys(paths: list[str], frac_threshold: float = 0.01
+                    ) -> frozenset:
+    """Approximate heavy-hitter detection from per-segment partials.
+
+    Each segment contributes only its ``HOT_TOP`` most frequent keys plus
+    its row count; the partials are summed on the driver. A key holding
+    ≥ ``frac_threshold`` of all rows appears in the top of nearly every
+    segment, so its global count is recovered (slightly under-estimated);
+    cold keys never leave the workers. The partials live in the control
+    checkpoint next to the segments they describe
+    (``decode.hot_partials``), so a call computes them only for segments
+    it has not seen."""
+    if not paths:
+        return frozenset()
+    from olrx.stages.decode import hot_partials
+    return hot_set(hot_partials(paths), frac_threshold)

@@ -60,10 +60,9 @@ def sorted_table(obj, schema=None) -> pa.Table:
     return t.cast(schema) if schema is not None else t
 
 
-def fresh_scan(paths, tmp_path):
-    """``load_control`` over a checkpoint-free copy of ``paths``."""
-    from olrx.stages.decode import load_control
-
+def fresh_copy(paths, tmp_path):
+    """A checkpoint-free copy of the segments ``paths`` and their sidecars;
+    the copied paths."""
     d = tmp_path / f"fresh-{len(os.listdir(tmp_path))}"
     os.makedirs(d / "_ctl")
     for p in paths:
@@ -71,7 +70,32 @@ def fresh_scan(paths, tmp_path):
         shutil.copy(p, d / name)
         shutil.copy(os.path.join(os.path.dirname(p), "_ctl", name),
                     d / "_ctl" / name)
-    return load_control([str(d / os.path.basename(p)) for p in paths])
+    return [str(d / os.path.basename(p)) for p in paths]
+
+
+def fresh_scan(paths, tmp_path):
+    """``load_control`` over a checkpoint-free copy of ``paths``."""
+    from olrx.stages.decode import load_control
+
+    return load_control(fresh_copy(paths, tmp_path))
+
+
+def fresh_hot_partials(paths, tmp_path):
+    """``hot_partials`` over a checkpoint-free copy of ``paths``."""
+    from olrx.stages.decode import hot_partials
+
+    return hot_partials(fresh_copy(paths, tmp_path))
+
+
+def assert_same_partials(got, want):
+    """Equal heavy-hitter partials, segments compared by file name."""
+    def norm(t):
+        seg = pa.array([os.path.basename(s) for s in t["seg"].to_pylist()],
+                       pa.string())
+        return t.set_column(0, "seg", seg).sort_by(
+            [("seg", "ascending"), ("conv_id", "ascending")])
+
+    assert norm(got).equals(norm(want))
 
 
 def assert_same_control(got, want):

@@ -11,10 +11,14 @@ import pyarrow.parquet as pq
 
 from olrx.gen import GenConfig, ensure_changelog, write_control_sidecars
 from olrx.oracle import apply_naive
-from olrx.pipelines.replay import ReplayConfig, read_lake, replay_to_lake
-from olrx.stages.decode import CHECKPOINT_NAME, _ControlState, load_control
+from olrx.pipelines.replay import (ReplayConfig, read_lake, replay_dataset,
+                                   replay_to_lake)
+from olrx.stages import partition
+from olrx.stages.decode import (CHECKPOINT_NAME, _ControlState, hot_partials,
+                                load_control)
 from olrx.state import manifest as MF
-from tests.conftest import assert_same_control, fresh_scan, sorted_table
+from tests.conftest import (assert_same_control, assert_same_partials,
+                            fresh_hot_partials, fresh_scan, sorted_table)
 
 TAIL = ReplayConfig(num_partitions=8, assume_complete_input=False,
                     expected_shards=(0, 1))
@@ -41,6 +45,18 @@ def _pairs(paths):
     return [sorted(v) for _, v in sorted(by_seq.items())]
 
 
+def _orders(paths):
+    """Two landing orders: pair by pair, and shard 1 three segments behind
+    shard 0."""
+    s0 = [p for p in paths if "shard00" in p]
+    s1 = [p for p in paths if "shard01" in p]
+    lagged = []
+    for i in range(len(s0) + 3):
+        lagged += s0[i:i + 1] + (s1[i - 3:i - 2] if i >= 3 else [])
+    by_pair = [p for pr in _pairs(paths) for p in pr]
+    return (("pairs", by_pair), ("lagged", lagged))
+
+
 def test_fold_equals_full_scan(tmp_path):
     """Landed pair by pair, and again with shard 1 three segments behind
     shard 0, the folded control equals a full scan of a checkpoint-free
@@ -49,13 +65,7 @@ def test_fold_equals_full_scan(tmp_path):
     d = ensure_changelog(GenConfig(scale=0.002, segments_per_shard=8,
                                    ddl_drop=True, ddl_rename=True))
     paths = sorted(glob.glob(d + "/*.parquet"))
-    s0 = [p for p in paths if "shard00" in p]
-    s1 = [p for p in paths if "shard01" in p]
-    lagged = []
-    for i in range(len(s0) + 3):
-        lagged += s0[i:i + 1] + (s1[i - 3:i - 2] if i >= 3 else [])
-    by_pair = [p for pr in _pairs(paths) for p in pr]
-    for name, order in (("pairs", by_pair), ("lagged", lagged)):
+    for name, order in _orders(paths):
         land = str(tmp_path / name)
         landed: list[str] = []
         for p in order:
@@ -95,6 +105,77 @@ def test_tail_iteration_cost_follows_new_segments(tmp_path, sidecar_reads):
     assert seen[10] == seen[100], seen
     assert seen[100][0] == 2
     assert seen[100][1] < 10
+
+
+def test_hot_partials_fold_equals_fresh_scan(tmp_path):
+    """At every landing prefix, pairwise and lagged, the heavy-hitter
+    partials from the checkpoint equal those of a checkpoint-free copy, so
+    the hot set does too; the same after covered segments are touched,
+    rewritten without their hot-key rows, and removed. The pairwise
+    landing runs ``load_control`` first, as a replay does; the lagged one
+    leaves the fold to ``hot_partials``."""
+    d = ensure_changelog(GenConfig(scale=0.002, segments_per_shard=8,
+                                   hot_conv_factor=100))
+    paths = sorted(glob.glob(d + "/*.parquet"))
+    for name, order in _orders(paths):
+        land = str(tmp_path / name)
+        landed: list[str] = []
+        for p in order:
+            landed += _land([p], land)
+            if name == "pairs":
+                load_control(sorted(landed))
+            got = hot_partials(sorted(landed))
+            assert_same_partials(got, fresh_hot_partials(sorted(landed),
+                                                          tmp_path))
+        hot = partition.hot_set(got, 0.05)
+        assert hot, "the stream must have a hot key"
+    touched, rewritten, removed = (sorted(landed)[i] for i in (2, 3, 5))
+    st = os.stat(touched)
+    os.utime(touched, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
+    t = pq.read_table(rewritten)
+    pq.write_table(t.filter(pc.invert(pc.fill_null(pc.is_in(
+        t["conv_id"], value_set=pa.array(sorted(hot))), False))), rewritten)
+    os.remove(removed)
+    os.remove(os.path.join(land, "_ctl", os.path.basename(removed)))
+    rest = sorted(p for p in landed if p != removed)
+    assert_same_partials(hot_partials(rest), fresh_hot_partials(rest, tmp_path))
+
+
+def test_hot_partials_cost_follows_new_segments(tmp_path, monkeypatch):
+    """A salting replay after k new segments computes partials for exactly
+    those k; a replay that does not salt computes none and leaves none in
+    the checkpoint."""
+    d = ensure_changelog(GenConfig(scale=0.002, segments_per_shard=8))
+    pairs = _pairs(sorted(glob.glob(d + "/*.parquet")))
+    computed: list[str] = []
+    compute = partition.segment_partials
+
+    def spy(paths):
+        computed.extend(paths)
+        return compute(paths)
+
+    monkeypatch.setattr(partition, "segment_partials", spy)
+    plain = str(tmp_path / "plain")
+    replay_to_lake(sorted(_land([p for pr in pairs[:4] for p in pr], plain)),
+                   str(tmp_path / "lake"), TAIL)
+    assert computed == []
+    st = _ControlState.read(os.path.join(plain, "_ctl", CHECKPOINT_NAME))
+    assert len(st.segments) == 8 and st.partials.num_rows == 0
+    salt = ReplayConfig(num_partitions=8, salt_hot=True)
+    land = str(tmp_path / "land")
+    landed = _land([p for pr in pairs[:4] for p in pr], land)
+    replay_dataset(sorted(landed), salt)
+    assert sorted(computed) == sorted(landed)
+    for lo, hi in ((4, 5), (5, 7)):    # k = 2, then k = 4 new segments
+        new = _land([p for pr in pairs[lo:hi] for p in pr], land)
+        landed += new
+        computed.clear()
+        replay_dataset(sorted(landed), salt)
+        assert sorted(computed) == sorted(new)
+    # a replay without salting keeps the partials a salting one stored
+    replay_dataset(sorted(landed), ReplayConfig(num_partitions=8))
+    st = _ControlState.read(os.path.join(land, "_ctl", CHECKPOINT_NAME))
+    assert set(st.partials["seg"].to_pylist()) == set(landed)
 
 
 def _with(row: pa.Table, **cols) -> pa.Table:

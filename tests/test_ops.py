@@ -450,3 +450,19 @@ def test_to_cents_matches_duckdb_round():
         params={"vals": vals.tolist()},
     ).fetchnumpy()["c"]
     assert (got == want).all(), list(zip(vals, got, want))
+
+
+def test_lsh_oversized_bucket_is_logged_not_printed(caplog, capsys):
+    """A bucket over the cap is dropped with a warning on the module
+    logger; nothing reaches stdout."""
+    import logging
+
+    from olrx.ops.dedup import _segment_pair_rows
+
+    keys = (np.array([1] * 5 + [2] * 2, np.int64),)
+    with caplog.at_level(logging.WARNING, logger="olrx.ops.dedup"):
+        a, b = _segment_pair_rows(keys, np.arange(7, dtype=np.int64), cap=3,
+                                  label="neardup-lsh")
+    assert capsys.readouterr().out == ""
+    assert "neardup-lsh: skipping oversized bucket (5 rows)" in caplog.text
+    assert list(zip(a.tolist(), b.tolist())) == [(5, 6)]

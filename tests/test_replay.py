@@ -56,27 +56,61 @@ def test_hot_key_actually_spreads():
     assert len(set(hot.tolist())) > 4
 
 
-def test_detect_hot_keys_threshold_and_block_count(tmp_path):
+def test_detect_hot_keys_threshold_and_task_count(tmp_path):
     """A key above ``frac_threshold`` is found and one below is not, and
-    the read's block count (one block, or the coarse 3× CPUs) does not
-    change the answer. Every file holds more distinct keys than the
-    per-batch top list, so the partial counts really are truncated."""
-    from olrx.ops.scaling import coarse_read_blocks
-    from olrx.stages.partition import detect_hot_keys
+    the partials are the same whether one call computes them all or the
+    Ray pass splits them over one task per CPU. Every segment holds more
+    distinct keys than the per-segment top list, so the partials really
+    are truncated."""
+    import ray
+
+    from olrx.stages.partition import (HOT_TOP, _partials_of,
+                                       detect_hot_keys, hot_set,
+                                       segment_partials)
 
     paths = []
     for i in range(12):
-        # per file: 60 of 500 rows "hot" (12%), 10 "warm" (2%), the rest
-        # spread over 430 cold keys
+        # per segment: 60 of 500 rows "hot" (12%), 10 "warm" (2%), the
+        # rest spread over 430 cold keys
         keys = (["hot"] * 60 + ["warm"] * 10
                 + [f"cold-{i}-{j}" for j in range(430)])
         p = str(tmp_path / f"part-{i:02d}.parquet")
         pq.write_table(pa.table({"conv_id": keys}), p)
         paths.append(p)
-    assert coarse_read_blocks() > 1
-    for blocks in (1, coarse_read_blocks()):
-        got = detect_hot_keys(paths, frac_threshold=0.05, num_blocks=blocks)
-        assert got == frozenset({"hot"}), (blocks, got)
+    keys = [("seg", "ascending"), ("conv_id", "ascending")]
+    assert ray.cluster_resources()["CPU"] > 1
+    one = _partials_of(paths).sort_by(keys)
+    many = segment_partials(paths).sort_by(keys)
+    assert one.equals(many)
+    assert one.num_rows == len(paths) * (HOT_TOP + 1)
+    assert hot_set(one, 0.05) == frozenset({"hot"})
+    assert detect_hot_keys(paths, frac_threshold=0.05) == frozenset({"hot"})
+
+
+def test_hot_json_is_fsynced_before_replace(tmp_path, monkeypatch):
+    """The pinned hot set reaches the disk before it is renamed into
+    place, as the manifests do."""
+    import os
+
+    from olrx.pipelines.replay import _resolved_hot_keys
+
+    synced: list[str] = []
+    fsync = os.fsync
+
+    def spy(fd):
+        synced.append(os.readlink(f"/proc/self/fd/{fd}"))
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    seg = str(tmp_path / "seg.parquet")
+    pq.write_table(pa.table({"conv_id": ["a"] * 9 + ["b"]}), seg)
+    mdir = str(tmp_path / "_manifest")
+    hot = _resolved_hot_keys([seg], ReplayConfig(salt_hot=True,
+                                                 hot_frac_threshold=0.5), mdir)
+    assert hot == frozenset({"a"})
+    hp = os.path.join(mdir, "hot.json")
+    assert any(s.startswith(hp + ".tmp.") for s in synced), synced
+    assert os.listdir(mdir) == ["hot.json"]
 
 
 def test_no_ddl_narrow_schema():
