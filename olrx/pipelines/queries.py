@@ -17,6 +17,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from olrx import schema as S
 from olrx.gen import GenConfig, ensure_changelog, scale_for_sf_dir
 from olrx.pipelines.replay import ReplayConfig, replay_dataset
 from olrx.stages.decode import load_control
@@ -465,43 +466,76 @@ def q_cdc_net_changes(sf_dir: str) -> rd.Dataset:
     from olrx.pipelines.replay import _decoded_events
     events = _decoded_events(paths, cfg, control)
 
-    def last_per_key(g: pa.Table) -> pa.Table:
-        n = g.num_rows
-        if n == 0:
-            return g
-        def as_np(col):
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            return col.to_numpy(zero_copy_only=False)
-        codes = pc.dictionary_encode(g["conv_id"].combine_chunks()
-                                     if isinstance(g["conv_id"], pa.ChunkedArray)
-                                     else g["conv_id"])
-        if isinstance(codes, pa.ChunkedArray):
-            codes = codes.combine_chunks()
-        codes = codes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        turn = as_np(g["turn_idx"]).astype(np.int64)
-        order = np.lexsort((as_np(g["scn_idx"]).astype(np.int64),
-                            as_np(g["scn"]).astype(np.int64),
-                            as_np(g["commit_scn"]).astype(np.int64),
-                            turn, codes))
-        codes_s, turn_s = codes[order], turn[order]
-        last = np.empty(n, bool)
-        last[-1] = True
-        last[:-1] = (codes_s[1:] != codes_s[:-1]) | (turn_s[1:] != turn_s[:-1])
-        win = pa.array(order[np.flatnonzero(last)])
-        opw = g["op_code"].take(win).to_numpy(zero_copy_only=False)
-        out = {
-            "conv_id": g["conv_id"].take(win),
-            "turn_idx": g["turn_idx"].take(win).cast(pa.int32()),
-            "change_op": pa.array(np.where(opw == 2, "delete", "upsert")),
-        }
-        from olrx import schema as S
-        for nm, _t in S.payload_columns(S.MAX_SCHEMA_VERSION):
-            out[nm] = g[f"v_{nm}"].take(win)
-        return pa.table(out)
+    return events.groupby("part").map_groups(
+        last_per_key, batch_format="pyarrow",
+        fn_kwargs={"ddl_scns": tuple(control.ddl_scns),
+                   "drops": tuple(zip(control.drop_scns,
+                                      control.dropped_columns))})
 
-    return events.groupby("part").map_groups(last_per_key,
-                                             batch_format="pyarrow")
+
+def last_per_key(g: pa.Table, ddl_scns: tuple = (),
+                 drops: tuple = ()) -> pa.Table:
+    """The net change of each key in decoded events ``g``: its LWW-final
+    event as ``upsert`` with that event's image, or ``delete``.
+
+    The winner's image is emitted as it is, so it must be a full image: a
+    partial UPDATE carries only its changed columns, and the others would
+    come out null. Raises ``ValueError`` when a winning UPDATE's
+    ``changed_mask`` lacks a column its table had at its commit: every base
+    column, each additive column whose ADD DDL (``ddl_scns``, in order)
+    committed before it, less those a ``(drop_scn, column)`` of ``drops``
+    dropped before it."""
+    n = g.num_rows
+    if n == 0:
+        return g
+
+    def as_np(col):
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        return col.to_numpy(zero_copy_only=False)
+
+    codes = pc.dictionary_encode(g["conv_id"].combine_chunks()
+                                 if isinstance(g["conv_id"], pa.ChunkedArray)
+                                 else g["conv_id"])
+    if isinstance(codes, pa.ChunkedArray):
+        codes = codes.combine_chunks()
+    codes = codes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    turn = as_np(g["turn_idx"]).astype(np.int64)
+    cscn = as_np(g["commit_scn"]).astype(np.int64)
+    order = np.lexsort((as_np(g["scn_idx"]).astype(np.int64),
+                        as_np(g["scn"]).astype(np.int64),
+                        cscn, turn, codes))
+    codes_s, turn_s = codes[order], turn[order]
+    last = np.empty(n, bool)
+    last[-1] = True
+    last[:-1] = (codes_s[1:] != codes_s[:-1]) | (turn_s[1:] != turn_s[:-1])
+    win_idx = order[np.flatnonzero(last)]
+    win = pa.array(win_idx)
+    opw = g["op_code"].take(win).to_numpy(zero_copy_only=False)
+    upd = opw == S.OP_U
+    if upd.any():
+        wscn, mask = cscn[win_idx][upd], as_np(g["changed_mask"])[win_idx][upd]
+        n_add = np.searchsorted(np.asarray(ddl_scns[:S.MAX_SCHEMA_VERSION],
+                                           np.int64), wscn, side="left")
+        need = (np.int64(1) << (len(S.PAYLOAD_COLUMNS) + n_add)) - 1
+        for drop_scn, col in drops:
+            need &= np.where(wscn > drop_scn, ~(1 << S.column_bit(col)), -1)
+        short = (mask & need) != need
+        if short.any():
+            i = int(np.flatnonzero(short)[0])
+            raise ValueError(
+                "cdc_net_changes needs full row images: the winning UPDATE "
+                f"of a key at commit SCN {int(wscn[i])} has changed_mask "
+                f"{int(mask[i]):#x}, not the full mask {int(need[i]):#x} "
+                "(a partial image would emit its unchanged columns as null)")
+    out = {
+        "conv_id": g["conv_id"].take(win),
+        "turn_idx": g["turn_idx"].take(win).cast(pa.int32()),
+        "change_op": pa.array(np.where(opw == S.OP_D, "delete", "upsert")),
+    }
+    for nm, _t in S.payload_columns(S.MAX_SCHEMA_VERSION):
+        out[nm] = g[f"v_{nm}"].take(win)
+    return pa.table(out)
 
 
 def sql_cdc_net_changes(sf_dir: str) -> str:

@@ -6,10 +6,12 @@ table.
 Runs inside ``PartitionApplier.finalize_commit`` (stages/exchange.py), on a
 thread pool when the applier holds several partitions: a call reads and
 writes only its own partition's files (``part-NNNNN/`` and its manifest),
-so concurrent calls for different partitions need no lock. It
+so concurrent calls for different partitions need no lock. Importing it
 deliberately imports neither pandas nor Ray Data: it is on the import path
 of every applier process, whose spawn time is part of each replay's wall
-time.
+time. pandas still arrives at run time: pyarrow imports it on the first
+``to_numpy`` or ``pa.array`` from numpy, which is why standby spares run
+``PartitionApplier.warm`` before they are taken.
 """
 
 from __future__ import annotations

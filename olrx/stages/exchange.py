@@ -67,16 +67,32 @@ actor's per-run state (schema, watermarks, buffers, blobs, dedupe digests,
 counters). Whoever creates the fleet owns its lifetime: a long-lived caller
 (``TailSession``) keeps one fleet across iterations, so an iteration pays
 no actor spawn; a caller that passes no fleet gets one scoped to the call,
-closed when the call returns. Each actor is a fresh process, so the owner
-also sets the size (``ReplayConfig.resolved_num_appliers``): below ~24 MB
-of input per applier, a call-scoped fleet spawns one applier per CPU and a
-kept fleet 2× CPUs (both at most 8), because only the kept fleet amortizes
-the extra spawns over later calls. There is no process-global pool: idle
-appliers hold hundreds of MB each, and only an explicit owner knows when
-they can go. ``close`` kills the actors and returns once they are dead.
-Any exception inside an exchange discards the fleet (its actors' state is
-unknown), so the next call starts from fresh actors; an actor found dead
-at ``begin`` is respawned.
+whose actors are killed when the call returns, so no run ever gets an
+actor another run has used. The owner also sets the size
+(``ReplayConfig.resolved_num_appliers``): below ~24 MB of input per
+applier, a call-scoped fleet gets one applier per CPU and a kept fleet 2×
+CPUs (both at most 8). ``close`` kills the actors and returns once they are
+dead. Any exception inside an exchange discards the fleet (its actors'
+state is unknown), so the next call starts from fresh actors; an actor
+found dead at ``begin`` is replaced.
+
+Standby: a fresh actor is a new worker process, and its first shard pays
+the process start plus pyarrow's first-use imports (pandas arrives through
+pyarrow's pandas shim on the first ``to_numpy`` or ``pa.array`` from
+numpy) — about a third of a small replay. So the driver keeps a
+per-process :data:`STANDBY` of spares: actors spawned ahead of need and
+warmed by ``PartitionApplier.warm``, but never begun. ``begin`` fills any
+missing slot from it before it spawns. A call-scoped exchange, other than
+the session's first, then tops it up in the background to the size it
+used itself (at most :data:`STANDBY_MAX`), for the next call (a one-shot
+process never pays for a spare;
+a kept fleet never tops up, so closing it leaves no actor behind). Spares
+are taken under a lock, so concurrent calls never share one; one shown
+DEAD is skipped; handles of an earlier Ray session are dropped unused. An
+idle spare holds ~180 MB, so spares are killed after
+:data:`STANDBY_IDLE_S` without a take, and on a failed exchange (which
+returns once they are dead). The used fleet is never kept instead: an
+applier that has run holds ~330 MB.
 """
 
 from __future__ import annotations
@@ -88,6 +104,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 
 from olrx import schema as S
@@ -111,14 +128,24 @@ BLOB_CODEC = "lz4"
 POINTER_COLUMNS = ("blob_id", "row_idx")
 
 
-def _heap_copy(t: pa.Table) -> pa.Table:
-    """Deep-copy a table out of the object store (an actor-arg table is a
-    zero-copy view of a transient plasma object; buffering the view would
-    pin store memory for the run)."""
+def to_ipc(t: pa.Table, compression: "str | None" = None) -> pa.Buffer:
+    """Table → one Arrow IPC stream buffer. Meta shards and lake-mode
+    stats cross the applier boundary in this form: a bare ``pa.Table``
+    argument or return value goes through Ray's Arrow reducer, whose import
+    of ``ray.air`` (and with it ``ray.data``) would land in the applier.
+    ``finalize_rows`` alone returns a table: it is a Ray Data block."""
     sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, t.schema) as w:
+    with pa.ipc.new_stream(
+            sink, t.schema,
+            options=pa.ipc.IpcWriteOptions(compression=compression)) as w:
         w.write_table(t)
-    return pa.ipc.open_stream(sink.getvalue()).read_all()
+    return sink.getvalue()
+
+
+def from_ipc(buf: pa.Buffer) -> pa.Table:
+    """The table of an IPC stream buffer (:func:`to_ipc`); zero-copy, so
+    the table is a view of ``buf``."""
+    return pa.ipc.open_stream(buf).read_all()
 
 
 def _op_counts(t: pa.Table, wm_arr: "np.ndarray | None" = None
@@ -175,20 +202,6 @@ def _merge_mins(parts: list[np.ndarray]) -> np.ndarray:
     return np.stack([uniq, mn])
 
 
-def _encode_payload(t: pa.Table) -> pa.Buffer:
-    """Table → lz4-compressed Arrow IPC buffer."""
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(
-            sink, t.schema,
-            options=pa.ipc.IpcWriteOptions(compression=BLOB_CODEC)) as w:
-        w.write_table(t)
-    return sink.getvalue()
-
-
-def _decode_payload(buf: pa.Buffer) -> pa.Table:
-    return pa.ipc.open_stream(buf).read_all()
-
-
 #: blobs fetched+decompressed together at finalize — bounds applier heap to
 #: a few decoded payload batches while still pipelining the plasma reads
 _MATERIALIZE_CHUNK = 4
@@ -213,7 +226,7 @@ def materialize_events(meta: pa.Table, blobs: dict) -> pa.Table:
     pieces = []
     for at in range(0, len(refs), _MATERIALIZE_CHUNK):
         got = ray.get(refs[at:at + _MATERIALIZE_CHUNK])
-        pieces.extend(_decode_payload(p).take(pa.array(sel))
+        pieces.extend(from_ipc(p).take(pa.array(sel))
                       for p, sel in zip(got, selections[at:at + _MATERIALIZE_CHUNK]))
     payload = pa.concat_tables(pieces, promote_options="default")
     meta_sorted = meta.drop_columns(list(POINTER_COLUMNS)).take(pa.array(order))
@@ -285,6 +298,29 @@ class PartitionApplier:
         pa.set_io_thread_count(2)
         self._fold_thread = None
 
+    def warm(self) -> None:
+        """Run the applier's first-use paths once, on a tiny built-in table,
+        so a standby spare's first shard and its finalize pay none of them:
+        Arrow↔numpy conversions (pyarrow imports pandas on the first
+        ``to_numpy`` or ``pa.array`` from numpy), an IPC round trip,
+        ``_op_counts``, a ``take``, the fold and merge kernels and a zstd
+        parquet encode into memory. No file I/O, no driver round trip."""
+        cols = {"conv_id": pa.array(["w", "w"]),
+                "turn_idx": pa.array(np.zeros(2, np.int32)),
+                "op_code": pa.array(np.array([0, 1], np.int8)),
+                "commit_scn": pa.array(np.arange(2, dtype=np.int64)),
+                "scn": pa.array(np.arange(2, dtype=np.int64)),
+                "scn_idx": pa.array(np.zeros(2, np.int32)),
+                "changed_mask": pa.array(np.full(2, S.full_mask(), np.int32))}
+        for n, t in S.payload_columns(S.MAX_SCHEMA_VERSION):
+            cols[f"v_{n}"] = pa.nulls(2, t)
+        cols["part"] = pa.array(np.zeros(2, np.int32))
+        events = from_ipc(pa.py_buffer(to_ipc(pa.table(cols)).to_pybytes()))
+        _op_counts(events)
+        rows = merge_apply(compact_events(events.take(pa.array([1, 0]))),
+                           S.MAX_SCHEMA_VERSION)
+        pq.write_table(rows, pa.BufferOutputStream(), compression="zstd")
+
     def begin(self, applier_id: int, num_appliers: int,
               schema_version: int,
               compact_threshold: int = 0,
@@ -337,15 +373,16 @@ class PartitionApplier:
             frac = applier_id / max(1, num_appliers - 1) if num_appliers > 1 else 0.5
             self.compact_threshold = int(compact_threshold * (0.75 + 0.5 * frac))
 
-    def add_shard(self, meta: pa.Table, blob_id: int, blob_ref_box: list,
+    def add_shard(self, meta_ipc: pa.Buffer, blob_id: int, blob_ref_box: list,
                   shard_key: bytes = b"") -> int:
-        """Register one meta shard + its payload blob ref (boxed in a 1-list
-        — a bare ObjectRef argument would be auto-resolved by Ray into the
-        materialized table). The fold (compact + winner materialization)
-        runs OFF the message path on a worker thread — an inline fold
-        blocked the mailbox and surfaced as end-of-stream fence stall
-        (measured +5-8 s at 16 CPUs); the staggered geometric trigger keeps
-        any single fold small relative to the stream.
+        """Register one meta shard (an IPC stream buffer, :func:`to_ipc`) +
+        its payload blob ref (boxed in a 1-list — a bare ObjectRef argument
+        would be auto-resolved by Ray into the materialized table). The
+        fold (compact + winner materialization) runs OFF the message path
+        on a worker thread — an inline fold blocked the mailbox and
+        surfaced as end-of-stream fence stall (measured +5-8 s at 16 CPUs);
+        the staggered geometric trigger keeps any single fold small
+        relative to the stream.
 
         ``shard_key`` is the shard's deterministic content digest: a RETRIED
         router block re-ships identical rows under a fresh blob id, and a
@@ -354,18 +391,22 @@ class PartitionApplier:
         fence total counts only completed tasks, so extra deliveries only
         ever push received above it) but contribute nothing else."""
         self.shards_received += 1
+        if shard_key:
+            if shard_key in self.seen_shards:
+                return 0
+            self.seen_shards.add(shard_key)
+        # the argument is a view of a transient plasma object: buffering the
+        # view would pin store memory for the run, so the shard is copied to
+        # the heap once and read there
+        meta = from_ipc(pa.py_buffer(meta_ipc.to_pybytes()))
         n = meta.num_rows
         if n:
-            if shard_key:
-                if shard_key in self.seen_shards:
-                    return n
-                self.seen_shards.add(shard_key)
             if blob_id not in self.blobs:
                 self.blobs[blob_id] = blob_ref_box[0]
             cnts, mins = _op_counts(meta, self.part_watermarks)
             self.counts.append(cnts)
             self.min_scns.append(mins)
-            self.meta_runs.append(_heap_copy(meta))
+            self.meta_runs.append(meta)
             self.tail_rows += n
             if (self.compact_threshold
                     and self.tail_rows >= max(self.compact_threshold,
@@ -458,10 +499,11 @@ class PartitionApplier:
                         max_commit_scn: int, max_txn_span: int,
                         output_codec: str = "zstd",
                         snapshot_keep: int = 1
-                        ) -> "tuple[pa.Table, dict[str, float]]":
+                        ) -> "tuple[pa.Buffer, dict[str, float]]":
         """Merge-apply + write parquet + manifests for owned partitions.
 
-        Returns the stats rows in partition order and this applier's
+        Returns the stats rows in partition order, as an IPC stream buffer
+        (:func:`to_ipc`; decode with :func:`from_ipc`), and this applier's
         finalize profile in seconds: ``gather`` (materialize the holding and
         split it by partition, ``split_by_partition``) and ``commit`` (the
         per-partition commits).
@@ -504,8 +546,8 @@ class PartitionApplier:
             stats = [commit(j) for j in jobs]
         profile = {"gather": t1 - t0, "commit": time.perf_counter() - t1}
         if not stats:
-            return stats_row(-1, 0, safe_watermark, True, {})[:0], profile
-        return pa.concat_tables(stats), profile
+            stats = [stats_row(-1, 0, safe_watermark, True, {})[:0]]
+        return to_ipc(pa.concat_tables(stats)), profile
 
 
 def make_router(appliers: list, num_appliers: int,
@@ -542,7 +584,7 @@ def make_router(appliers: list, num_appliers: int,
             v_names = [n for n in batch.column_names if n.startswith("v_")]
             # ONE plasma write for the heavy payload, original row order —
             # no payload gather anywhere on the routing path
-            blob_ref = ray.put(_encode_payload(batch.select(v_names)),
+            blob_ref = ray.put(to_ipc(batch.select(v_names), BLOB_CODEC),
                                _owner=appliers[blob_id % num_appliers])
             meta = batch.drop_columns(v_names)
             meta = meta.append_column(
@@ -566,7 +608,7 @@ def make_router(appliers: list, num_appliers: int,
                 if hi > lo:
                     # Arrow IPC truncates sliced buffers on serialization, so
                     # the message costs only the slice's own (meta) bytes
-                    shard = meta_sorted.slice(lo, hi - lo)
+                    shard = to_ipc(meta_sorted.slice(lo, hi - lo))
                     d = hashlib.blake2b(digest_size=16)
                     d.update(scn_s[lo:hi].tobytes())
                     d.update(sidx_s[lo:hi].tobytes())
@@ -608,7 +650,7 @@ def _fence_and_launch(appliers: list, totals: np.ndarray, launch,
             raise TimeoutError(
                 "actor exchange fence: appliers "
                 f"{sorted(pending)} still draining after {timeout_s}s")
-        time.sleep(0.02)
+        time.sleep(0.005)
     return out
 
 
@@ -635,8 +677,7 @@ class ApplierFleet:
                                                  schema_version, **run)
 
         reused = min(len(self.appliers), num_appliers)
-        while len(self.appliers) < num_appliers:
-            self.appliers.append(PartitionApplier.remote())
+        self.appliers += _fresh_appliers(num_appliers - reused)
         refs = [start(i) for i in range(num_appliers)]
         # a live, idle actor answers begin in milliseconds; waiting on the
         # reused ones finds a dead actor here instead of mid-stream
@@ -644,7 +685,7 @@ class ApplierFleet:
             try:
                 ray.get(refs[i])
             except ray.exceptions.RayActorError:
-                self.appliers[i] = PartitionApplier.remote()
+                self.appliers[i], = _fresh_appliers(1)
                 refs[i] = start(i)
         return self.appliers[:num_appliers], refs
 
@@ -657,6 +698,127 @@ class ApplierFleet:
         for a in actors:
             ray.kill(a)
         _wait_dead(actors, time.monotonic() + timeout_s)
+
+
+#: seconds a standby spare waits for a take before the standby kills it
+STANDBY_IDLE_S = 60.0
+
+#: most spares the standby keeps: an idle one holds ~180 MB, and a large
+#: input's call-scoped fleet can reach 2× CPUs
+STANDBY_MAX = 8
+
+
+def _session_key() -> tuple:
+    """Identifies the current Ray session from the driver: a new local
+    cluster has a new node id, a reconnect to the same cluster a new job."""
+    ctx = ray.get_runtime_context()
+    return ctx.get_job_id(), ctx.get_node_id()
+
+
+def _actor_state(actor) -> str:
+    from ray._private import state as gcs
+
+    return (gcs.actors(actor_id=actor._actor_id.hex()) or {}).get(
+        "State", "DEAD")
+
+
+class _Standby:
+    """The driver process's spare appliers: fresh actors, spawned and
+    warmed (``PartitionApplier.warm``) ahead of the call that takes them,
+    never begun. See the module docstring for the policy."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._session: "tuple | None" = None
+        self._spares: list = []
+        #: whether a call-scoped exchange already ran in this session
+        self._called = False
+        self._timer: "threading.Timer | None" = None
+
+    def _sync(self) -> None:
+        """Forget an earlier Ray session: its actors died with it, and its
+        handles must never reach this one. Runs under the lock."""
+        key = _session_key()
+        if key != self._session:
+            self._session, self._spares, self._called = key, [], False
+
+    def take(self, n: int) -> list:
+        """Up to ``n`` spares, skipping any the GCS shows DEAD; they leave
+        the standby, so no two callers ever get the same actor."""
+        with self._lock:
+            self._sync()
+            out = []
+            while self._spares and len(out) < n:
+                a = self._spares.pop(0)
+                if _actor_state(a) != "DEAD":
+                    out.append(a)
+            self._arm()
+            return out
+
+    def top_up(self, size: int) -> None:
+        """Bring the standby to ``size`` spares (at most
+        :data:`STANDBY_MAX`) for the next call-scoped exchange, spawning in
+        the background. A session's first call tops nothing up, so a
+        one-shot process never pays for a spare. Only the driver keeps
+        spares."""
+        if ray.get_runtime_context().worker.mode != ray.SCRIPT_MODE:
+            return
+        size = min(size, STANDBY_MAX)
+        with self._lock:
+            self._sync()
+            if not self._called:
+                self._called = True
+                return
+            for a in self._spares[size:]:
+                ray.kill(a)
+            del self._spares[size:]
+            while len(self._spares) < size:
+                a = PartitionApplier.remote()
+                a.warm.remote()
+                self._spares.append(a)
+            self._arm()
+
+    def _arm(self) -> None:
+        """(Re)start the idle timer; runs under the lock."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self._spares:
+            self._timer = threading.Timer(STANDBY_IDLE_S, self._expire,
+                                          args=(self._session,))
+            self._timer.daemon = True
+            self._timer.start()
+
+    def _expire(self, session: tuple) -> None:
+        with self._lock:
+            # a take since this timer started re-armed a newer one; a spare
+            # of an ended session died with it
+            if (threading.current_thread() is not self._timer
+                    or not ray.is_initialized() or _session_key() != session):
+                return
+        self.drain()
+
+    def drain(self, timeout_s: float = 10.0) -> None:
+        """Kill every spare of the current session and return once they are
+        dead (or after ``timeout_s``)."""
+        with self._lock:
+            self._sync()
+            spares, self._spares = self._spares, []
+            self._arm()
+        for a in spares:
+            ray.kill(a)
+        _wait_dead(spares, time.monotonic() + timeout_s)
+
+
+STANDBY = _Standby()
+
+
+def _fresh_appliers(n: int) -> list:
+    """``n`` actors that never ran: standby spares first, then spawns."""
+    if n <= 0:
+        return []
+    got = STANDBY.take(n)
+    return got + [PartitionApplier.remote() for _ in range(n - len(got))]
 
 
 def _wait_dead(actors: list, deadline: float) -> None:
@@ -715,21 +877,23 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
     ``finalize_commit``.
 
     ``fleet``: the caller's :class:`ApplierFleet`, reused and left open;
-    None → a fleet scoped to this call. Either way an exception discards
-    the fleet's actors before it propagates.
+    None → a fleet scoped to this call, which also tops up the
+    :data:`STANDBY`. Either way an exception discards the fleet's actors
+    and drains the standby before it propagates.
     """
     own = fleet is None
     if own:
         fleet = ApplierFleet()
     try:
         out = _exchange(fleet, events, num_appliers, schema_version, commit,
-                        {} if timings is None else timings,
+                        {} if timings is None else timings, own,
                         compact_threshold=compact_threshold,
                         multi_table=multi_table,
                         part_watermarks=part_watermarks,
                         dropped=dropped, renamed=renamed)
     except BaseException:
         fleet.close()
+        STANDBY.drain()
         raise
     if own:
         fleet.close()
@@ -738,8 +902,10 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
 
 def _exchange(fleet: ApplierFleet, events, num_appliers: int,
               schema_version: int, commit: "dict | None", timings: dict,
-              **run):
+              top_up: bool, **run):
     appliers, ready_refs = fleet.begin(num_appliers, schema_version, **run)
+    if top_up:
+        STANDBY.top_up(num_appliers)
     t0 = time.perf_counter()
     routed = events.map_batches(make_router(appliers, num_appliers,
                                             ready_refs=ready_refs),
@@ -764,7 +930,8 @@ def _exchange(fleet: ApplierFleet, events, num_appliers: int,
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
         out = refs
     else:
-        outs, profiles = zip(*ray.get(refs))
+        bufs, profiles = zip(*ray.get(refs))
+        outs = [from_ipc(b) for b in bufs]
         out = pa.concat_tables([t for t in outs if t.num_rows > 0] or outs[:1])
         # the slowest applier's split of its finalize (the fleet's finalize
         # ends with it): materialize + partition-order gather, then commits

@@ -46,8 +46,10 @@ def _kill_and_wait(actor) -> None:
 
 def test_applier_imports_stay_slim():
     """Every applier process imports the exchange module and the commit
-    path it calls; neither may pull in pandas or Ray Data (both cost spawn
-    time on every replay)."""
+    path it calls; importing neither may pull in pandas or Ray Data (both
+    cost spawn time on every replay). pandas still arrives at run time:
+    pyarrow imports it on the first ``to_numpy`` or ``pa.array`` from
+    numpy, which is why standby spares run ``PartitionApplier.warm``."""
     code = ("import sys, olrx.stages.exchange, olrx.stages.commit\n"
             "bad = [m for m in ('pandas', 'ray.data') if m in sys.modules]\n"
             "print(bad)\n"
@@ -55,6 +57,28 @@ def test_applier_imports_stay_slim():
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_lake_replay_keeps_ray_data_out_of_appliers(tmp_path, gen_small):
+    """Tables cross the applier boundary as IPC buffers both ways, so a
+    lake-mode replay never runs Ray's Arrow reducer inside an applier,
+    whose import of ``ray.air`` drags in ``ray.data``."""
+    _, _, paths, _ = gen_small
+
+    def ray_data_modules(_applier):
+        import sys
+        return sorted(m for m in sys.modules
+                      if m.split(".")[:2] in (["ray", "data"], ["ray", "air"]))
+
+    fleet = ApplierFleet()
+    try:
+        replay_to_lake(paths, str(tmp_path / "lake"), CFG, resume=False,
+                       fleet=fleet)
+        got = ray.get([a.__ray_call__.remote(ray_data_modules)
+                       for a in fleet.appliers])
+    finally:
+        fleet.close()
+    assert got and all(m == [] for m in got), got
 
 
 def test_applier_count_follows_who_pays_the_spawn():

@@ -311,6 +311,36 @@ def test_cdc_net_changes_vs_oracle():
     assert got.equals(want)
 
 
+def test_cdc_net_changes_rejects_partial_images():
+    """A partial UPDATE image carries only its changed columns, so emitting
+    it as a key's net change would null the rest: the winner pick raises,
+    naming the full-image requirement. Full images pass."""
+    import glob
+
+    from olrx.gen import GenConfig, ensure_changelog
+    from olrx.pipelines.queries import last_per_key
+    from olrx.pipelines.replay import ReplayConfig, _decoded_events
+    from olrx.stages.decode import load_control
+
+    for partial in (False, True):
+        d = ensure_changelog(GenConfig(scale=0.001, partial_images=partial))
+        paths = sorted(glob.glob(d + "/*.parquet"))
+        control = load_control(paths)
+        batch = _decoded_events(paths, ReplayConfig(num_partitions=4),
+                                control).take_batch(100_000,
+                                                    batch_format="pyarrow")
+        kw = dict(ddl_scns=tuple(control.ddl_scns),
+                  drops=tuple(zip(control.drop_scns,
+                                  control.dropped_columns)))
+        if partial:
+            with pytest.raises(ValueError, match="needs full row images"):
+                last_per_key(batch, **kw)
+        else:
+            out = last_per_key(batch, **kw)
+            assert out.num_rows == len(set(zip(
+                batch["conv_id"].to_pylist(), batch["turn_idx"].to_pylist())))
+
+
 def test_cdc_core_reads_no_environment():
     """Configuration of the CDC core enters through ``ReplayConfig`` or the
     job spec only: no module under stages/, pipelines/ or state/ reads an

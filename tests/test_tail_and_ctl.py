@@ -254,7 +254,7 @@ def test_exchange_retry_dedupe(tmp_path, gen_small):
     lineage counters equal the single-delivery run."""
     from olrx.stages.decode import load_control
     from olrx.pipelines.replay import _decoded_events
-    from olrx.stages.exchange import ApplierFleet, make_router
+    from olrx.stages.exchange import ApplierFleet, from_ipc, make_router
 
     _, _, paths, _ = gen_small
     control = load_control(paths)
@@ -282,7 +282,7 @@ def test_exchange_retry_dedupe(tmp_path, gen_small):
             out_dir=out, safe_watermark=control.max_commit_scn,
             max_commit_scn=control.max_commit_scn, max_txn_span=0))
         fleet.close()
-        return stats
+        return from_ipc(stats)
 
     once = run(1).sort_by("partition")
     twice = run(2).sort_by("partition")

@@ -11,7 +11,9 @@ result object.
 
 Prints, for every ``end_to_end`` metric of ``BENCHMARK.json``: the parent
 (REV) median with its quartiles and IQR, the change median, the relative
-change, and how many pairs the change won; then every run. ``--trace``
+change, and how many pairs the change won; then, per metric, ``ok`` or
+``OUTSIDE`` (the change median is worse than the parent's by more than the
+metric's ``bound``); then every run. ``--trace``
 runs both sides with ``--trace 1`` and also prints the parent median
 [IQR] → change median of every ``per_layer`` metric, so a claim can be
 stated for the layer it touched. ``--records DIR`` keeps each run's full
@@ -116,7 +118,9 @@ def main(argv: list[str]) -> int:
         m = res.get(key, {}).get(name)
         return None if m is None else float(m["value"])
 
-    def table(specs: list[dict], key: str) -> None:
+    def table(specs: list[dict], key: str) -> dict[str, tuple]:
+        """Prints one line per metric; returns (parent, change) medians."""
+        medians = {}
         for m in specs:
             name, higher = m["name"], m["better"] == "higher"
             pairs = [(value(p, name, key), value(c, name, key))
@@ -129,15 +133,29 @@ def main(argv: list[str]) -> int:
             q1, med_p, q3 = quartiles([p for p, _ in pairs])
             med_c = statistics.median(c for _, c in pairs)
             wins = sum((c > p) if higher else (c < p) for p, c in pairs)
+            medians[name] = med_p, med_c
             rel = (med_c - med_p) / med_p * 100 if med_p else float("nan")
             print(f"  {name} ({m['unit']}, {m['better']} is better): "
                   f"{med_p:.4g} [{q1:.4g}–{q3:.4g}, IQR {q3 - q1:.3g}] → "
                   f"{med_c:.4g} ({rel:+.1f}%, {wins}/{len(pairs)} wins)")
+        return medians
 
     print(f"A/B {args.workload}: parent {args.rev} vs change {ROOT}, "
           f"{args.pairs} pairs, seeds {args.seed0}–{args.seed0 + args.pairs - 1}"
           f"{', traced' if args.trace else ''}")
-    table(metrics, "metrics")
+    medians = table(metrics, "metrics")
+    print("bounds (OUTSIDE: the change median is worse than the parent's "
+          "by more than the bound):")
+    for m in metrics:
+        if m["name"] not in medians:
+            continue
+        med_p, med_c = medians[m["name"]]
+        worse = (med_p - med_c if m["better"] == "higher" else med_c - med_p)
+        used = (worse / abs(med_p) if med_p
+                else float("inf") if worse > 0 else 0.0)
+        print(f"  {m['name']}: {'OUTSIDE' if used > m['bound'] else 'ok'} "
+              f"({'worse' if used > 0 else 'better'} by {abs(used) * 100:.1f}%"
+              f", bound {m['bound'] * 100:.0f}% worse)")
     if args.trace:
         print("per layer:")
         table(bench["per_layer"], "per_layer")
