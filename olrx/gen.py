@@ -684,14 +684,12 @@ def write_segments(res: GenResult, out_dir: str) -> list[str]:
 
 
 def write_control_sidecars(segment_paths: list[str]) -> list[str]:
-    """Per-segment control index: only B/C/R/DDL rows + a precomputed xid
-    hash — the log format's transaction-marker sidecar (analog: the
-    reference persists txn positions in checkpoint files instead of
-    re-scanning redo, /root/reference/src/metadata/SerializerJson.cpp:62-87).
+    """Per-segment control index: only B/C/R/DDL/PR rows + a precomputed
+    xid hash (``schema.control_rows``) — the log format's
+    transaction-marker sidecar (analog: the reference persists txn
+    positions in checkpoint files instead of re-scanning redo, its
+    ``SerializerJson.cpp:62-87``).
     Idempotent: skips sidecars that already exist."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
     out = []
     for p in segment_paths:
         d = os.path.join(os.path.dirname(p), "_ctl")
@@ -700,15 +698,8 @@ def write_control_sidecars(segment_paths: list[str]) -> list[str]:
         out.append(cp)
         if os.path.exists(cp):
             continue
-        t = pq.read_table(p, columns=["xid", "op", "scn", "scn_idx", "ddl",
-                                      "shard", "undo_scn", "undo_scn_idx"])
-        ctl = t.filter(pc.is_in(t["op"],
-                                value_set=pa.array(["B", "C", "R", "DDL", "PR"])))
-        h = pd.util.hash_array(np.asarray(
-            ctl["xid"].to_numpy(zero_copy_only=False), dtype=object))
-        ctl = ctl.append_column("xid_h", pa.array(h, pa.uint64()))
         tmp = cp + ".tmp"
-        pq.write_table(ctl, tmp)
+        pq.write_table(S.control_rows([p]), tmp)
         os.replace(tmp, cp)
     return out
 

@@ -38,7 +38,9 @@ import ray.data as rd
 from olrx import schema as S
 from olrx.ops.scaling import coarse_read_blocks
 from olrx.pipelines.replay import ReplayConfig
-from olrx.stages.decode import load_control, mix_pr_keys
+from olrx.schema import xid_hash
+from olrx.stages.decode import commit_join, load_control
+from olrx.stages.partition import partition_ids
 
 #: payload columns read for the message stream (keeps before AND after)
 MESSAGE_COLUMNS = ["scn", "scn_idx", "xid", "op", "conv_id", "turn_idx",
@@ -93,31 +95,15 @@ def message_stream(paths: list[str], cfg: ReplayConfig | None = None,
 
     def decode_keep_images(t: pa.Table) -> pa.Table:
         """Commit-join keeping BOTH images + op letter; PR ops dropped."""
-        hashes, cscns, pr_sorted = ray.get(bc_ref)
         keep_ops = pa.array(["I", "U", "D", "DDL"])
         ev = t.filter(pc.is_in(t["op"], value_set=keep_ops))
-        if ev.num_rows == 0 or hashes is None or len(hashes) == 0:
-            return _empty_decoded()
-        xid_h = pd.util.hash_array(np.asarray(
-            ev["xid"].to_numpy(zero_copy_only=False), dtype=object))
-        if pr_sorted is not None and len(pr_sorted):
-            keys = mix_pr_keys(xid_h,
-                               ev["scn"].to_numpy(zero_copy_only=False),
-                               ev["scn_idx"].to_numpy(zero_copy_only=False))
-            ppos = np.clip(np.searchsorted(pr_sorted, keys), 0,
-                           len(pr_sorted) - 1)
-            undone = pr_sorted[ppos] == keys
-            if undone.any():
-                ev = ev.take(pa.array(np.flatnonzero(~undone)))
-                xid_h = xid_h[~undone]
         if ev.num_rows == 0:
             return _empty_decoded()
-        pos = np.clip(np.searchsorted(hashes, xid_h), 0, len(hashes) - 1)
-        found = hashes[pos] == xid_h
-        commit_scn = cscns[pos]
+        found, commit_scn = commit_join(
+            xid_hash(ev["xid"]), ev["scn"].to_numpy(zero_copy_only=False),
+            ev["scn_idx"].to_numpy(zero_copy_only=False), ray.get(bc_ref))
         if not found.all():
-            sel = pa.array(np.flatnonzero(found))
-            ev = ev.take(sel)
+            ev = ev.take(pa.array(np.flatnonzero(found)))
             commit_scn = commit_scn[found]
         if ev.num_rows == 0:
             return _empty_decoded()
@@ -429,10 +415,8 @@ def replay_message_stream(stream_dir: str,
     nparts = cfg.num_partitions
 
     def with_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            np.asarray(t["conv_id"].to_numpy(zero_copy_only=False), object))
-        return t.append_column(
-            "part", pa.array((h % np.uint64(nparts)).astype(np.int32)))
+        return t.append_column("part", pa.array(
+            partition_ids(t["conv_id"], t["turn_idx"], nparts)))
 
     OUT_COLS = ["conv_id", "turn_idx", "role", "text", "tool", "ts",
                 "tool_meta"]

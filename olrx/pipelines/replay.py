@@ -326,9 +326,7 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
         renamed[inv_prev.get(ph, ph)] = new
     hot = _resolved_hot_keys(paths, cfg, mdir)
     # fleet sizing counts every landed byte, so a kept fleet keeps its size
-    segs = control.segments
-    nbytes = sum(segs[p][0] if segs is not None else os.path.getsize(p)
-                 for p in paths)
+    nbytes = sum(control.segments[p][0] for p in paths)
     read: list[str] = []
     return control, dict(
         events=_decoded_events(paths, cfg, control,
@@ -371,7 +369,7 @@ def replay_to_lake(paths: list[str], out_dir: str,
     # the per-partition watermarks all derive from it
     ms = MF.read_all(mdir) if resume else {}
     if ms:  # an old-layout lake fails here, before any write could mix it
-        snapshot_footer(os.path.join(out_dir, next(iter(ms.values())).files[0]))
+        snapshot_footer(os.path.join(out_dir, ms[min(ms)].files[0]))
     # global floor: safe to drop in decode only what EVERY partition confirmed
     floor = MF.global_watermark(mdir, ms, cfg.num_partitions) if resume else -1
     timings: dict = {}

@@ -51,6 +51,8 @@ def snapshot_watermarks(out_dir: str) -> dict[int, list[int]]:
 
 def snapshot_files_asof(out_dir: str, commit_scn: int) -> list[str]:
     """Per partition, the newest retained snapshot with watermark ≤ scn.
+    A snapshot above its partition's manifest watermark was never published
+    (a crashed run's leftover) and is never chosen.
 
     A partition that PROVABLY had no committed events at ``commit_scn``
     (manifest ``first_data_scn`` — the min commit SCN ever applied — is
@@ -69,12 +71,14 @@ def snapshot_files_asof(out_dir: str, commit_scn: int) -> list[str]:
     if not snaps:
         raise FileNotFoundError(f"no snapshots under {out_dir}")
     for part, wms in snaps.items():
-        eligible = [w for w in wms if w <= commit_scn]
+        m = ms.get(part)
+        top = commit_scn if m is None else min(commit_scn,
+                                               m.watermark_commit_scn)
+        eligible = [w for w in wms if w <= top]
         if eligible:
             files.append(os.path.join(out_dir, f"part-{part:05d}",
                                       f"data-w{eligible[-1]}.parquet"))
             continue
-        m = ms.get(part)
         birth = m.first_data_scn if m is not None else -1
         if birth >= 0 and birth > commit_scn:
             continue  # partition provably had no committed events then

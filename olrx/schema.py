@@ -152,3 +152,37 @@ def column_bit(name: str) -> int:
 
 def full_mask(schema_version: int = MAX_SCHEMA_VERSION) -> int:
     return (1 << len(payload_columns(schema_version))) - 1
+
+
+# ---------------------------------------------------------------------------
+# control rows: the transaction markers decode resolves commits from
+# ---------------------------------------------------------------------------
+
+#: ops that are transaction control, not row changes
+CONTROL_OPS = ("B", "C", "R", "DDL", "PR")
+
+#: the changelog columns control rows are read with
+CONTROL_COLUMNS = ["xid", "op", "scn", "scn_idx", "ddl", "shard",
+                   "undo_scn", "undo_scn_idx"]
+
+
+def xid_hash(xids) -> np.ndarray:
+    """uint64 hash of each transaction id (an Arrow string array): the key
+    of every commit lookup and of the partial-rollback anti-join."""
+    import pandas as pd
+    return pd.util.hash_array(np.asarray(
+        xids.to_numpy(zero_copy_only=False), dtype=object))
+
+
+def control_rows(paths: list[str]) -> pa.Table:
+    """The control rows of the segments ``paths``, in order: their
+    ``CONTROL_COLUMNS`` filtered to ``CONTROL_OPS``, plus ``xid_h``. This is
+    a segment's ``_ctl`` sidecar, and what decode folds for a segment that
+    has none."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    t = pa.concat_tables([pq.read_table(p, columns=CONTROL_COLUMNS)
+                          for p in paths], promote_options="default")
+    t = t.filter(pc.is_in(t["op"], value_set=pa.array(CONTROL_OPS)))
+    return t.append_column("xid_h", pa.array(xid_hash(t["xid"]), pa.uint64()))

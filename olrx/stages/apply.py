@@ -29,6 +29,61 @@ from olrx import schema as S
 from olrx.schema import OP_D, OP_I, OP_U
 
 
+def _as_np(col) -> np.ndarray:
+    # ChunkedArray.to_numpy on many chunks is a slow per-chunk path
+    # (measured ~8 s on 4 int columns × 96 chunks × 4M rows); one
+    # combine memcpy then a zero-copy view is ~100× faster
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return col.to_numpy(zero_copy_only=False)
+
+
+def _dict_codes(col) -> np.ndarray:
+    d = pc.dictionary_encode(col)
+    if isinstance(d, pa.ChunkedArray):
+        d = d.combine_chunks()
+    return d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+class _KeySegments:
+    """The key sort both reductions run on a non-empty event set: rows in
+    apply order ``(commit_scn, scn, scn_idx)`` within each row key, keys
+    contiguous. ``order`` maps a sorted position to its row, ``seg_starts``
+    are the first sorted position of each key, ``idx`` the sorted
+    positions, and ``is_d`` / ``mask_s`` the delete flag and ``changed_mask`` in sorted
+    order. Only int key columns move; no payload is touched."""
+
+    def __init__(self, group: pa.Table) -> None:
+        n = group.num_rows
+        codes = _dict_codes(group["conv_id"])
+        turn = _as_np(group["turn_idx"]).astype(np.int64)
+        sort_keys = (_as_np(group["scn_idx"]).astype(np.int64),
+                     _as_np(group["scn"]).astype(np.int64),
+                     _as_np(group["commit_scn"]).astype(np.int64), turn, codes)
+        multi = "table_name" in group.column_names
+        if multi:
+            tcodes = _dict_codes(group["table_name"])
+            sort_keys = sort_keys + (tcodes,)
+        self.order = order = np.lexsort(sort_keys)
+        codes_s, turn_s = codes[order], turn[order]
+        new_seg = np.empty(n, bool)
+        new_seg[0] = True
+        new_seg[1:] = (codes_s[1:] != codes_s[:-1]) | (turn_s[1:] != turn_s[:-1])
+        if multi:
+            tcodes_s = tcodes[order]
+            new_seg[1:] |= tcodes_s[1:] != tcodes_s[:-1]
+        self.seg_starts = np.flatnonzero(new_seg)
+        self.idx = np.arange(n, dtype=np.int64)
+        self.is_d = _as_np(group["op_code"])[order] == OP_D
+        self.mask_s = _as_np(group["changed_mask"]).astype(np.int64)[order]
+
+    def last_where(self, cond: np.ndarray) -> np.ndarray:
+        """Per key, the last sorted position where the sorted-domain
+        ``cond`` holds (-1: none) — a segment max."""
+        return np.maximum.reduceat(np.where(cond, self.idx, -1),
+                                   self.seg_starts)
+
+
 def merge_apply(group: pa.Table, schema_version: int,
                 dropped: tuple = (),
                 renamed: "dict[str, str] | None" = None) -> pa.Table:
@@ -54,61 +109,18 @@ def merge_apply(group: pa.Table, schema_version: int,
                if n not in dropped]
     rn = renamed or {}
     multi = "table_name" in group.column_names
-    n = group.num_rows
-    if n == 0:
+    if group.num_rows == 0:
         return S.transcripts_schema(schema_version, include_table=multi,
                                     dropped=dropped,
                                     renamed=rn).empty_table()
 
-    def as_np(col) -> np.ndarray:
-        # ChunkedArray.to_numpy on many chunks is a slow per-chunk path
-        # (measured ~8 s on 4 int columns × 96 chunks × 4M rows); one
-        # combine memcpy then a zero-copy view is ~100× faster
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        return col.to_numpy(zero_copy_only=False)
-
-    def dict_codes(col) -> np.ndarray:
-        d = pc.dictionary_encode(col)
-        if isinstance(d, pa.ChunkedArray):
-            d = d.combine_chunks()
-        return d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-
-    codes = dict_codes(group["conv_id"])
-    tcodes = dict_codes(group["table_name"]) if multi else None
-    turn = as_np(group["turn_idx"]).astype(np.int64)
-    cscn = as_np(group["commit_scn"]).astype(np.int64)
-    scn = as_np(group["scn"]).astype(np.int64)
-    sidx = as_np(group["scn_idx"]).astype(np.int64)
-    op = as_np(group["op_code"])
-    mask = as_np(group["changed_mask"]).astype(np.int64)
-
-    sort_keys = (sidx, scn, cscn, turn, codes) if not multi \
-        else (sidx, scn, cscn, turn, codes, tcodes)
-    order = np.lexsort(sort_keys)
-    codes_s, turn_s = codes[order], turn[order]
-    op_s, mask_s = op[order], mask[order]
-
-    new_seg = np.empty(n, bool)
-    new_seg[0] = True
-    new_seg[1:] = (codes_s[1:] != codes_s[:-1]) | (turn_s[1:] != turn_s[:-1])
-    if multi:
-        tcodes_s = tcodes[order]
-        new_seg[1:] |= tcodes_s[1:] != tcodes_s[:-1]
-    seg_starts = np.flatnonzero(new_seg)
-
-    idx = np.arange(n, dtype=np.int64)
-
-    def seg_max(values: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(values, seg_starts)
-
-    is_d = op_s == OP_D
-    last_d = seg_max(np.where(is_d, idx, -1))
-    last_alive = seg_max(np.where(~is_d, idx, -1))
-    exists = last_alive > last_d                      # row survives its last delete
+    ks = _KeySegments(group)
+    order, is_d = ks.order, ks.is_d
+    last_d = ks.last_where(is_d)
+    exists = ks.last_where(~is_d) > last_d            # row survives its last delete
 
     keep = np.flatnonzero(exists)
-    key_global = order[seg_starts[keep]]              # one row per kept key
+    key_global = order[ks.seg_starts[keep]]           # one row per kept key
     key_take = pa.array(key_global)
     out_cols: dict[str, object] = {}
     if multi:
@@ -121,8 +133,7 @@ def merge_apply(group: pa.Table, schema_version: int,
     for bit, name in enumerate([nm for nm, _ in S.payload_columns(S.MAX_SCHEMA_VERSION)]):
         if name not in payload:
             continue
-        col_set = (mask_s >> bit) & 1
-        val_idx = seg_max(np.where((col_set == 1) & ~is_d, idx, -1))
+        val_idx = ks.last_where(((ks.mask_s >> bit) & 1 == 1) & ~is_d)
         valid = (val_idx > last_d) & exists           # never read across a delete
         # map sorted-domain winner positions back to global row indices and
         # gather straight from the unsorted table — the only payload copy
@@ -148,60 +159,17 @@ def compact_events(group: pa.Table) -> pa.Table:
     O(#keys) instead of O(#events) — the TransactionBuffer memory-bound
     analog (/root/reference/src/common/MemoryManager.cpp:197-260).
     """
-    n = group.num_rows
-    if n == 0:
+    if group.num_rows == 0:
         return group
-
-    def as_np(col) -> np.ndarray:
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        return col.to_numpy(zero_copy_only=False)
-
-    multi = "table_name" in group.column_names
-
-    def dict_codes(col) -> np.ndarray:
-        d = pc.dictionary_encode(col)
-        if isinstance(d, pa.ChunkedArray):
-            d = d.combine_chunks()
-        return d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-
-    codes = dict_codes(group["conv_id"])
-    turn = as_np(group["turn_idx"]).astype(np.int64)
-    cscn = as_np(group["commit_scn"]).astype(np.int64)
-    scn = as_np(group["scn"]).astype(np.int64)
-    sidx = as_np(group["scn_idx"]).astype(np.int64)
-    op = as_np(group["op_code"])
-    mask = as_np(group["changed_mask"]).astype(np.int64)
-
-    sort_keys = (sidx, scn, cscn, turn, codes)
-    if multi:
-        tcodes = dict_codes(group["table_name"])
-        sort_keys = sort_keys + (tcodes,)
-    order = np.lexsort(sort_keys)
-    codes_s, turn_s = codes[order], turn[order]
-    op_s, mask_s = op[order], mask[order]
-    new_seg = np.empty(n, bool)
-    new_seg[0] = True
-    new_seg[1:] = (codes_s[1:] != codes_s[:-1]) | (turn_s[1:] != turn_s[:-1])
-    if multi:
-        tcodes_s = tcodes[order]
-        new_seg[1:] |= tcodes_s[1:] != tcodes_s[:-1]
-    seg_starts = np.flatnonzero(new_seg)
-    idx = np.arange(n, dtype=np.int64)
-
-    def seg_max(values: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(values, seg_starts)
-
-    is_d = op_s == OP_D
-    keep_sorted = [seg_max(np.where(is_d, idx, -1)),
-                   seg_max(np.where(~is_d, idx, -1))]
+    ks = _KeySegments(group)
+    keep_sorted = [ks.last_where(ks.is_d), ks.last_where(~ks.is_d)]
     n_cols = len(S.payload_columns(S.MAX_SCHEMA_VERSION))
     for bit in range(n_cols):
         keep_sorted.append(
-            seg_max(np.where(((mask_s >> bit) & 1 == 1) & ~is_d, idx, -1)))
+            ks.last_where(((ks.mask_s >> bit) & 1 == 1) & ~ks.is_d))
     kept = np.unique(np.concatenate(keep_sorted))
     kept = kept[kept >= 0]
-    return group.take(pa.array(np.sort(order[kept])))
+    return group.take(pa.array(np.sort(ks.order[kept])))
 
 
 def apply_stats(group: pa.Table) -> dict[str, int]:

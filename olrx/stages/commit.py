@@ -134,15 +134,19 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
         first_data_scn=first_data,
     )
     MF.write_manifest(mdir, m)
-    # GC superseded snapshots, keeping the newest `snapshot_keep` per
-    # partition (reference keep-checkpoints; >1 enables SCN time travel).
-    # Best-effort and idempotent under task retries: a retry recomputes the
-    # same file set and the same survivors.
+    # GC superseded snapshots, keeping the newest `snapshot_keep` at or
+    # below the watermark just published (reference keep-checkpoints; >1
+    # enables SCN time travel). One above it was never published (the
+    # leftover of a crashed run with a higher cut) and goes too. Best-effort
+    # and idempotent under task retries: a retry recomputes the same file
+    # set and the same survivors.
     snaps = sorted(((int(g.group(1)), f)
                     for f in os.listdir(part_dir)
                     if (g := re.match(r"data-w(\d+)\.parquet$", f))),
                    reverse=True)
-    for _, f in snaps[max(1, snapshot_keep):]:
+    published = [f for w, f in snaps if w <= target_watermark]
+    for f in ([f for w, f in snaps if w > target_watermark]
+              + published[max(1, snapshot_keep):]):
         try:
             os.remove(os.path.join(part_dir, f))
         except OSError:
@@ -165,11 +169,18 @@ def snapshot_footer(path: str) -> "tuple[pa.Schema, dict[str, str]]":
 
 
 def _read_base(out_dir: str, m: MF.PartitionManifest) -> pa.Table | None:
+    """The partition's published snapshot. A snapshot its manifest names
+    but the disk lacks raises: merging onto an empty base instead would
+    silently drop the partition's history."""
     tables = []
     for rel in m.files:
         p = os.path.join(out_dir, rel)
-        if os.path.exists(p):
-            tables.append(pq.read_table(p))
+        if not os.path.exists(p):
+            raise FileNotFoundError(
+                f"partition {m.partition}: its manifest names the snapshot "
+                f"{p}, which is missing; rebuild the lake with "
+                "replay_to_lake(..., resume=False)")
+        tables.append(pq.read_table(p))
     if not tables:
         return None
     return pa.concat_tables(tables, promote_options="default")

@@ -11,13 +11,17 @@ case where whole transactions are present in the input (SURVEY §2.2-2.3):
   segments it covers, so a call reads only the sidecars and footers it has
   not seen. The fold is exact — a full scan is the same fold from an empty
   state — and it indexes each segment's scn range, which the event read
-  uses to skip segments that cannot contribute.
+  uses to skip segments that cannot contribute. A segment's control rows
+  are its ``_ctl`` sidecar, or, for a segment without one, the same rows
+  derived from the segment (``schema.control_rows``): both fold the same way.
 - ``hot_partials`` — the per-segment hot-key counts a salting replay sums,
   kept in the same checkpoint and computed only for segments it lacks.
 - ``CommitResolver`` — actor-pool `map_batches` stage: inner-joins each event
   batch against the broadcast commit map (drops rolled-back / open txns —
   /root/reference/src/parser/Transaction.cpp:207-210), flattens the ``after``
-  struct image into payload columns, attaches the hash partition id.
+  struct image into payload columns, attaches the hash partition id. Its
+  commit lookup and partial-rollback anti-join are ``commit_join``, which
+  every consumer of the broadcast (``emit``, the DDL facts) calls too.
 
 Scale note: the commit map is O(#txns), ~1/12 of events here and in general
 orders of magnitude smaller than the stream; it is broadcast once via
@@ -34,24 +38,18 @@ import copy
 import glob
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
 from olrx import schema as S
-from olrx.schema import OP_D, OP_I, OP_U
+from olrx.schema import OP_D, OP_I, OP_U, xid_hash
 from olrx.stages import partition
 from olrx.stages.partition import partition_ids
-
-#: columns the control pass reads — prune everything else at the read
-CONTROL_COLUMNS = ["xid", "op", "scn", "scn_idx", "ddl", "shard",
-                   "undo_scn", "undo_scn_idx"]
 
 _MIX1 = np.uint64(0x9E3779B97F4A7C15)
 _MIX2 = np.uint64(0xC2B2AE3D27D4EB4F)
@@ -62,9 +60,41 @@ def mix_pr_keys(xid_h: np.ndarray, scn: np.ndarray, scn_idx: np.ndarray
     """64-bit mix of (xid-hash, scn, scn_idx) — the partial-rollback
     anti-join key. Collision odds at 10^9 targeted ops ~ 10^18/2^64 ≈ 5e-2…
     per full corpus pair-space, but the join is membership (not pairing), so
-    a false positive needs a colliding DML row in the SAME stream: ~n·m/2^64."""
+    a false positive needs a colliding DML row in the SAME stream: ~n·m/2^64
+    (checked exactly on a generated stream: tests/test_replay.py)."""
     return (xid_h ^ (scn.astype(np.uint64) * _MIX1)
             ^ ((scn_idx.astype(np.int64).astype(np.uint64) + np.uint64(1)) * _MIX2))
+
+
+def commit_join(xid_h: np.ndarray, scn: "np.ndarray | None",
+                scn_idx: "np.ndarray | None",
+                broadcast: "tuple[np.ndarray, np.ndarray, np.ndarray]"
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The commit join of events (xid hashes ``xid_h`` with their ``scn``
+    and ``scn_idx``) against the broadcast (``ControlInfo.decode_broadcast``):
+    ``(keep, commit_scn)``, aligned with the events. ``keep`` is True for an
+    event of a committed transaction that no partial rollback undid, and
+    ``commit_scn`` holds its transaction's commit SCN (undefined where
+    ``keep`` is False). ``scn`` and ``scn_idx`` are read only when the
+    broadcast has PR keys.
+
+    The lookup is a binary search into the sorted hash array: O(events ·
+    log #txns) with zero per-batch build cost — an Acero hash join rebuilds
+    its O(#txns) hash table for EVERY batch, which measured 16× the probe
+    cost. The anti-join drops DML ops named by a PR undo vector (the
+    reference's rollbackLastOp removing the op from the txn buffer,
+    ``Transaction.cpp:73-148``)."""
+    hashes, cscns, pr = broadcast
+    if not len(hashes):
+        return np.zeros(len(xid_h), bool), np.zeros(len(xid_h), np.int64)
+    pos = np.clip(np.searchsorted(hashes, xid_h), 0, len(hashes) - 1)
+    keep = hashes[pos] == xid_h
+    if len(pr):
+        keys = mix_pr_keys(xid_h, scn, scn_idx)
+        ppos = np.clip(np.searchsorted(pr, keys), 0, len(pr) - 1)
+        keep &= pr[ppos] != keys
+    return keep, cscns[pos]
+
 
 #: columns the decode pass reads (no ``before`` image — apply never needs it)
 EVENT_COLUMNS = ["scn", "scn_idx", "xid", "op", "conv_id", "turn_idx",
@@ -79,10 +109,17 @@ class ControlInfo:
     ddl_scns: list[int]           # commit SCNs of committed ADD-column DDLs
     max_commit_scn: int           # high-water mark of this input (watermark)
     shard_watermarks: dict[int, int]  # shard → max control scn seen (RAC analog)
-    max_txn_span: int = 0         # max (commit_scn - begin_scn) observed
     #: sorted mixed keys of PR-undone ops — the partial-rollback anti-join
     #: set (reference: rollbackLastOp pairing, Transaction.cpp:73-148)
-    pr_sorted: "np.ndarray | None" = None
+    pr_sorted: np.ndarray
+    #: (sorted xid-hashes, aligned commit_scns): the commit lookup, hashed
+    #: once by the fold (hashing millions of xids is seconds of serial
+    #: driver time — do it once, not per consumer). 64-bit hashing:
+    #: collision odds at 10^8 txns are ~(10^8)²/2^64 ≈ 5e-4 per full run —
+    #: acceptable for dedup-style keys; flip to a (hash, xid-verify)
+    #: two-step if ever not.
+    lookup_arrays: tuple[np.ndarray, np.ndarray]
+    max_txn_span: int = 0         # max (commit_scn - begin_scn) observed
     #: payload columns removed by committed DROP DDLs (non-additive
     #: evolution — reference SystemTransaction::processDelete,
     #: /root/reference/src/builder/SystemTransaction.cpp:640). Applied after
@@ -100,9 +137,9 @@ class ControlInfo:
     #: mapping (chains a→b→c resolve by last op per physical).
     rename_ops: tuple = ()
     #: segment path → (bytes, min scn, max scn) from the footer statistics
-    #: (min and max None when the footer has none); None when the input
-    #: has no sidecars. ``segments_to_read`` prunes the event read with it.
-    segments: "dict[str, tuple] | None" = None
+    #: (min and max None when the footer has none). ``segments_to_read``
+    #: prunes the event read with it.
+    segments: dict[str, tuple] = field(default_factory=dict)
 
     @property
     def schema_version(self) -> int:
@@ -128,7 +165,9 @@ class ControlInfo:
         cm = self.commit_map.filter(pc.less_equal(self.commit_map["commit_scn"], e))
         kept_drops = [(s, c) for s, c in zip(self.drop_scns, self.dropped_columns)
                       if s <= e]
-        info = ControlInfo(
+        h, scn = self.lookup_arrays
+        keep = scn <= e
+        return ControlInfo(
             commit_map=cm,
             ddl_scns=[s for s in self.ddl_scns if s <= e],
             max_commit_scn=(int(pc.max(cm["commit_scn"]).as_py())
@@ -137,17 +176,13 @@ class ControlInfo:
                               for s, w in self.shard_watermarks.items()},
             max_txn_span=self.max_txn_span,
             pr_sorted=self.pr_sorted,
+            lookup_arrays=(np.ascontiguousarray(h[keep]),
+                           np.ascontiguousarray(scn[keep])),
             dropped_columns=tuple(c for _, c in kept_drops),
             drop_scns=tuple(s for s, _ in kept_drops),
             rename_ops=tuple(op for op in self.rename_ops if op[0] <= e),
             segments=self.segments,
         )
-        if self.lookup_arrays is not None:
-            h, scn = self.lookup_arrays
-            keep = scn <= e
-            info.lookup_arrays = (np.ascontiguousarray(h[keep]),
-                                  np.ascontiguousarray(scn[keep]))
-        return info
 
     def segments_to_read(self, paths: list[str], above: "int | None",
                          at_most: "int | None") -> list[str]:
@@ -156,9 +191,6 @@ class ControlInfo:
         known range is always read. When none qualifies (an idle resume),
         the newest segment, so the read keeps one input whose rows the same
         scn filter drops."""
-        if self.segments is None:
-            return list(paths)
-
         def meets(p: str) -> bool:
             _, lo, hi = self.segments.get(p, (0, None, None))
             return hi is None or ((above is None or hi > above)
@@ -167,40 +199,10 @@ class ControlInfo:
         keep = [p for p in paths if meets(p)]
         return keep or sorted(paths, key=lambda p: self.segments[p][2])[-1:]
 
-    #: precomputed by load_control (hashing millions of xids is seconds of
-    #: serial driver time — do it once, not per consumer)
-    lookup_arrays: "tuple[np.ndarray, np.ndarray] | None" = None
-
     def decode_broadcast(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sorted xid-hashes, aligned commit_scns, sorted PR keys) — the
-        one broadcast value every decode task reads."""
-        l0, l1 = self.commit_lookup_arrays()
-        pr = self.pr_sorted if self.pr_sorted is not None \
-            else np.zeros(0, np.uint64)
-        return l0, l1, pr
-
-    def commit_lookup_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted xid-hashes, aligned commit_scns) for the broadcast
-        searchsorted lookup. 64-bit hashing: collision odds at 10^8 txns are
-        ~(10^8)²/2^64 ≈ 5e-4 per full run — acceptable for dedup-style keys;
-        flip to a (hash, xid-verify) two-step if ever not."""
-        if self.lookup_arrays is None:
-            xids = np.asarray(self.commit_map["xid"].to_numpy(zero_copy_only=False),
-                              dtype=object)
-            h = pd.util.hash_array(xids)
-            order = np.argsort(h)
-            self.lookup_arrays = (h[order],
-                                  self.commit_map["commit_scn"].to_numpy()[order])
-        return self.lookup_arrays
-
-
-def _control_batch(t: pa.Table) -> pa.Table:
-    out = t.filter(pc.is_in(t["op"], value_set=pa.array(["B", "C", "DDL", "R", "PR"])))
-    # hash xids here, in parallel, where the strings already are — hashing
-    # millions of them serially on the driver measured ~10 s per pass
-    h = pd.util.hash_array(np.asarray(
-        out["xid"].to_numpy(zero_copy_only=False), dtype=object))
-    return out.append_column("xid_h", pa.array(h, pa.uint64()))
+        one broadcast value every decode task reads (``commit_join``)."""
+        return (*self.lookup_arrays, self.pr_sorted)
 
 
 #: bump when the checkpoint layout or the ControlInfo derivation changes —
@@ -219,17 +221,19 @@ def _sidecar(path: str) -> str:
     return os.path.join(os.path.dirname(path), "_ctl", os.path.basename(path))
 
 
-def _file_stats(paths: list[str]) -> "dict[str, tuple[int, ...]] | None":
-    """path → (segment size, mtime_ns, sidecar size, mtime_ns); None when
-    any segment lacks its sidecar."""
+def _file_stats(paths: list[str]) -> dict[str, tuple]:
+    """path → (segment size, mtime_ns, sidecar size, mtime_ns); the sidecar
+    pair is (None, None) for a segment without one, so a sidecar that lands
+    later changes the stats."""
     out = {}
     for p in paths:
+        ss = os.stat(p)
         try:
             cs = os.stat(_sidecar(p))
+            side = (cs.st_size, cs.st_mtime_ns)
         except FileNotFoundError:
-            return None
-        ss = os.stat(p)
-        out[p] = (ss.st_size, ss.st_mtime_ns, cs.st_size, cs.st_mtime_ns)
+            side = (None, None)
+        out[p] = (ss.st_size, ss.st_mtime_ns) + side
     return out
 
 
@@ -273,12 +277,10 @@ def _ddl_facts(ddl_rows: pa.Table, lookup: tuple[np.ndarray, np.ndarray]):
     dropped: list[str] = []
     drop_scns: list[int] = []
     rename_ops: list[tuple[int, str, str]] = []
-    if not ddl_rows.num_rows or not len(lookup[0]):
+    if not ddl_rows.num_rows:
         return ddl_scns, dropped, drop_scns, rename_ops
-    d_h = ddl_rows["xid_h"].to_numpy(zero_copy_only=False)
-    pos = np.clip(np.searchsorted(lookup[0], d_h), 0, len(lookup[0]) - 1)
-    found = lookup[0][pos] == d_h
-    cscn = lookup[1][pos]
+    found, cscn = commit_join(ddl_rows["xid_h"].to_numpy(zero_copy_only=False),
+                              None, None, (*lookup, np.zeros(0, np.uint64)))
     payloads = ddl_rows["ddl"].to_pylist()
     committed = sorted((int(cscn[i]), payloads[i] or "")
                        for i in np.flatnonzero(found))
@@ -420,12 +422,21 @@ class _ControlState:
         return out
 
     def fold_segments(self, paths: list[str],
-                      stats: dict[str, tuple[int, ...]]) -> None:
-        """Fold the sidecars of the segments ``paths`` in and index the
-        segments' footer scn ranges."""
+                      stats: dict[str, tuple]) -> None:
+        """Fold the control rows of the segments ``paths`` in — a segment's
+        sidecar, or for one without (``stats`` record which), the same rows
+        derived from the segment — and index the segments' footer scn
+        ranges."""
         import pyarrow.dataset as pads
-        self.fold(pads.dataset([_sidecar(p) for p in paths],
-                               format="parquet").to_table().combine_chunks())
+        side = [_sidecar(p) for p in paths if stats[p][2] is not None]
+        bare = [p for p in paths if stats[p][2] is None]
+        parts = []
+        if side:
+            parts.append(pads.dataset(side, format="parquet").to_table())
+        if bare:
+            parts.append(S.control_rows(bare))
+        self.fold(pa.concat_tables(parts, promote_options="default")
+                  .combine_chunks())
         for p in paths:
             self.segments[p] = stats[p] + _scn_range(p)
 
@@ -433,37 +444,34 @@ class _ControlState:
         return self.partials.filter(pc.is_in(
             self.partials["seg"], value_set=pa.array(paths, pa.string())))
 
-    def info(self, paths: "list[str] | None") -> ControlInfo:
-        """The ControlInfo of the folded state; ``paths`` (None: no index)
-        key its segment ranges."""
+    def info(self, paths: list[str]) -> ControlInfo:
+        """The ControlInfo of the folded state; ``paths`` key its segment
+        ranges."""
         ddl_scns, dropped, drop_scns, rename_ops = _ddl_facts(
             self.ddl_rows, self.lookup)
         # a transaction whose C landed before its B still bounds the span
         # with the rows seen so far, exactly as a scan of them would
         span = max(self.span_done, _max_span(
             self.open_txns.filter(pc.equal(self.open_txns["c"], 1))))
-        segments = None
-        if paths is not None:
-            segments = {}
-            for p in paths:
-                size, _, _, _, lo, hi = self.segments[p]
-                segments[p] = (size, lo, hi)
-        info = ControlInfo(
+        segments = {}
+        for p in paths:
+            size, _, _, _, lo, hi = self.segments[p]
+            segments[p] = (size, lo, hi)
+        return ControlInfo(
             commit_map=self.commit_map, ddl_scns=ddl_scns,
             max_commit_scn=self.max_commit_scn,
             shard_watermarks=dict(self.shard_watermarks), max_txn_span=span,
-            pr_sorted=self.pr_sorted, dropped_columns=tuple(dropped),
-            drop_scns=tuple(drop_scns), rename_ops=tuple(rename_ops),
-            segments=segments)
-        info.lookup_arrays = self.lookup
-        return info
+            pr_sorted=self.pr_sorted, lookup_arrays=self.lookup,
+            dropped_columns=tuple(dropped), drop_scns=tuple(drop_scns),
+            rename_ops=tuple(rename_ops), segments=segments)
 
     def write(self, cp: str) -> None:
         """Checkpoint as a JSON header line + Arrow IPC streams — a
         NON-EXECUTABLE format (a pickle checkpoint in a shared data dir is
         an arbitrary-code-execution vector; Arrow IPC deserializes data,
         never code). Atomic (``os.replace``) and best-effort: an unwritable
-        directory just keeps no checkpoint."""
+        or missing ``_ctl`` directory just keeps no checkpoint (it is never
+        created here)."""
         head = json.dumps({
             "v": _CTL_SUMMARY_VERSION,
             "max_commit_scn": int(self.max_commit_scn),
@@ -527,15 +535,20 @@ def load_control(paths: list[str]) -> ControlInfo:
     """Collect control rows (commit map, DDLs, shard watermarks, txn span)
     and index each segment's scn range.
 
-    Fast path: per-segment control sidecars (``_ctl/<segment>``) hold only
-    the B/C/R/DDL/PR rows with precomputed xid hashes — O(#txns) bytes
-    instead of a full-stream scan. The state they fold into is
+    A segment's control rows are its sidecar (``_ctl/<segment>``): only
+    the B/C/R/DDL/PR rows with precomputed xid hashes, O(#txns) bytes
+    instead of a full-stream scan. A segment without one has the same rows
+    derived from its pruned control columns (``schema.control_rows``), and
+    its stats record the missing sidecar, so a sidecar landing later means
+    a fold from empty. The state they fold into is
     CHECKPOINTED once per ``_ctl`` directory (``CHECKPOINT_NAME``, in the
     directory of the first segment), with the segments it covers, so a call
-    reads only the sidecars and footers it has not seen — the analog of the
-    reference restarting from persisted transaction state rather than
+    reads only the control rows and footers it has not seen — the analog of
+    the reference restarting from persisted transaction state rather than
     re-scanning redo (the reference's ``SerializerJson.cpp:62-87`` and
-    ``TransactionBuffer.cpp:274-286``).
+    ``TransactionBuffer.cpp:274-286``). Where there is no ``_ctl``
+    directory, or it cannot be written, no checkpoint is kept: every call
+    folds from empty, with the same result.
 
     - Every covered segment is in ``paths`` with unchanged stats: fold in
       only the new ones (none: return without writing).
@@ -547,21 +560,16 @@ def load_control(paths: list[str]) -> ControlInfo:
       evicts the superset a tail loop relies on.
 
     Nothing is pruned by a resume floor: ``max_txn_span`` stays exact over
-    all history, because the event read's pruning bound relies on it.
-
-    Fallback without sidecars: a pruned-column Ray pass over the segments,
-    with no checkpoint and no segment index."""
-    stats = _file_stats(paths)
-    if stats is None:
-        return _control_by_ray(paths)
-    return _folded(paths, stats, _checkpoint_path(paths)).info(paths)
+    all history, because the event read's pruning bound relies on it."""
+    return _folded(paths, _file_stats(paths),
+                   _checkpoint_path(paths)).info(paths)
 
 
 def _checkpoint_path(paths: list[str]) -> str:
     return os.path.join(os.path.dirname(_sidecar(paths[0])), CHECKPOINT_NAME)
 
 
-def _folded(paths: list[str], stats: dict[str, tuple[int, ...]],
+def _folded(paths: list[str], stats: dict[str, tuple],
             cp: str) -> _ControlState:
     """The control state over exactly ``paths``, folded incrementally from
     the checkpoint ``cp`` and written back by the rules ``load_control``
@@ -593,13 +601,15 @@ def hot_partials(paths: list[str]) -> pa.Table:
     pass computes the rest and writes them back into the checkpoint that
     covers ``paths``, so a subset call adds to its superset and never
     evicts it. A checkpoint that does not cover every path with unchanged
-    stats is first brought up to date by ``load_control``'s fold. Input
-    without sidecars gets the same per-segment computation, with nothing
-    persisted."""
-    stats = _file_stats(paths)
-    if stats is None:
-        return partition.segment_partials(paths)
+    stats is first brought up to date by ``load_control``'s fold. Without
+    a ``_ctl`` directory there is no checkpoint to keep them in (none is
+    ever created): they are computed, and no control rows are folded only
+    to be discarded — which also serves files that are not changelog
+    segments."""
     cp = _checkpoint_path(paths)
+    if not os.path.isdir(os.path.dirname(cp)):
+        return partition.segment_partials(paths)
+    stats = _file_stats(paths)
     home = _checkpoint(cp)
     if home is None or any(home.segments.get(p, ())[:4] != st
                            for p, st in stats.items()):
@@ -650,27 +660,12 @@ def _remember(cp: str, state: "_ControlState") -> None:
     _last = (cp, key, state) if key is not None else None
 
 
-def _unchanged(entries: dict[str, tuple[int, ...]]) -> bool:
+def _unchanged(entries: dict[str, tuple]) -> bool:
     """Every segment and sidecar of ``entries`` still has its stats."""
     try:
         return _file_stats(list(entries)) == entries
     except FileNotFoundError:
         return False
-
-
-def _control_by_ray(paths: list[str]) -> ControlInfo:
-    ds = rd.read_parquet(
-        paths, columns=CONTROL_COLUMNS,
-        override_num_blocks=2 * int(ray.cluster_resources().get("CPU", 8)))
-    # collect control rows as Arrow refs — no pandas round-trip; the result
-    # is O(#txns), the only driver-side materialization in the engine
-    refs = ds.map_batches(_control_batch, batch_format="pyarrow").to_arrow_refs()
-    tables = [t for t in ray.get(refs) if t.num_rows]
-    state = _ControlState()
-    if tables:
-        state.fold(pa.concat_tables(tables, promote_options="default")
-                   .combine_chunks())
-    return state.info(None)
 
 
 class CommitResolver:
@@ -696,8 +691,7 @@ class CommitResolver:
                  condition: str | None = None,
                  include_table: bool = False,
                  table_regex: str | None = None):
-        bc = ray.get(commit_ref) if commit_ref is not None else (None, None, None)
-        self._commit_hashes, self._commit_scns, self._pr_sorted = bc
+        self._broadcast = ray.get(commit_ref)
         self.num_partitions = num_partitions
         self.hot: frozenset = ray.get(hot_ref) if hot_ref is not None else frozenset()
         self.salt_block = salt_block
@@ -730,7 +724,7 @@ class CommitResolver:
         meta columns. Halves the per-event DRAM traffic vs the
         filter-cascade formulation (measured; bandwidth is the scaling
         limiter on shared-DRAM nodes)."""
-        if self._commit_hashes is None or len(self._commit_hashes) == 0:
+        if not len(self._broadcast[0]):
             # empty commit map (only rolled-back/open txns in the input, or an
             # incremental window with no new commits) ⇒ every event drops
             return self._empty()
@@ -765,31 +759,10 @@ class CommitResolver:
                                                        self.conv_regex))]
         if len(idx) == 0:
             return self._empty()
-        # commit lookup: hashed xid → binary-search into the broadcast sorted
-        # hash array. O(batch·log #txns) with zero per-batch build cost —
-        # an Acero hash join here rebuilds its O(#txns) hash table for EVERY
-        # batch, which measured 16× the probe cost (see git history).
-        xid_h = pd.util.hash_array(np.asarray(
-            gather("xid").to_numpy(zero_copy_only=False), dtype=object))
-        # partial-rollback anti-join: drop DML ops named by a PR undo vector
-        # (reference: rollbackLastOp removing the op from the txn buffer,
-        # /root/reference/src/parser/Transaction.cpp:73-148)
-        if self._pr_sorted is not None and len(self._pr_sorted):
-            keys = mix_pr_keys(
-                xid_h,
-                gather("scn").to_numpy(zero_copy_only=False),
-                gather("scn_idx").to_numpy(zero_copy_only=False))
-            ppos = np.clip(np.searchsorted(self._pr_sorted, keys), 0,
-                           len(self._pr_sorted) - 1)
-            undone = self._pr_sorted[ppos] == keys
-            if undone.any():
-                idx, xid_h = idx[~undone], xid_h[~undone]
-                if len(idx) == 0:
-                    return self._empty()
-        pos = np.searchsorted(self._commit_hashes, xid_h)
-        pos = np.clip(pos, 0, len(self._commit_hashes) - 1)
-        keep = self._commit_hashes[pos] == xid_h
-        commit_scn = self._commit_scns[pos]
+        keep, commit_scn = commit_join(
+            xid_hash(gather("xid")),
+            gather("scn").to_numpy(zero_copy_only=False),
+            gather("scn_idx").to_numpy(zero_copy_only=False), self._broadcast)
         if self.min_commit_scn_excl >= 0:
             keep = keep & (commit_scn > self.min_commit_scn_excl)
         if not keep.all():
@@ -845,15 +818,6 @@ class CommitResolver:
         fields += [(f"v_{n}", t) for n, t in S.payload_columns(S.MAX_SCHEMA_VERSION)]
         fields += [("part", pa.int32())]
         return pa.table({n: pa.array([], t) for n, t in fields})
-
-
-def tune_worker_threads() -> None:
-    """Pin Arrow's internal thread pool inside Ray workers. Every worker
-    process defaults to a pool sized to ALL cores; with 32 concurrent tasks
-    that is ~32×64 threads fighting for 32 cores — measured 9× slowdown of
-    the decode kernels vs a single-process run."""
-    pa.set_cpu_count(1)
-    pa.set_io_thread_count(2)
 
 
 def make_resolver(commit_ref, num_partitions: int, hot_ref=None,

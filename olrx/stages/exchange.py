@@ -33,16 +33,18 @@ does not fail, it throttles the streaming executor — measured 1.8× wall at
 4 CPUs). This is the TransactionBuffer big-txn swap analog
 (/root/reference/src/common/MemoryManager.cpp:197-260).
 
-Completion is fenced by COUNT, not by acks: routers report how many shards
-they shipped PER APPLIER (their map output), and the driver polls each
-applier until its own received total matches — that applier's finalize
-launches immediately (r3), so drain skew across the fleet overlaps with
-finalize work instead of serializing behind a global barrier. A retried
-router block re-ships its shards under a fresh blob id; appliers drop the
-duplicates by a deterministic content digest (r3 — same input block ⇒ same
-digest), so both the folded meta AND the lineage counters stay exact under
-Ray task retry. The fence still passes (duplicate deliveries only ever
-push `received` ABOVE the completed-task total).
+Completion is fenced by COUNT, not by acks: every shard carries a
+deterministic content digest (same input block ⇒ same digest), routers
+report the digest of each shard they shipped PER APPLIER (their map
+output), and the driver polls each applier until the number of distinct
+digests it received matches the number of distinct digests routed to it —
+that applier's finalize launches immediately, so drain skew across the
+fleet overlaps with finalize work instead of serializing behind a global
+barrier. A retried router block re-ships its shards under a fresh blob id;
+appliers drop the duplicates by digest, so the folded meta AND the lineage
+counters stay exact under Ray task retry, and because both sides count
+distinct digests, a duplicate delivered by an attempt that died after
+shipping can never stand in for a shard still on its way.
 
 Lake-mode finalize (``PartitionApplier.finalize_commit``) turns one
 applier's holding into per-partition commits: ONE stable ``take`` puts the
@@ -359,7 +361,6 @@ class PartitionApplier:
         self._fold_thread: "threading.Thread | None" = None
         self.counts: list[np.ndarray] = []    # per-shard (part*4+op, n) pairs
         self.min_scns: list[np.ndarray] = []  # per-shard (part, min commit scn)
-        self.shards_received = 0
         self.seen_shards: set = set()         # content digests (retry dedupe)
         #: per-partition confirmed watermarks (resume): counters exclude rows
         #: the commit path will drop, staying stream-exact (r2 advisory)
@@ -374,7 +375,7 @@ class PartitionApplier:
             self.compact_threshold = int(compact_threshold * (0.75 + 0.5 * frac))
 
     def add_shard(self, meta_ipc: pa.Buffer, blob_id: int, blob_ref_box: list,
-                  shard_key: bytes = b"") -> int:
+                  shard_key: bytes) -> int:
         """Register one meta shard (an IPC stream buffer, :func:`to_ipc`) +
         its payload blob ref (boxed in a 1-list — a bare ObjectRef argument
         would be auto-resolved by Ray into the materialized table). The
@@ -387,14 +388,11 @@ class PartitionApplier:
         ``shard_key`` is the shard's deterministic content digest: a RETRIED
         router block re-ships identical rows under a fresh blob id, and a
         duplicate — while harmless to the LWW merge — would inflate the
-        lineage counters. Duplicates still bump ``shards_received`` (the
-        fence total counts only completed tasks, so extra deliveries only
-        ever push received above it) but contribute nothing else."""
-        self.shards_received += 1
-        if shard_key:
-            if shard_key in self.seen_shards:
-                return 0
-            self.seen_shards.add(shard_key)
+        lineage counters. A duplicate contributes nothing, not even to
+        ``received``: the fence counts distinct digests on both sides."""
+        if shard_key in self.seen_shards:
+            return 0
+        self.seen_shards.add(shard_key)
         # the argument is a view of a transient plasma object: buffering the
         # view would pin store memory for the run, so the shard is copied to
         # the heap once and read there
@@ -424,26 +422,34 @@ class PartitionApplier:
         message path. One fold at a time; ``materialized`` is only ever
         touched by the fold thread between joins, and by finalize after the
         join, so there is no concurrent access."""
+        self._fold_thread = threading.Thread(
+            target=self._fold, args=self._take_tail(), daemon=True)
+        self._fold_thread.start()
+
+    def _take_tail(self) -> "tuple[list, dict]":
+        """Detach the buffered meta tail and its blobs."""
         snapshot, self.meta_runs = self.meta_runs, []
         blobs, self.blobs = self.blobs, {}
         self.tail_rows = 0
+        return snapshot, blobs
 
-        def fold() -> None:
-            meta = compact_events(
-                pa.concat_tables(snapshot, promote_options="default"))
-            events = materialize_events(meta, blobs)
-            if self.materialized is not None:
-                events = compact_events(pa.concat_tables(
-                    [self.materialized, events], promote_options="default"))
-            self.materialized = events
-            self.folded_rows = events.num_rows
-
-        self._fold_thread = threading.Thread(target=fold, daemon=True)
-        self._fold_thread.start()
+    def _fold(self, snapshot: list, blobs: dict) -> None:
+        """Compact ``snapshot`` to its influence set, materialize the
+        winners' payload from ``blobs`` and fold them into
+        ``materialized``."""
+        meta = compact_events(
+            pa.concat_tables(snapshot, promote_options="default"))
+        events = materialize_events(meta, blobs)
+        if self.materialized is not None:
+            events = compact_events(pa.concat_tables(
+                [self.materialized, events], promote_options="default"))
+        self.materialized = events
+        self.folded_rows = events.num_rows
 
     def received(self) -> int:
-        """Delivery fence: shards that have ARRIVED (mailbox order is
-        irrelevant — the driver compares the sum against the routed total).
+        """Delivery fence: distinct shards (content digests) that have
+        ARRIVED (mailbox order is irrelevant — the driver compares against
+        the distinct digests routed to this applier).
 
         Deliberately a PLAIN mailbox method: an out-of-band concurrency
         group for fence polls (+ an end-of-stream fold quiesce) was measured
@@ -452,7 +458,7 @@ class PartitionApplier:
         scale 8 and truncated-payload scaling fell from ~1.0 to ~0.4. A
         poll that queues behind the stream it measures self-throttles to
         the right rate."""
-        return self.shards_received
+        return len(self.seen_shards)
 
     def _gather(self) -> "tuple[pa.Table, np.ndarray, np.ndarray] | None":
         """Materialize this applier's holding: fold + materialize whatever
@@ -466,16 +472,8 @@ class PartitionApplier:
         if not self.meta_runs and self.materialized is None:
             return None
         if self.meta_runs:
-            meta = compact_events(
-                pa.concat_tables(self.meta_runs, promote_options="default"))
-            self.meta_runs, self.tail_rows = [], 0
-            events = materialize_events(meta, self.blobs)
-            self.blobs = {}
-            if self.materialized is not None:
-                events = compact_events(pa.concat_tables(
-                    [self.materialized, events], promote_options="default"))
-        else:
-            events = self.materialized
+            self._fold(*self._take_tail())
+        events = self.materialized
         self.materialized, self.folded_rows = None, 0
         counts = _merge_counts(self.counts or [np.zeros((2, 0), np.int64)])
         self.counts = []
@@ -556,8 +554,8 @@ def make_router(appliers: list, num_appliers: int,
     payload columns into plasma as ONE blob (lz4 Arrow IPC, owned by
     an applier so the ref outlives this pooled worker), owner-sort only the
     light meta columns, and ship per-applier meta slices + the blob ref.
-    Emits one count row per receiving applier (the per-applier fence
-    totals)."""
+    Emits one row per shipped shard: its applier and content digest (the
+    driver's per-applier fence totals count distinct digests)."""
     import hashlib
 
     holder: dict = {}
@@ -572,6 +570,7 @@ def make_router(appliers: list, num_appliers: int,
             holder["ready"] = True
         pending: list = holder.setdefault("pending", [])
         sent_to: list[int] = []
+        digests: list[bytes] = []
         if batch.num_rows:
             if "base" not in holder:
                 # unique blob-id space per router worker (random 48-bit base
@@ -616,13 +615,14 @@ def make_router(appliers: list, num_appliers: int,
                     pending.append(appliers[a].add_shard.remote(
                         shard, blob_id, [blob_ref], d.digest()))
                     sent_to.append(a)
+                    digests.append(d.digest())
             if len(pending) > ACK_WINDOW:
                 done, rest = ray.wait(pending,
                                       num_returns=len(pending) - ACK_WINDOW)
                 holder["pending"] = rest
         return pa.table({
             "applier": pa.array(sent_to, pa.int32()),
-            "sent": pa.array(np.ones(len(sent_to), np.int64)),
+            "digest": pa.array(digests, pa.binary()),
         })
 
     return route
@@ -631,7 +631,7 @@ def make_router(appliers: list, num_appliers: int,
 def _fence_and_launch(appliers: list, totals: np.ndarray, launch,
                       timeout_s: float = 600.0) -> list:
     """Per-applier fence: as soon as applier ``i`` has received its routed
-    shard total, ``launch(i)`` fires its finalize — stragglers' mailbox
+    total of distinct shards, ``launch(i)`` fires its finalize — stragglers' mailbox
     drain overlaps the rest of the fleet's finalize work instead of
     serializing behind a global barrier (judge r2 #1)."""
     deadline = time.monotonic() + timeout_s
@@ -910,13 +910,13 @@ def _exchange(fleet: ApplierFleet, events, num_appliers: int,
     routed = events.map_batches(make_router(appliers, num_appliers,
                                             ready_refs=ready_refs),
                                 batch_format="pyarrow")
-    # consume the count stream: per-applier shard totals (tiny rows; a
+    # consume the shard stream: per-applier distinct digests (tiny rows; a
     # streaming driver fold, no extra shuffle)
-    totals = np.zeros(num_appliers, np.int64)
+    routed_to: list[set] = [set() for _ in range(num_appliers)]
     for b in routed.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            np.add.at(totals, b["applier"].to_numpy(zero_copy_only=False),
-                      b["sent"].to_numpy(zero_copy_only=False))
+        for a, d in zip(b["applier"].to_pylist(), b["digest"].to_pylist()):
+            routed_to[a].add(d)
+    totals = np.array([len(r) for r in routed_to], np.int64)
     t1 = time.perf_counter()
     timings["route"] = round(t1 - t0, 3)
     refs = _fence_and_launch(

@@ -101,7 +101,7 @@ def assert_same_partials(got, want):
 def assert_same_control(got, want):
     """Every ControlInfo fact equal; segment ranges compared by file name."""
     assert got.commit_map.sort_by("xid").equals(want.commit_map.sort_by("xid"))
-    for a, b in zip(got.commit_lookup_arrays(), want.commit_lookup_arrays()):
+    for a, b in zip(got.lookup_arrays, want.lookup_arrays):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(got.pr_sorted, want.pr_sorted)
     assert got.ddl_scns == want.ddl_scns

@@ -295,3 +295,33 @@ def test_txn_max_events_resume_equals_one_shot(tmp_path, gen_small):
     res = replay_to_lake(paths, two, cfg)
     assert set(res.segments_read) < set(paths), "the resume must prune"
     assert sorted_table(read_lake(two)).equals(sorted_table(read_lake(one)))
+
+
+def test_control_without_sidecars_equals_sidecars(tmp_path, gen_small):
+    """Segments without ``_ctl`` sidecars fold the control rows derived
+    from the segments themselves: every control fact, segment ranges
+    included, equals the sidecar fold, and no ``_ctl`` directory is
+    created."""
+    _, _, paths, _ = gen_small
+    (tmp_path / "bare").mkdir()
+    bare = [shutil.copy(p, tmp_path / "bare") for p in paths]
+    assert_same_control(load_control(bare), load_control(paths))
+    assert not os.path.exists(tmp_path / "bare" / "_ctl")
+
+
+def test_sidecar_landing_late_folds_from_empty(tmp_path, gen_small,
+                                              sidecar_reads):
+    """A segment folded without its sidecar is recorded as such: when the
+    sidecar lands, the next call folds from empty and still equals the
+    sidecar fold."""
+    _, _, paths, _ = gen_small
+    landed = _land(paths, str(tmp_path / "land"))
+    late = landed[-2:]
+    for p in late:
+        os.remove(os.path.join(os.path.dirname(p), "_ctl", os.path.basename(p)))
+    want = load_control(paths)
+    assert_same_control(load_control(landed), want)
+    write_control_sidecars(late)
+    sidecar_reads.clear()
+    assert_same_control(load_control(landed), want)
+    assert len(sidecar_reads) == len(landed), "must fold from empty"

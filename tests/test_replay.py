@@ -158,6 +158,38 @@ def test_partial_rollback_drops_only_undone_ops():
     assert not wrong.equals(right)
 
 
+def test_pr_anti_join_drops_exactly_the_named_ops(gen_small):
+    """The partial-rollback anti-join is a membership test on 64-bit mixed
+    keys (``mix_pr_keys``). On a generated stream, the committed DML rows
+    the commit join drops as undone are exactly those an exact Arrow join
+    on the PR rows' (xid, undo_scn, undo_scn_idx) names: no other committed
+    DML row collides."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from olrx.schema import xid_hash
+    from olrx.stages.decode import commit_join, load_control
+
+    _, _, paths, full = gen_small
+    hashes, cscns, pr = load_control(paths).decode_broadcast()
+    assert len(pr), "the default generator mix has partial rollbacks"
+    dml = full.filter(pc.is_in(full["op"], value_set=pa.array(["I", "U", "D"])))
+    dml = dml.select(["xid", "scn", "scn_idx"]).append_column(
+        "row", pa.array(np.arange(dml.num_rows)))
+    args = (xid_hash(dml["xid"]), dml["scn"].to_numpy(),
+            dml["scn_idx"].to_numpy())
+    committed, _ = commit_join(*args, (hashes, cscns, np.zeros(0, np.uint64)))
+    keep, _ = commit_join(*args, (hashes, cscns, pr))
+    named = dml.join(
+        full.filter(pc.equal(full["op"], "PR")).select(
+            ["xid", "undo_scn", "undo_scn_idx"]),
+        keys=["xid", "scn", "scn_idx"],
+        right_keys=["xid", "undo_scn", "undo_scn_idx"], join_type="inner")
+    want = sorted(r for r in named["row"].to_pylist() if committed[r])
+    assert want, "some PR must undo an op of a committed transaction"
+    assert np.flatnonzero(committed & ~keep).tolist() == want
+
+
 def test_multitable_twin_keys_stay_separate(tmp_path):
     """Two-table stream with twin (conv, turn) keys in both tables: replay
     keys state per (table, conv, turn) (Schema.h:119-129 analog), in both

@@ -7,16 +7,24 @@ from __future__ import annotations
 
 import dataclasses
 import glob
+import os
+import shutil
 
 import duckdb
 import pytest
 
-from olrx.pipelines.replay import ReplayConfig, replay_to_lake
+from olrx.pipelines.replay import ReplayConfig, read_lake, replay_to_lake
 from olrx.pipelines.timetravel import (q_cdc_time_travel, read_lake_asof,
                                        snapshot_watermarks, _split_scn,
                                        sql_cdc_time_travel)
 
+from tests.conftest import sorted_table
+
 SF = "/root/testdata/sf0.001"
+
+#: a snapshot name above any watermark the test streams reach: the leftover
+#: of a crashed run with a higher cut, never published by a manifest
+ORPHAN = "data-w999999999.parquet"
 
 
 def _cfg(**kw) -> ReplayConfig:
@@ -99,3 +107,53 @@ def test_end_commit_scn_stops_replay(gen_small, tmp_path):
     got = pa.concat_tables([pq.read_table(f) for f in files])
     want = duckdb.sql(sql_cdc_time_travel(SF)).arrow()
     assert got.num_rows == want.num_rows
+
+
+def _first_segments(paths):
+    return [p for p in paths if "seg0000" in p or "seg0001" in p]
+
+
+def test_gc_keeps_the_published_snapshot(gen_small, expected_small, tmp_path):
+    """A resume's GC keeps the snapshot its manifest just published and
+    deletes an unpublished one above the watermark, however high its
+    name."""
+    _, _, paths, _ = gen_small
+    lake = str(tmp_path / "lake")
+    replay_to_lake(_first_segments(paths), lake, _cfg(num_partitions=4),
+                   resume=False)
+    (snap,) = glob.glob(lake + "/part-00000/data-w*.parquet")
+    orphan = os.path.join(lake, "part-00000", ORPHAN)
+    shutil.copy(snap, orphan)
+    replay_to_lake(paths, lake, _cfg(num_partitions=4))
+    assert not os.path.exists(orphan)
+    assert sorted_table(read_lake(lake),
+                        expected_small.schema).equals(expected_small)
+
+
+def test_asof_skips_unpublished_snapshot(gen_small, expected_small, tmp_path):
+    """An as-of read never picks a snapshot above its partition's manifest
+    watermark."""
+    _, _, paths, _ = gen_small
+    lake = str(tmp_path / "lake")
+    replay_to_lake(paths, lake, _cfg(num_partitions=4), resume=False)
+    (other,) = glob.glob(lake + "/part-00001/data-w*.parquet")
+    shutil.copy(other, os.path.join(lake, "part-00000", ORPHAN))
+    got = read_lake_asof(lake, 999999999)
+    assert sorted_table(got, expected_small.schema).equals(expected_small)
+
+
+def test_resume_onto_missing_snapshot_raises(gen_small, tmp_path):
+    """A resume whose manifest names a snapshot the disk lacks fails,
+    naming the partition and the file, instead of merging onto an empty
+    base and dropping the partition's history."""
+    _, _, paths, _ = gen_small
+    lake = str(tmp_path / "lake")
+    replay_to_lake(_first_segments(paths), lake, _cfg(num_partitions=4),
+                   resume=False)
+    # every partition but the lowest: a resume reads its footer first to
+    # check the lake's layout
+    for snap in sorted(glob.glob(lake + "/part-*/data-w*.parquet"))[1:]:
+        os.remove(snap)
+    with pytest.raises(FileNotFoundError,
+                       match=r"partition \d+: .*data-w\d+\.parquet.*missing"):
+        replay_to_lake(paths, lake, _cfg(num_partitions=4))
