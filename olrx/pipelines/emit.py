@@ -59,8 +59,9 @@ def derived_scn_buckets(n_txns: int, txns_per_bucket: int = TXNS_PER_BUCKET) -> 
     """Input-sized bucket count: one ``map_groups`` task materializes one
     bucket, so a FIXED bucket count means bucket size grows linearly with the
     input (1/64th of 10^10 events in one worker = OOM). Derived from the
-    committed-txn count — known exactly on both the Ray side (commit map) and
-    the SQL oracle side (``count(*) FROM commits``) so chkpt counts agree."""
+    committed-txn count — known exactly on both the Ray side (commit
+    lookup) and the SQL oracle side (``count(*) FROM commits``) so chkpt
+    counts agree."""
     return max(1, (int(n_txns) + txns_per_bucket - 1) // txns_per_bucket)
 
 
@@ -85,7 +86,7 @@ def message_stream(paths: list[str], cfg: ReplayConfig | None = None,
     cfg = cfg or ReplayConfig()
     control = load_control(paths)
     if scn_buckets is None:
-        scn_buckets = derived_scn_buckets(control.commit_map.num_rows,
+        scn_buckets = derived_scn_buckets(len(control.lookup_arrays[0]),
                                           txns_per_bucket)
     lo, hi = 0, max(1, control.max_commit_scn)
     span = max(1, (hi - lo) // scn_buckets + 1)

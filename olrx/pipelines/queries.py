@@ -20,7 +20,7 @@ import ray.data as rd
 from olrx import schema as S
 from olrx.gen import GenConfig, ensure_changelog, scale_for_sf_dir
 from olrx.pipelines.replay import ReplayConfig, replay_dataset
-from olrx.stages.decode import load_control
+from olrx.stages.decode import commit_join, load_control
 
 
 def changelog_paths_for(sf_dir: str) -> list[str]:
@@ -231,13 +231,15 @@ FROM read_parquet('{g}') GROUP BY shard
 
 def q_cdc_rollback_audit(sf_dir: str) -> pa.Table:
     paths = changelog_paths_for(sf_dir)
-    control = load_control(paths)
-    committed = ray.put(control.commit_map["xid"].combine_chunks())
+    bc_ref = ray.put(load_control(paths).decode_broadcast())
 
     def fn(t: pa.Table) -> pa.Table:
-        xids = ray.get(committed)
+        h, scn, _ = ray.get(bc_ref)
         dml = t.filter(pc.is_in(t["op"], value_set=pa.array(["I", "U", "D"])))
-        dropped = dml.filter(pc.invert(pc.is_in(dml["xid"], value_set=xids)))
+        # commit lookup only: a PR-undone op of a committed txn is no rollback
+        found, _ = commit_join(S.xid_hash(dml["xid"]), None, None,
+                               (h, scn, np.zeros(0, np.uint64)))
+        dropped = dml.filter(pa.array(~found))
         return dropped.group_by("op").aggregate([("op", "count")]) \
                       .rename_columns(["op", "n"])
 
@@ -267,9 +269,8 @@ GROUP BY op
 def _filter_params(sf_dir: str) -> dict:
     """Deterministic filter set shared by the Ray query and the SQL oracle."""
     paths = changelog_paths_for(sf_dir)
-    control = load_control(paths)
-    n = control.commit_map.num_rows
-    start = int(sorted(control.commit_map["commit_scn"].to_pylist())[n // 10])
+    scns = np.sort(load_control(paths).lookup_arrays[1])
+    start = int(scns[len(scns) // 10])
     return {
         "skip_xids": ("x10", "x11", "x12"),
         "conv_regex": "^conv[0-9]*[02468]$",   # even-numbered conversations
@@ -440,8 +441,7 @@ def _net_change_bounds(sf_dir: str) -> tuple[int, int]:
     percentile commit SCNs. The SAME helper feeds the Ray query and the SQL
     oracle, so both sides cut at identical literals."""
     paths = changelog_paths_for(sf_dir)
-    scns = load_control(paths).commit_map["commit_scn"].to_numpy(
-        zero_copy_only=False)
+    scns = load_control(paths).lookup_arrays[1]
     k1, k3 = len(scns) // 4, (3 * len(scns)) // 4
     return int(np.partition(scns, k1)[k1]), int(np.partition(scns, k3)[k3])
 
@@ -454,7 +454,7 @@ def q_cdc_net_changes(sf_dir: str) -> rd.Dataset:
     changes between two confirmed positions, commit-order,
     /root/reference/src/writer/Writer.cpp:134-138; here collapsed per key).
     Scale shape: both positions prune the read (row-group stats on scn),
-    decode drops out-of-window txns via the capped commit map, and the
+    decode drops out-of-window txns via the capped commit lookup, and the
     winner pick is one vectorized lexsort per partition — no global sort."""
     import dataclasses
 

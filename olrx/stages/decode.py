@@ -3,38 +3,39 @@
 Replaces the reference's record parser + transaction buffer for the batch
 case where whole transactions are present in the input (SURVEY §2.2-2.3):
 
-- ``load_control``  — collects commit/DDL control rows (the analog of
-  scanning redo for 0x0502/0x0504/0x1801 vectors,
-  /root/reference/src/parser/Parser.cpp:213-576) into a small broadcastable
-  table: the commit map ``xid → commit_scn``. It is incremental: one
-  checkpoint per ``_ctl`` directory carries the folded state and the
-  segments it covers, so a call reads only the sidecars and footers it has
-  not seen. The fold is exact — a full scan is the same fold from an empty
-  state — and it indexes each segment's scn range, which the event read
-  uses to skip segments that cannot contribute. A segment's control rows
-  are its ``_ctl`` sidecar, or, for a segment without one, the same rows
-  derived from the segment (``schema.control_rows``): both fold the same way.
+- ``load_control``  — folds the commit/DDL control rows (the analog of
+  scanning redo for 0x0502/0x0504/0x1801 vectors, the reference's
+  ``src/parser/Parser.cpp:213-576``) into a small broadcastable
+  state: the commit lookup (sorted xid hashes with their commit SCNs), the
+  partial-rollback keys, the DDL facts and the shard watermarks. It is
+  incremental: one checkpoint per ``_ctl`` directory carries the folded
+  state and the segments it covers, so a call reads only the sidecars and
+  footers it has not seen. The fold is exact — a full scan is the same fold
+  from an empty state — and it indexes each segment's scn range, which the
+  event read uses to skip segments that cannot contribute. A segment's
+  control rows are its ``_ctl`` sidecar, or, for a segment without one, the
+  same rows derived from the segment (``schema.control_rows``): both fold
+  the same way.
 - ``hot_partials`` — the per-segment hot-key counts a salting replay sums,
   kept in the same checkpoint and computed only for segments it lacks.
-- ``CommitResolver`` — actor-pool `map_batches` stage: inner-joins each event
-  batch against the broadcast commit map (drops rolled-back / open txns —
-  /root/reference/src/parser/Transaction.cpp:207-210), flattens the ``after``
+- ``CommitResolver`` — the ``map_batches`` decode function
+  (``make_resolver``): joins each event batch against the broadcast commit
+  lookup (drops rolled-back / open txns — the reference's
+  ``src/parser/Transaction.cpp:207-210``), flattens the ``after``
   struct image into payload columns, attaches the hash partition id. Its
   commit lookup and partial-rollback anti-join are ``commit_join``, which
-  every consumer of the broadcast (``emit``, the DDL facts) calls too.
+  every consumer of the broadcast (``emit``, the DDL facts, the rollback
+  audit) calls too.
 
-Scale note: the commit map is O(#txns), ~1/12 of events here and in general
-orders of magnitude smaller than the stream; it is broadcast once via
-``ray.put`` and shared zero-copy by every actor on a node. If the map ever
-exceeded worker memory the fallback is a shuffle join on ``xid`` (bucketed
-``groupby``), which adds a second wide exchange — not needed at 10^10 events
-with ~10^8 txns × 16B ≈ 2 GB/node, and avoidable by scoping commit maps
-per log segment range.
+Scale note: the lookup is O(#txns) at 16 B a transaction (hash + commit
+SCN), ~1/12 of events here; it is broadcast once via ``ray.put`` and shared
+zero-copy by every decode worker on a node. At 10^10 events (~7×10^8 txns)
+that is ~11 GB per node; scoping the lookup to the commit-SCN window a read
+block can reference is the way past that.
 """
 
 from __future__ import annotations
 
-import copy
 import glob
 import json
 import os
@@ -105,19 +106,18 @@ OP_LETTER = pa.array(["I", "U", "D"])
 
 @dataclass
 class ControlInfo:
-    commit_map: pa.Table          # (xid: string, commit_scn: int64)
     ddl_scns: list[int]           # commit SCNs of committed ADD-column DDLs
     max_commit_scn: int           # high-water mark of this input (watermark)
     shard_watermarks: dict[int, int]  # shard → max control scn seen (RAC analog)
     #: sorted mixed keys of PR-undone ops — the partial-rollback anti-join
     #: set (reference: rollbackLastOp pairing, Transaction.cpp:73-148)
     pr_sorted: np.ndarray
-    #: (sorted xid-hashes, aligned commit_scns): the commit lookup, hashed
-    #: once by the fold (hashing millions of xids is seconds of serial
-    #: driver time — do it once, not per consumer). 64-bit hashing:
-    #: collision odds at 10^8 txns are ~(10^8)²/2^64 ≈ 5e-4 per full run —
-    #: acceptable for dedup-style keys; flip to a (hash, xid-verify)
-    #: two-step if ever not.
+    #: (sorted xid-hashes, aligned commit_scns): the commit lookup, the one
+    #: record of committed transactions, hashed once where the control rows
+    #: are made (hashing millions of xids is seconds of serial driver time
+    #: — do it once, not per consumer). 64-bit hashing: collision odds at
+    #: 10^8 txns are ~(10^8)²/2^64 ≈ 5e-4 per full run — acceptable for
+    #: dedup-style keys; widen the hash if ever not.
     lookup_arrays: tuple[np.ndarray, np.ndarray]
     max_txn_span: int = 0         # max (commit_scn - begin_scn) observed
     #: payload columns removed by committed DROP DDLs (non-additive
@@ -155,23 +155,20 @@ class ControlInfo:
 
     def capped(self, end_commit_scn: int) -> "ControlInfo":
         """Stop-position view (``ReplayConfig.end_commit_scn``): transactions
-        committed after the cut vanish from the commit map, so their events
+        committed after the cut vanish from the commit lookup, so their events
         decode as uncommitted and drop — the same transaction-consistent
         boundary the reference's shutdown/checkpoint positions use (commit
         granularity; /root/reference/documentation/user-manual/
         8.checkpointing.adoc:15-24). DDLs (adds AND drops) committed after
         the cut are likewise un-applied."""
         e = int(end_commit_scn)
-        cm = self.commit_map.filter(pc.less_equal(self.commit_map["commit_scn"], e))
         kept_drops = [(s, c) for s, c in zip(self.drop_scns, self.dropped_columns)
                       if s <= e]
         h, scn = self.lookup_arrays
         keep = scn <= e
         return ControlInfo(
-            commit_map=cm,
             ddl_scns=[s for s in self.ddl_scns if s <= e],
-            max_commit_scn=(int(pc.max(cm["commit_scn"]).as_py())
-                            if cm.num_rows else -1),
+            max_commit_scn=int(scn[keep].max()) if keep.any() else -1,
             shard_watermarks={s: min(w, e)
                               for s, w in self.shard_watermarks.items()},
             max_txn_span=self.max_txn_span,
@@ -207,10 +204,15 @@ class ControlInfo:
 
 #: bump when the checkpoint layout or the ControlInfo derivation changes —
 #: an older checkpoint then reads as absent
-_CTL_SUMMARY_VERSION = 7
+_CTL_SUMMARY_VERSION = 8
 
 #: the one control checkpoint of a ``_ctl`` directory
 CHECKPOINT_NAME = "_control.arrowctl"
+
+#: the control-row columns the fold reads: a sidecar's ``xid`` strings are
+#: never needed, their hash ``xid_h`` is the key
+_FOLD_COLUMNS = ["xid_h", "op", "scn", "shard", "ddl", "undo_scn",
+                "undo_scn_idx"]
 
 _OPEN_SCHEMA = pa.schema([("xid_h", pa.uint64()), ("scn_min", pa.int64()),
                           ("scn_max", pa.int64()), ("b", pa.int8()),
@@ -340,8 +342,6 @@ class _ControlState:
         #: statistics. A path resolves against the same directory the
         #: checkpoint was found through, and every entry is re-stat'ed.
         self.segments: dict[str, tuple] = {}
-        self.commit_map = pa.table({"xid": pa.array([], pa.string()),
-                                    "commit_scn": pa.array([], pa.int64())})
         self.lookup = (np.zeros(0, np.uint64), np.zeros(0, np.int64))
         self.pr_sorted = np.zeros(0, np.uint64)
         self.shard_watermarks: dict[int, int] = {}
@@ -353,26 +353,22 @@ class _ControlState:
         self.partials = partition.PARTIALS_SCHEMA.empty_table()
 
     def fold(self, ctl: pa.Table) -> None:
-        """Fold control rows (sidecar layout, with ``xid_h``) in."""
+        """Fold control rows (``_FOLD_COLUMNS``) in."""
         op = ctl["op"]
         commits = ctl.filter(pc.equal(op, "C"))
         if commits.num_rows:
-            scn = commits["scn"].cast(pa.int64())
-            self.commit_map = pa.concat_tables([self.commit_map, pa.table(
-                {"xid": commits["xid"], "commit_scn": scn})]).combine_chunks()
-            s = scn.to_numpy()
+            s = commits["scn"].cast(pa.int64()).to_numpy()
             self.lookup = _merge_sorted(
                 *self.lookup, commits["xid_h"].to_numpy(zero_copy_only=False), s)
             self.max_commit_scn = max(self.max_commit_scn, int(s.max()))
         # partial-rollback targets: (xid, undo_scn, undo_scn_idx) of PR
         # rows, mixed to one sorted key array for the decode anti-join
-        if "undo_scn" in ctl.schema.names:
-            prs = ctl.filter(pc.equal(op, "PR"))
-            if prs.num_rows:
-                self.pr_sorted = _merge_sorted(self.pr_sorted, None, mix_pr_keys(
-                    prs["xid_h"].to_numpy(zero_copy_only=False),
-                    prs["undo_scn"].cast(pa.int64()).to_numpy(zero_copy_only=False),
-                    prs["undo_scn_idx"].cast(pa.int64()).to_numpy(zero_copy_only=False)))
+        prs = ctl.filter(pc.equal(op, "PR"))
+        if prs.num_rows:
+            self.pr_sorted = _merge_sorted(self.pr_sorted, None, mix_pr_keys(
+                prs["xid_h"].to_numpy(),
+                prs["undo_scn"].cast(pa.int64()).to_numpy(),
+                prs["undo_scn_idx"].cast(pa.int64()).to_numpy()))
         ddls = ctl.filter(pc.equal(op, "DDL"))
         if ddls.num_rows:
             self.ddl_rows = pa.concat_tables(
@@ -413,14 +409,6 @@ class _ControlState:
                              _max_span(g.filter(pc.and_(done, has_c))))
         self.open_txns = g.filter(pc.invert(done)).select(_OPEN_SCHEMA.names)
 
-    def copy(self) -> "_ControlState":
-        """A copy that folds without touching this state: ``fold`` rebinds
-        its tables and arrays, and mutates only these two dicts."""
-        out = copy.copy(self)
-        out.segments = dict(self.segments)
-        out.shard_watermarks = dict(self.shard_watermarks)
-        return out
-
     def fold_segments(self, paths: list[str],
                       stats: dict[str, tuple]) -> None:
         """Fold the control rows of the segments ``paths`` in — a segment's
@@ -432,9 +420,10 @@ class _ControlState:
         bare = [p for p in paths if stats[p][2] is None]
         parts = []
         if side:
-            parts.append(pads.dataset(side, format="parquet").to_table())
+            parts.append(pads.dataset(side, format="parquet").to_table(
+                columns=_FOLD_COLUMNS))
         if bare:
-            parts.append(S.control_rows(bare))
+            parts.append(S.control_rows(bare).select(_FOLD_COLUMNS))
         self.fold(pa.concat_tables(parts, promote_options="default")
                   .combine_chunks())
         for p in paths:
@@ -458,7 +447,7 @@ class _ControlState:
             size, _, _, _, lo, hi = self.segments[p]
             segments[p] = (size, lo, hi)
         return ControlInfo(
-            commit_map=self.commit_map, ddl_scns=ddl_scns,
+            ddl_scns=ddl_scns,
             max_commit_scn=self.max_commit_scn,
             shard_watermarks=dict(self.shard_watermarks), max_txn_span=span,
             pr_sorted=self.pr_sorted, lookup_arrays=self.lookup,
@@ -484,8 +473,8 @@ class _ControlState:
         try:
             with open(tmp, "wb") as f:
                 f.write(head.encode() + b"\n")
-                for t in (self.commit_map,
-                          pa.table({"lh": self.lookup[0], "lscn": self.lookup[1]}),
+                lh, lscn = self.lookup
+                for t in (pa.table({"lh": lh, "lscn": lscn}),
                           pa.table({"pr": pa.array(self.pr_sorted, pa.uint64())}),
                           self.open_txns, self.ddl_rows, self.partials):
                     with pa.ipc.new_stream(f, t.schema) as w:
@@ -507,15 +496,14 @@ class _ControlState:
                 head = json.loads(f.readline().decode())
                 if head.get("v") != _CTL_SUMMARY_VERSION:
                     return None
-                cm, lk, pr, open_txns, ddl_rows, partials = (
-                    pa.ipc.open_stream(f).read_all() for _ in range(6))
+                lk, pr, open_txns, ddl_rows, partials = (
+                    pa.ipc.open_stream(f).read_all() for _ in range(5))
             st = cls.__new__(cls)    # every field is set below
             st.max_commit_scn = int(head["max_commit_scn"])
             st.span_done = int(head["span_done"])
             st.shard_watermarks = {int(k): int(v) for k, v
                                    in head["shard_watermarks"].items()}
             st.segments = {p: tuple(e) for p, e in head["segments"].items()}
-            st.commit_map = cm
             st.lookup = (lk["lh"].to_numpy(), lk["lscn"].to_numpy())
             st.pr_sorted = pr["pr"].to_numpy()
             st.open_txns, st.ddl_rows = open_txns, ddl_rows
@@ -532,8 +520,8 @@ def _max_span(g: pa.Table) -> int:
 
 
 def load_control(paths: list[str]) -> ControlInfo:
-    """Collect control rows (commit map, DDLs, shard watermarks, txn span)
-    and index each segment's scn range.
+    """Collect control rows (commit lookup, DDLs, shard watermarks, txn
+    span) and index each segment's scn range.
 
     A segment's control rows are its sidecar (``_ctl/<segment>``): only
     the B/C/R/DDL/PR rows with precomputed xid hashes, O(#txns) bytes
@@ -546,9 +534,10 @@ def load_control(paths: list[str]) -> ControlInfo:
     reads only the control rows and footers it has not seen — the analog of
     the reference restarting from persisted transaction state rather than
     re-scanning redo (the reference's ``SerializerJson.cpp:62-87`` and
-    ``TransactionBuffer.cpp:274-286``). Where there is no ``_ctl``
-    directory, or it cannot be written, no checkpoint is kept: every call
-    folds from empty, with the same result.
+    ``TransactionBuffer.cpp:274-286``). Each call reads the checkpoint
+    file: nothing is kept in the process between calls. Where there is no
+    ``_ctl`` directory, or it cannot be written, no checkpoint is kept:
+    every call folds from empty, with the same result.
 
     - Every covered segment is in ``paths`` with unchanged stats: fold in
       only the new ones (none: return without writing).
@@ -561,20 +550,22 @@ def load_control(paths: list[str]) -> ControlInfo:
 
     Nothing is pruned by a resume floor: ``max_txn_span`` stays exact over
     all history, because the event read's pruning bound relies on it."""
-    return _folded(paths, _file_stats(paths),
-                   _checkpoint_path(paths)).info(paths)
+    cp = _checkpoint_path(paths)
+    return _folded(paths, _file_stats(paths), cp,
+                   _ControlState.read(cp)).info(paths)
 
 
 def _checkpoint_path(paths: list[str]) -> str:
     return os.path.join(os.path.dirname(_sidecar(paths[0])), CHECKPOINT_NAME)
 
 
-def _folded(paths: list[str], stats: dict[str, tuple],
-            cp: str) -> _ControlState:
+def _folded(paths: list[str], stats: dict[str, tuple], cp: str,
+            old: "_ControlState | None") -> _ControlState:
     """The control state over exactly ``paths``, folded incrementally from
-    the checkpoint ``cp`` and written back by the rules ``load_control``
-    states. A fold from empty keeps the partials of unchanged segments."""
-    old = _checkpoint(cp)
+    ``old``, the state read from the checkpoint ``cp``, and written back by
+    the rules ``load_control`` states. ``old`` is private to the call, so
+    the fold goes into it in place. A fold from empty keeps the partials of
+    unchanged segments."""
     covered = old.segments if old is not None else {}
     same = all(covered[p][:4] == st for p, st in stats.items() if p in covered)
     if old is not None and same and covered.keys() <= stats.keys():
@@ -586,12 +577,10 @@ def _folded(paths: list[str], stats: dict[str, tuple],
                 [p for p, st in stats.items() if covered.get(p, ())[:4] == st])
     new = [p for p in stats if p not in state.segments]
     if new:
-        state = state.copy()
         state.fold_segments(new, stats)
         rest = {p: covered[p][:4] for p in covered.keys() - stats.keys()}
         if not (same and stats.keys() < covered.keys() and _unchanged(rest)):
             state.write(cp)
-            _remember(cp, state)
     return state
 
 
@@ -610,54 +599,18 @@ def hot_partials(paths: list[str]) -> pa.Table:
     if not os.path.isdir(os.path.dirname(cp)):
         return partition.segment_partials(paths)
     stats = _file_stats(paths)
-    home = _checkpoint(cp)
+    home = _ControlState.read(cp)
     if home is None or any(home.segments.get(p, ())[:4] != st
                            for p, st in stats.items()):
-        home = _folded(paths, stats, cp)
+        home = _folded(paths, stats, cp, home)
     have = set(pc.unique(home.partials["seg"]).to_pylist())
     missing = [p for p in paths if p not in have]
     if missing:
-        home = home.copy()
         home.partials = pa.concat_tables(
             [home.partials, partition.segment_partials(missing)]
         ).combine_chunks()
         home.write(cp)
-        _remember(cp, home)
     return home.partials_of(paths)
-
-
-#: the checkpoint this process last read or wrote: (path, its file's
-#: (inode, size, mtime_ns), the state). A call finding that file unchanged
-#: skips the read. Correctness never rests on the key: the state's own
-#: segment stats are checked on every call, and folds go into a copy.
-_last: "tuple[str, tuple[int, int, int], _ControlState] | None" = None
-
-
-def _file_key(cp: str) -> "tuple[int, int, int] | None":
-    try:
-        st = os.stat(cp)
-    except OSError:
-        return None
-    return st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _checkpoint(cp: str) -> "_ControlState | None":
-    key = _file_key(cp)
-    if key is None:
-        return None
-    last = _last
-    if last is not None and last[:2] == (cp, key):
-        return last[2]
-    state = _ControlState.read(cp)
-    if state is not None:
-        _remember(cp, state)
-    return state
-
-
-def _remember(cp: str, state: "_ControlState") -> None:
-    global _last
-    key = _file_key(cp)
-    _last = (cp, key, state) if key is not None else None
 
 
 def _unchanged(entries: dict[str, tuple]) -> bool:
@@ -671,17 +624,11 @@ def _unchanged(entries: dict[str, tuple]) -> bool:
 class CommitResolver:
     """Decode stage: committed-DML filter + image flatten + partition id.
 
-    Usable two ways:
-    - stateless `map_batches(fn)` via :func:`make_resolver` — broadcast state
-      (commit map, hot set) is a ``ray.put`` ref fetched per call; the fetch
-      is a zero-copy read from the node's shared object store (~µs), so task
-      workers (which Ray reuses across dataset executions) beat an actor pool
-      (which re-spawns processes per execution). This is the default.
-    - actor pool (`map_batches(CommitResolver, concurrency=N, ...)`) when the
-      per-actor init ever becomes genuinely expensive — the reference's
-      load-once pattern (/root/reference/src/locales/Locales.cpp via
-      OpenLogReplicator.cpp:146-148).
-    """
+    Runs as a stateless ``map_batches`` fn built by :func:`make_resolver`:
+    the broadcast state (commit lookup, hot set) is a ``ray.put`` ref
+    fetched once per worker process, a zero-copy read from the node's
+    shared object store (~µs), and Ray reuses task workers across dataset
+    executions."""
 
     def __init__(self, commit_ref, num_partitions: int,
                  hot_ref=None, salt_block: int = 64,
@@ -725,8 +672,8 @@ class CommitResolver:
         filter-cascade formulation (measured; bandwidth is the scaling
         limiter on shared-DRAM nodes)."""
         if not len(self._broadcast[0]):
-            # empty commit map (only rolled-back/open txns in the input, or an
-            # incremental window with no new commits) ⇒ every event drops
+            # nothing committed (only rolled-back/open txns in the input, or
+            # an incremental window with no new commits) ⇒ every event drops
             return self._empty()
         if self.condition is not None:
             # row-condition filters reference arbitrary payload fields: take

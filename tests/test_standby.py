@@ -100,7 +100,7 @@ def test_next_call_runs_on_warm_spares(tmp_path, gen_small, expected_small,
 
 def test_concurrent_replays_never_share_an_actor(tmp_path, gen_small,
                                                  expected_small, standby,
-                                                 begun, monkeypatch):
+                                                 begun):
     """Two threads replay at once, each taking half of the standby's four
     spares: their actor sets are disjoint and both lakes oracle-equal."""
     _, _, paths, _ = gen_small
@@ -118,19 +118,6 @@ def test_concurrent_replays_never_share_an_actor(tmp_path, gen_small,
         except BaseException as e:   # re-raised by the assert below
             errors.append(e)
 
-    # Ray Data's path resolution imports fsspec's HTTP filesystem on every
-    # read; where that import fails (no aiohttp) a second thread can see the
-    # half-imported module and raise ImportError. Only that check is
-    # serialised; both exchanges still overlap.
-    from ray.data.datasource import path_util
-
-    lock, is_http = threading.Lock(), path_util._is_http_filesystem
-
-    def serialised(fs):
-        with lock:
-            return is_http(fs)
-
-    monkeypatch.setattr(path_util, "_is_http_filesystem", serialised)
     del begun[:]
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for t in threads:
@@ -145,6 +132,38 @@ def test_concurrent_replays_never_share_an_actor(tmp_path, gen_small,
     for i in range(2):
         assert sorted_table(read_lake(str(tmp_path / f"lake{i}")),
                             expected_small.schema).equals(expected_small)
+
+
+def test_http_filesystem_check_is_thread_safe():
+    """Ray Data asks on every read whether the filesystem is fsspec's HTTP
+    one, importing that module each time; where the import fails, 8
+    threads asking at once all get a plain False and none an ImportError
+    (``olrx/__init__.py`` makes the failure final at import)."""
+    from pyarrow.fs import LocalFileSystem
+    from ray.data.datasource.path_util import _is_http_filesystem
+
+    gate = threading.Barrier(8)
+    got: list = []
+
+    def ask() -> None:
+        gate.wait()
+        for _ in range(20):
+            try:
+                got.append(_is_http_filesystem(LocalFileSystem()))
+            except BaseException as e:   # reported by the assert below
+                got.append(e)
+
+    threads = [threading.Thread(target=ask) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [False] * 160, [g for g in got if g is not False][:3]
 
 
 def test_takes_under_contention_are_disjoint(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from olrx.pipelines.replay import ReplayConfig, replay_to_lake
 from olrx.stages.validate import SegmentValidator, validate_segments
 from olrx.state.metrics import lake_metrics
+from tests.test_ops import SF
 
 
 def test_validate_clean_segments(gen_small):
@@ -308,6 +309,40 @@ def test_cdc_net_changes_vs_oracle():
     want = want.sort_values(key).reset_index(drop=True)[sorted(want.columns)]
     assert len(got) == len(want) and list(got.columns) == list(want.columns)
     assert set(got["change_op"]) == {"upsert", "delete"}
+    assert got.equals(want)
+
+
+def test_cdc_rollback_audit_vs_oracle():
+    """DML ops of transactions without a commit, counted per op: the hash
+    commit lookup vs the DuckDB anti-join on xid strings at sf0.001."""
+    import duckdb
+
+    from olrx.pipelines.queries import (q_cdc_rollback_audit,
+                                        sql_cdc_rollback_audit)
+
+    got = q_cdc_rollback_audit(SF).to_pandas().sort_values("op")
+    want = duckdb.sql(sql_cdc_rollback_audit(SF)).df().sort_values("op")
+    assert len(got) and (got["n"] > 0).all()
+    assert got["op"].tolist() == want["op"].tolist()
+    assert got["n"].tolist() == want["n"].tolist()
+
+
+def test_cdc_replay_filtered_vs_oracle():
+    """Skip-xid, conv-regex and start-position filters: the replay vs the
+    DuckDB SQL at sf0.001, both cut at the start SCN ``_filter_params``
+    picks from the commit lookup."""
+    import duckdb
+
+    from olrx.pipelines.queries import (_filter_params, q_cdc_replay_filtered,
+                                        sql_cdc_replay_filtered)
+
+    assert _filter_params(SF)["start_commit_scn"] > 0
+    got = q_cdc_replay_filtered(SF).to_pandas()
+    want = duckdb.sql(sql_cdc_replay_filtered(SF)).df()
+    key = ["conv_id", "turn_idx"]
+    got = got.sort_values(key).reset_index(drop=True)[sorted(got.columns)]
+    want = want.sort_values(key).reset_index(drop=True)[sorted(want.columns)]
+    assert len(got) > 0 and list(got.columns) == list(want.columns)
     assert got.equals(want)
 
 

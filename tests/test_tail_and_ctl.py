@@ -220,6 +220,23 @@ def test_checkpoint_subset_keeps_superset(tmp_path, gen_small, sidecar_reads):
     assert sidecar_reads == []
 
 
+def test_checkpoint_bytes_per_transaction(tmp_path, gen_small):
+    """The checkpoint carries each commit once, as its 16 B lookup entry
+    (xid hash, commit SCN), and no xid strings: under 28 B per committed
+    transaction on the small stream."""
+    import pyarrow.compute as pc
+
+    from olrx.stages.decode import CHECKPOINT_NAME, load_control
+
+    _, _, _, full = gen_small
+    paths = _copied_changelog(tmp_path, gen_small)
+    load_control(paths)
+    cp = os.path.join(os.path.dirname(paths[0]), "_ctl", CHECKPOINT_NAME)
+    txns = pc.sum(pc.equal(full["op"], "C")).as_py()
+    assert txns > 500
+    assert os.path.getsize(cp) < 28 * txns, os.path.getsize(cp) / txns
+
+
 def test_control_summary_roundtrip(tmp_path, gen_small):
     """The Arrow-IPC checkpoint (non-executable — r2 advisory replaced
     pickle) must reload byte-equal control state, including the precomputed
@@ -233,10 +250,11 @@ def test_control_summary_roundtrip(tmp_path, gen_small):
     assert cached.shard_watermarks == fresh.shard_watermarks
     assert cached.ddl_scns == fresh.ddl_scns
     assert cached.max_txn_span == fresh.max_txn_span
-    assert cached.commit_map.sort_by("xid").equals(fresh.commit_map.sort_by("xid"))
     np.testing.assert_array_equal(cached.pr_sorted, fresh.pr_sorted)
     l0f, l1f = fresh.lookup_arrays
     l0c, l1c = cached.lookup_arrays
+    assert len(l0f) == len(l1f) > 0
+    assert (l0f[1:] >= l0f[:-1]).all(), "sorted by hash"
     np.testing.assert_array_equal(l0c, l0f)
     np.testing.assert_array_equal(l1c, l1f)
     # and no pickle anywhere near the checkpoint
@@ -291,14 +309,21 @@ def test_exchange_retry_dedupe(tmp_path, gen_small):
 
 def test_duplicate_input_block_is_fenced_once(tmp_path, gen_small,
                                               expected_small):
-    """A segment listed twice decodes to shards already delivered: the
-    replay neither hangs at the fence nor changes the table."""
+    """A segment listed twice, as given or through another spelling of its
+    path, is read once: the replay neither hangs at the fence nor changes
+    the table, and its lineage counters equal those of the plain list."""
     _, _, paths, _ = gen_small
-    out = str(tmp_path / "lake")
-    replay_to_lake(paths + paths[:1], out, ReplayConfig(num_partitions=8),
-                   resume=False)
-    assert sorted_table(read_lake(out),
-                        expected_small.schema).equals(expected_small)
+    alias = os.path.join(os.path.dirname(paths[1]), ".",
+                         os.path.basename(paths[1]))
+    events = []
+    for i, ps in enumerate((paths, paths + paths[:1] + [alias])):
+        out = str(tmp_path / f"lake{i}")
+        res = replay_to_lake(ps, out, ReplayConfig(num_partitions=8),
+                             resume=False)
+        events.append(sum(res.stats["events"].to_pylist()))
+        assert sorted_table(read_lake(out),
+                            expected_small.schema).equals(expected_small)
+    assert events == [7220, 7220]
 
 
 # ---------------------------------------------------------------------------
