@@ -85,12 +85,12 @@ def message_stream(paths: list[str], cfg: ReplayConfig | None = None,
     the bucket count to the input via ``derived_scn_buckets``."""
     cfg = cfg or ReplayConfig()
     control = load_control(paths)
+    broadcast = control.decode_broadcast()
     if scn_buckets is None:
-        scn_buckets = derived_scn_buckets(len(control.lookup_arrays[0]),
-                                          txns_per_bucket)
+        scn_buckets = derived_scn_buckets(len(broadcast[0]), txns_per_bucket)
     lo, hi = 0, max(1, control.max_commit_scn)
     span = max(1, (hi - lo) // scn_buckets + 1)
-    bc_ref = ray.put(control.decode_broadcast())
+    bc_ref = ray.put(broadcast)
 
     payload_cols = [n for n, _ in S.payload_columns(S.MAX_SCHEMA_VERSION)]
 

@@ -16,13 +16,12 @@ Pipeline shape (one wide exchange, SURVEY §4.2):
                                                     # applier-actor routing
       → rows (dataset mode) | parquet + manifest per partition (lake mode)
 
-plus one earlier control pass (``load_control``) that builds the broadcast
-commit lookup, incrementally from its checkpoint, and indexes each segment's
-scn range. On a resume the read gets only the segments whose range meets
-the scn filter (``ControlInfo.segments_to_read``), so a tail iteration
-opens the new segments and the few older ones a still-open transaction
-reaches into, not the whole history. Both modes build their exchange with
-one plan step (``_plan``).
+plus one earlier control pass (``load_control``, incremental from its
+checkpoint) that indexes each segment's scn range. On a resume the read
+and the broadcast commit lookup get only the segments whose range meets
+the scn filter (``ControlInfo.segments_to_read``): the new ones and the
+few older ones a still-open transaction reaches into, not the whole
+history. Both modes build their exchange with one plan step (``_plan``).
 """
 
 from __future__ import annotations
@@ -240,10 +239,9 @@ def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
     """The decoded event stream of ``paths`` above the floor. Only the
     segments whose indexed scn range meets the scn filter are read (the
     list is appended to ``read`` when given): the filter would drop every
-    row of the others, so the pruning is exact. The big-transaction
-    pre-pass counts over the same segments — every DML event of a
-    transaction committed above the floor is in them."""
-    commit_ref = ray.put(control.decode_broadcast())
+    row of the others, so the pruning is exact. So does the big-txn
+    pre-pass, and the broadcast (before the ``start_seq`` filter): every
+    DML, C and PR row of a txn committing in (floor, end] lies in them."""
     hot_ref = None
     if hot:
         hot_ref = ray.put(hot)
@@ -254,13 +252,15 @@ def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
         start_time_us = max(start_time_us or 0, rel_abs)
     if start_time_us is not None:
         floor = max(floor, resolve_start_time(paths, start_time_us))
-    if cfg.start_seq is not None:
-        paths = filter_paths_by_seq(paths, cfg.start_seq)
     # scan pruning: a txn with commit > floor began at scn > floor - span,
     # so segments and row groups entirely ≤ that bound can never contribute
     # (belt-and-suspenders with the decode-level filter)
-    flt = None
     above = floor - max(0, control.max_txn_span) if floor >= 0 else None
+    commit_ref = ray.put(control.decode_broadcast(
+        control.segments_to_read(paths, above, cfg.end_commit_scn)))
+    if cfg.start_seq is not None:
+        paths = filter_paths_by_seq(paths, cfg.start_seq)
+    flt = None
     if above is not None:
         flt = pc.field("scn") > above
     if cfg.end_commit_scn is not None:

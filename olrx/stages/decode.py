@@ -3,19 +3,20 @@
 Replaces the reference's record parser + transaction buffer for the batch
 case where whole transactions are present in the input (SURVEY §2.2-2.3):
 
-- ``load_control``  — folds the commit/DDL control rows (the analog of
-  scanning redo for 0x0502/0x0504/0x1801 vectors, the reference's
-  ``src/parser/Parser.cpp:213-576``) into a small broadcastable
-  state: the commit lookup (sorted xid hashes with their commit SCNs), the
-  partial-rollback keys, the DDL facts and the shard watermarks. It is
-  incremental: one checkpoint per ``_ctl`` directory carries the folded
-  state and the segments it covers, so a call reads only the sidecars and
-  footers it has not seen. The fold is exact — a full scan is the same fold
-  from an empty state — and it indexes each segment's scn range, which the
-  event read uses to skip segments that cannot contribute. A segment's
-  control rows are its ``_ctl`` sidecar, or, for a segment without one, the
-  same rows derived from the segment (``schema.control_rows``): both fold
-  the same way.
+- ``load_control``  — folds the control rows (the analog of scanning redo
+  for 0x0502/0x0504/0x1801 vectors, the reference's
+  ``src/parser/Parser.cpp:213-576``) into a small state: the DDL facts,
+  the shard watermarks, ``max_commit_scn``, the txn span and each
+  segment's scn range, which the event read uses to skip segments that
+  cannot contribute. It is incremental: one checkpoint per ``_ctl``
+  directory carries the state and the segments it covers, so a call reads
+  only the sidecars and footers it has not seen. The fold is exact — a
+  full scan is the same fold from an empty state. Commits are not copied
+  into it: ``ControlInfo.decode_broadcast`` reads the commit lookup and
+  the partial-rollback keys of the segments a replay reads.
+- ``_control_rows`` — the one reader of a segment's control rows, for the
+  fold and the broadcast: its ``_ctl`` sidecar, or, for a segment without
+  one, the same rows derived from the segment (``schema.control_rows``).
 - ``hot_partials`` — the per-segment hot-key counts a salting replay sums,
   kept in the same checkpoint and computed only for segments it lacks.
 - ``CommitResolver`` — the ``map_batches`` decode function
@@ -27,18 +28,19 @@ case where whole transactions are present in the input (SURVEY §2.2-2.3):
   every consumer of the broadcast (``emit``, the DDL facts, the rollback
   audit) calls too.
 
-Scale note: the lookup is O(#txns) at 16 B a transaction (hash + commit
-SCN), ~1/12 of events here; it is broadcast once via ``ray.put`` and shared
-zero-copy by every decode worker on a node. At 10^10 events (~7×10^8 txns)
-that is ~11 GB per node; scoping the lookup to the commit-SCN window a read
-block can reference is the way past that.
+Scale note: the checkpoint is O(segments + open txns + DDL rows). The
+broadcast is 16 B a transaction (hash + commit SCN) of the segments read,
+shared zero-copy by every decode worker on a node: O(window) in a tail
+replay, every commit in a full replay — ~11 GB per node at 10^10 events
+(~7×10^8 txns). Chunking it by commit-SCN range, so a decode task fetches
+only the chunks its read block can reference, is the way past that.
 """
 
 from __future__ import annotations
 
-import glob
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,18 +109,10 @@ OP_LETTER = pa.array(["I", "U", "D"])
 @dataclass
 class ControlInfo:
     ddl_scns: list[int]           # commit SCNs of committed ADD-column DDLs
-    max_commit_scn: int           # high-water mark of this input (watermark)
+    #: high-water mark of this input (watermark); in a ``capped`` view the
+    #: largest commit SCN at or below the cut. Caps ``decode_broadcast``.
+    max_commit_scn: int
     shard_watermarks: dict[int, int]  # shard → max control scn seen (RAC analog)
-    #: sorted mixed keys of PR-undone ops — the partial-rollback anti-join
-    #: set (reference: rollbackLastOp pairing, Transaction.cpp:73-148)
-    pr_sorted: np.ndarray
-    #: (sorted xid-hashes, aligned commit_scns): the commit lookup, the one
-    #: record of committed transactions, hashed once where the control rows
-    #: are made (hashing millions of xids is seconds of serial driver time
-    #: — do it once, not per consumer). 64-bit hashing: collision odds at
-    #: 10^8 txns are ~(10^8)²/2^64 ≈ 5e-4 per full run — acceptable for
-    #: dedup-style keys; widen the hash if ever not.
-    lookup_arrays: tuple[np.ndarray, np.ndarray]
     max_txn_span: int = 0         # max (commit_scn - begin_scn) observed
     #: payload columns removed by committed DROP DDLs (non-additive
     #: evolution — reference SystemTransaction::processDelete,
@@ -137,8 +131,8 @@ class ControlInfo:
     #: mapping (chains a→b→c resolve by last op per physical).
     rename_ops: tuple = ()
     #: segment path → (bytes, min scn, max scn) from the footer statistics
-    #: (min and max None when the footer has none). ``segments_to_read``
-    #: prunes the event read with it.
+    #: (min and max None without them): prunes the event read
+    #: (``segments_to_read``) and names where the commits are read from.
     segments: dict[str, tuple] = field(default_factory=dict)
 
     @property
@@ -160,21 +154,22 @@ class ControlInfo:
         boundary the reference's shutdown/checkpoint positions use (commit
         granularity; /root/reference/documentation/user-manual/
         8.checkpointing.adoc:15-24). DDLs (adds AND drops) committed after
-        the cut are likewise un-applied."""
+        the cut are likewise un-applied. ``max_commit_scn`` becomes the
+        largest commit SCN at or below the cut, read from the C rows."""
         e = int(end_commit_scn)
+        top = self.max_commit_scn
+        if top > e:
+            reach = self.segments_to_read(list(self.segments), None, e)
+            scn = _commits(_control_rows(reach, commits=True), e)[1]
+            top = int(scn.max(initial=-1))
         kept_drops = [(s, c) for s, c in zip(self.drop_scns, self.dropped_columns)
                       if s <= e]
-        h, scn = self.lookup_arrays
-        keep = scn <= e
         return ControlInfo(
             ddl_scns=[s for s in self.ddl_scns if s <= e],
-            max_commit_scn=int(scn[keep].max()) if keep.any() else -1,
+            max_commit_scn=top,
             shard_watermarks={s: min(w, e)
                               for s, w in self.shard_watermarks.items()},
             max_txn_span=self.max_txn_span,
-            pr_sorted=self.pr_sorted,
-            lookup_arrays=(np.ascontiguousarray(h[keep]),
-                           np.ascontiguousarray(scn[keep])),
             dropped_columns=tuple(c for _, c in kept_drops),
             drop_scns=tuple(s for s, _ in kept_drops),
             rename_ops=tuple(op for op in self.rename_ops if op[0] <= e),
@@ -196,27 +191,44 @@ class ControlInfo:
         keep = [p for p in paths if meets(p)]
         return keep or sorted(paths, key=lambda p: self.segments[p][2])[-1:]
 
-    def decode_broadcast(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sorted xid-hashes, aligned commit_scns, sorted PR keys) — the
-        one broadcast value every decode task reads (``commit_join``)."""
-        return (*self.lookup_arrays, self.pr_sorted)
+    def decode_broadcast(self, paths: "list[str] | None" = None
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sorted xid-hashes, aligned commit_scns, sorted PR keys) of the
+        segments ``paths`` (None: all of this control's) — the one broadcast
+        value every decode task reads (``commit_join``). Commits above
+        ``max_commit_scn`` are left out; a PR key past it names an op of a
+        txn the lookup lacks. 64-bit xid hashes: collision odds at 10^8
+        txns are ~(10^8)²/2^64 ≈ 5e-4 per run; widen the hash if ever not."""
+        rows = _control_rows(list(self.segments) if paths is None else paths,
+                             commits=True)
+        pr = rows.filter(pc.equal(rows["op"], "PR"))
+        keys = mix_pr_keys(pr["xid_h"].to_numpy(),
+                           pr["undo_scn"].cast(pa.int64()).to_numpy(),
+                           pr["undo_scn_idx"].cast(pa.int64()).to_numpy())
+        return (*_commits(rows, self.max_commit_scn), np.sort(keys))
 
 
 #: bump when the checkpoint layout or the ControlInfo derivation changes —
 #: an older checkpoint then reads as absent
-_CTL_SUMMARY_VERSION = 8
+_CTL_SUMMARY_VERSION = 9
 
 #: the one control checkpoint of a ``_ctl`` directory
 CHECKPOINT_NAME = "_control.arrowctl"
 
 #: the control-row columns the fold reads: a sidecar's ``xid`` strings are
 #: never needed, their hash ``xid_h`` is the key
-_FOLD_COLUMNS = ["xid_h", "op", "scn", "shard", "ddl", "undo_scn",
-                "undo_scn_idx"]
+_FOLD_COLUMNS = ["xid_h", "op", "scn", "shard", "ddl"]
+
+#: the columns of the C and PR rows a commit lookup reads
+_COMMIT_COLUMNS = ["xid_h", "op", "scn", "undo_scn", "undo_scn_idx"]
 
 _OPEN_SCHEMA = pa.schema([("xid_h", pa.uint64()), ("scn_min", pa.int64()),
                           ("scn_max", pa.int64()), ("b", pa.int8()),
                           ("c", pa.int8()), ("r", pa.int8())])
+
+#: a DDL row with its transaction's commit SCN (null: no C row folded yet)
+_DDL_SCHEMA = pa.schema([("xid_h", pa.uint64()), ("ddl", pa.string()),
+                         ("cscn", pa.int64())])
 
 
 def _sidecar(path: str) -> str:
@@ -257,42 +269,60 @@ def _scn_range(path: str) -> tuple[int | None, int | None]:
     return int(lo), int(hi)
 
 
-def _merge_sorted(keys: np.ndarray, vals: "np.ndarray | None",
-                  new_keys: np.ndarray, new_vals: "np.ndarray | None" = None):
-    """Insert ``new_keys`` (and aligned values) into the sorted ``keys``:
-    O(n + m), not a re-sort of the whole history."""
-    order = np.argsort(new_keys, kind="stable")
-    pos = np.searchsorted(keys, new_keys[order], side="right")
-    merged = np.insert(keys, pos, new_keys[order])
-    if vals is None:
-        return merged
-    return merged, np.insert(vals, pos, new_vals[order])
+def _control_rows(paths: list[str], commits: bool = False) -> pa.Table:
+    """The control rows of the segments ``paths``, each one's ``_ctl``
+    sidecar or, for a segment without one, the same rows derived from the
+    segment (``schema.control_rows``): with ``commits``, the C and PR rows'
+    ``_COMMIT_COLUMNS``, else every row's ``_FOLD_COLUMNS``. The one reader
+    of control rows, for the fold and every commit lookup."""
+    import pyarrow.dataset as pads
+    cols = _COMMIT_COLUMNS if commits else _FOLD_COLUMNS
+    flt = pc.field("op").isin(["C", "PR"]) if commits else None
+    side = {p for p in paths if os.path.exists(_sidecar(p))}
+    bare = [p for p in paths if p not in side]
+    parts = [pads.dataset([_sidecar(p) for p in paths if p in side],
+                          format="parquet").to_table(columns=cols, filter=flt)
+             ] if side else []
+    if bare:
+        t = S.control_rows(bare).select(cols)
+        parts.append(t if flt is None else t.filter(flt))
+    return pa.concat_tables(parts, promote_options="default").combine_chunks()
 
 
-def _ddl_facts(ddl_rows: pa.Table, lookup: tuple[np.ndarray, np.ndarray]):
+def _commits(rows: pa.Table, cap: "int | None" = None) -> tuple:
+    """(sorted xid hashes, aligned commit SCNs) of the C rows of the control
+    rows ``rows`` at or below ``cap`` (None: all)."""
+    c = rows.filter(pc.equal(rows["op"], "C"))
+    if cap is not None:
+        c = c.filter(pc.less_equal(c["scn"], cap))
+    h = c["xid_h"].to_numpy()
+    order = np.argsort(h, kind="stable")
+    return h[order], c["scn"].to_numpy()[order]
+
+
+def _with_commits(ddl: pa.Table, lookup: tuple) -> pa.Table:
+    """``ddl`` (``_DDL_SCHEMA``) with each missing commit SCN taken from the
+    commit lookup ``lookup`` where its transaction is there."""
+    found, cscn = commit_join(ddl["xid_h"].to_numpy(), None, None,
+                              (*lookup, np.zeros(0, np.uint64)))
+    return ddl.set_column(2, "cscn", pc.coalesce(
+        ddl["cscn"], pa.array(cscn, pa.int64(), mask=~found)))
+
+
+def _ddl_facts(ddl_rows: pa.Table):
     """(add-DDL commit SCNs, dropped physical columns, their drop SCNs,
-    rename ops) from the DDL rows whose transaction committed, replayed in
-    commit order — so the order the rows landed in does not matter.
-    Payloads name columns by their CURRENT display name at commit time;
-    ``cur`` (physical → current) resolves them back to physical."""
-    ddl_scns: list[int] = []
-    dropped: list[str] = []
-    drop_scns: list[int] = []
-    rename_ops: list[tuple[int, str, str]] = []
-    if not ddl_rows.num_rows:
-        return ddl_scns, dropped, drop_scns, rename_ops
-    found, cscn = commit_join(ddl_rows["xid_h"].to_numpy(zero_copy_only=False),
-                              None, None, (*lookup, np.zeros(0, np.uint64)))
-    payloads = ddl_rows["ddl"].to_pylist()
-    committed = sorted((int(cscn[i]), payloads[i] or "")
-                       for i in np.flatnonzero(found))
+    rename ops) from the committed DDL rows (``_DDL_SCHEMA``), replayed in
+    commit order, so their landing order does not matter. Payloads name
+    columns by their CURRENT display name at commit time; ``cur``
+    (physical → current) resolves them back to physical."""
+    ddl_scns, dropped, drop_scns, rename_ops = [], [], [], []
+    committed = sorted((c, raw or "") for c, raw in zip(
+        ddl_rows["cscn"].to_pylist(), ddl_rows["ddl"].to_pylist())
+        if c is not None)
     cur: dict[str, str] = {}
 
     def _phys(name: str) -> str:
-        for k, v in cur.items():
-            if v == name:
-                return k
-        return name
+        return next((k for k, v in cur.items() if v == name), name)
 
     for scn_i, raw in committed:
         try:
@@ -321,15 +351,16 @@ class _ControlState:
     """What ``load_control`` carries from one call to the next: the index
     of the segments folded so far and the control facts they add up to.
 
-    Every fact folds exactly, whatever order the segments land in:
-    commits, PR keys and DDL rows append; shard watermarks and
-    ``max_commit_scn`` take maxima. ``max_txn_span`` needs both ends of a
-    transaction, so the state keeps, per ``xid_h``, the min/max B/C SCN and
-    the B, C and R flags of every transaction still missing its B row or
-    its C/R row (the reference's min-open-transaction restart state,
-    ``TransactionBuffer.cpp:274-286``). A
-    transaction leaves that set once it has B and C (its span is final and
-    joins ``span_done``) or B and R (rolled back).
+    Every fact folds exactly, whatever order the segments land in: shard
+    watermarks and ``max_commit_scn`` take maxima, and DDL rows append with
+    their commit SCN. Commits and partial rollbacks stay in the segments'
+    control rows. ``max_txn_span`` needs both ends of a transaction, so the
+    state keeps, per ``xid_h``, the min/max B/C SCN and the B, C and R flags
+    of every transaction still missing its B row or its C/R row (the
+    reference's min-open-transaction restart state,
+    ``TransactionBuffer.cpp:274-286``). A transaction leaves that set once
+    it has B and C (its span is final and joins ``span_done``) or B and R
+    (rolled back).
 
     ``partials`` holds the heavy-hitter partial of every covered segment a
     salting call has asked for (``partition.segment_partials`` layout).
@@ -342,37 +373,38 @@ class _ControlState:
         #: statistics. A path resolves against the same directory the
         #: checkpoint was found through, and every entry is re-stat'ed.
         self.segments: dict[str, tuple] = {}
-        self.lookup = (np.zeros(0, np.uint64), np.zeros(0, np.int64))
-        self.pr_sorted = np.zeros(0, np.uint64)
         self.shard_watermarks: dict[int, int] = {}
         self.max_commit_scn = -1
         self.span_done = 0
         self.open_txns = _OPEN_SCHEMA.empty_table()
-        self.ddl_rows = pa.table({"xid_h": pa.array([], pa.uint64()),
-                                  "ddl": pa.array([], pa.string())})
+        self.ddl_rows = _DDL_SCHEMA.empty_table()
         self.partials = partition.PARTIALS_SCHEMA.empty_table()
 
-    def fold(self, ctl: pa.Table) -> None:
-        """Fold control rows (``_FOLD_COLUMNS``) in."""
+    def fold_segments(self, paths: list[str],
+                      stats: dict[str, tuple]) -> None:
+        """Fold the control rows of the segments ``paths`` in and index
+        their ``stats`` and footer scn ranges. DDL rows append with their
+        commit SCN, resolved by the C rows folded with them; a new one whose
+        C row folded earlier finds it in the covered segments whose range
+        reaches the row's scn (a commit never precedes its DDL). The rest
+        stay pending until their C row folds in."""
+        ctl = _control_rows(paths)
         op = ctl["op"]
-        commits = ctl.filter(pc.equal(op, "C"))
-        if commits.num_rows:
-            s = commits["scn"].cast(pa.int64()).to_numpy()
-            self.lookup = _merge_sorted(
-                *self.lookup, commits["xid_h"].to_numpy(zero_copy_only=False), s)
-            self.max_commit_scn = max(self.max_commit_scn, int(s.max()))
-        # partial-rollback targets: (xid, undo_scn, undo_scn_idx) of PR
-        # rows, mixed to one sorted key array for the decode anti-join
-        prs = ctl.filter(pc.equal(op, "PR"))
-        if prs.num_rows:
-            self.pr_sorted = _merge_sorted(self.pr_sorted, None, mix_pr_keys(
-                prs["xid_h"].to_numpy(),
-                prs["undo_scn"].cast(pa.int64()).to_numpy(),
-                prs["undo_scn_idx"].cast(pa.int64()).to_numpy()))
+        commits = _commits(ctl)
+        self.max_commit_scn = int(commits[1].max(initial=self.max_commit_scn))
         ddls = ctl.filter(pc.equal(op, "DDL"))
-        if ddls.num_rows:
-            self.ddl_rows = pa.concat_tables(
-                [self.ddl_rows, ddls.select(["xid_h", "ddl"])]).combine_chunks()
+        new = _with_commits(pa.table([ddls["xid_h"], ddls["ddl"], pa.nulls(
+            ddls.num_rows, pa.int64())], schema=_DDL_SCHEMA), commits)
+        waiting = pc.is_null(new["cscn"])
+        if pc.any(waiting).as_py():
+            lo = pc.min(ddls["scn"].filter(waiting)).as_py()
+            reach = [p for p, e in self.segments.items()
+                     if e[5] is None or e[5] >= lo]
+            if reach:
+                rows = _control_rows(reach, commits=True)
+                new = _with_commits(new, _commits(rows))
+        self.ddl_rows = pa.concat_tables(
+            [_with_commits(self.ddl_rows, commits), new]).combine_chunks()
         if ctl.num_rows:
             per_shard = ctl.group_by("shard").aggregate([("scn", "max")])
             for sh, w in zip(per_shard["shard"].to_pylist(),
@@ -381,6 +413,8 @@ class _ControlState:
                     w, self.shard_watermarks.get(sh, w))
         self._fold_spans(ctl.filter(pc.is_in(op, value_set=pa.array(
             ["B", "C", "R"]))))
+        for p in paths:
+            self.segments[p] = stats[p] + _scn_range(p)
 
     def _fold_spans(self, bcr: pa.Table) -> None:
         """max (commit - begin) SCN over committed transactions — the safe
@@ -409,26 +443,6 @@ class _ControlState:
                              _max_span(g.filter(pc.and_(done, has_c))))
         self.open_txns = g.filter(pc.invert(done)).select(_OPEN_SCHEMA.names)
 
-    def fold_segments(self, paths: list[str],
-                      stats: dict[str, tuple]) -> None:
-        """Fold the control rows of the segments ``paths`` in — a segment's
-        sidecar, or for one without (``stats`` record which), the same rows
-        derived from the segment — and index the segments' footer scn
-        ranges."""
-        import pyarrow.dataset as pads
-        side = [_sidecar(p) for p in paths if stats[p][2] is not None]
-        bare = [p for p in paths if stats[p][2] is None]
-        parts = []
-        if side:
-            parts.append(pads.dataset(side, format="parquet").to_table(
-                columns=_FOLD_COLUMNS))
-        if bare:
-            parts.append(S.control_rows(bare).select(_FOLD_COLUMNS))
-        self.fold(pa.concat_tables(parts, promote_options="default")
-                  .combine_chunks())
-        for p in paths:
-            self.segments[p] = stats[p] + _scn_range(p)
-
     def partials_of(self, paths: list[str]) -> pa.Table:
         return self.partials.filter(pc.is_in(
             self.partials["seg"], value_set=pa.array(paths, pa.string())))
@@ -436,21 +450,17 @@ class _ControlState:
     def info(self, paths: list[str]) -> ControlInfo:
         """The ControlInfo of the folded state; ``paths`` key its segment
         ranges."""
-        ddl_scns, dropped, drop_scns, rename_ops = _ddl_facts(
-            self.ddl_rows, self.lookup)
+        ddl_scns, dropped, drop_scns, rename_ops = _ddl_facts(self.ddl_rows)
         # a transaction whose C landed before its B still bounds the span
         # with the rows seen so far, exactly as a scan of them would
         span = max(self.span_done, _max_span(
             self.open_txns.filter(pc.equal(self.open_txns["c"], 1))))
-        segments = {}
-        for p in paths:
-            size, _, _, _, lo, hi = self.segments[p]
-            segments[p] = (size, lo, hi)
+        segments = {p: (self.segments[p][0], *self.segments[p][4:])
+                    for p in paths}
         return ControlInfo(
             ddl_scns=ddl_scns,
             max_commit_scn=self.max_commit_scn,
             shard_watermarks=dict(self.shard_watermarks), max_txn_span=span,
-            pr_sorted=self.pr_sorted, lookup_arrays=self.lookup,
             dropped_columns=tuple(dropped), drop_scns=tuple(drop_scns),
             rename_ops=tuple(rename_ops), segments=segments)
 
@@ -469,20 +479,15 @@ class _ControlState:
                                  for k, v in self.shard_watermarks.items()},
             "segments": self.segments,
         })
-        tmp = cp + f".tmp.{os.getpid()}"
+        # one temp file per writer thread: only whole files are renamed in
+        tmp = cp + f".tmp.{os.getpid()}.{threading.get_ident()}"
         try:
             with open(tmp, "wb") as f:
                 f.write(head.encode() + b"\n")
-                lh, lscn = self.lookup
-                for t in (pa.table({"lh": lh, "lscn": lscn}),
-                          pa.table({"pr": pa.array(self.pr_sorted, pa.uint64())}),
-                          self.open_txns, self.ddl_rows, self.partials):
+                for t in (self.open_txns, self.ddl_rows, self.partials):
                     with pa.ipc.new_stream(f, t.schema) as w:
                         w.write_table(t)
             os.replace(tmp, cp)
-            # digest-named checkpoints of the earlier one-per-file-set layout
-            for old in glob.glob(os.path.join(os.path.dirname(cp), "_summary-*")):
-                os.remove(old)
         except OSError:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -492,22 +497,18 @@ class _ControlState:
         """The checkpoint at ``cp``; None when it is missing, of another
         version, truncated or corrupt."""
         try:
+            st = cls.__new__(cls)    # every field is set below
             with open(cp, "rb") as f:
                 head = json.loads(f.readline().decode())
                 if head.get("v") != _CTL_SUMMARY_VERSION:
                     return None
-                lk, pr, open_txns, ddl_rows, partials = (
-                    pa.ipc.open_stream(f).read_all() for _ in range(5))
-            st = cls.__new__(cls)    # every field is set below
+                st.open_txns, st.ddl_rows, st.partials = (
+                    pa.ipc.open_stream(f).read_all() for _ in range(3))
             st.max_commit_scn = int(head["max_commit_scn"])
             st.span_done = int(head["span_done"])
             st.shard_watermarks = {int(k): int(v) for k, v
                                    in head["shard_watermarks"].items()}
             st.segments = {p: tuple(e) for p, e in head["segments"].items()}
-            st.lookup = (lk["lh"].to_numpy(), lk["lscn"].to_numpy())
-            st.pr_sorted = pr["pr"].to_numpy()
-            st.open_txns, st.ddl_rows = open_txns, ddl_rows
-            st.partials = partials
             return st
         except (OSError, ValueError, KeyError, TypeError):
             return None
@@ -520,15 +521,12 @@ def _max_span(g: pa.Table) -> int:
 
 
 def load_control(paths: list[str]) -> ControlInfo:
-    """Collect control rows (commit lookup, DDLs, shard watermarks, txn
-    span) and index each segment's scn range.
+    """Fold the control rows (``_control_rows``: DDLs with their commit
+    SCNs, shard watermarks, ``max_commit_scn``, txn span) and index each
+    segment's scn range; ``ControlInfo.decode_broadcast`` reads the commits.
 
-    A segment's control rows are its sidecar (``_ctl/<segment>``): only
-    the B/C/R/DDL/PR rows with precomputed xid hashes, O(#txns) bytes
-    instead of a full-stream scan. A segment without one has the same rows
-    derived from its pruned control columns (``schema.control_rows``), and
-    its stats record the missing sidecar, so a sidecar landing later means
-    a fold from empty. The state they fold into is
+    A segment's stats record a missing sidecar, so a sidecar landing later
+    means a fold from empty. The state the rows fold into is
     CHECKPOINTED once per ``_ctl`` directory (``CHECKPOINT_NAME``, in the
     directory of the first segment), with the segments it covers, so a call
     reads only the control rows and footers it has not seen — the analog of
@@ -625,10 +623,11 @@ class CommitResolver:
     """Decode stage: committed-DML filter + image flatten + partition id.
 
     Runs as a stateless ``map_batches`` fn built by :func:`make_resolver`:
-    the broadcast state (commit lookup, hot set) is a ``ray.put`` ref
-    fetched once per worker process, a zero-copy read from the node's
-    shared object store (~µs), and Ray reuses task workers across dataset
-    executions."""
+    the broadcast state (``commit_ref``: ``ControlInfo.decode_broadcast``
+    of the segments a replay reads; ``hot_ref``: the hot set) is a
+    ``ray.put`` ref fetched once per worker process, a zero-copy read
+    from the node's shared object store (~µs), and Ray reuses task workers
+    across dataset executions."""
 
     def __init__(self, commit_ref, num_partitions: int,
                  hot_ref=None, salt_block: int = 64,

@@ -99,11 +99,11 @@ def assert_same_partials(got, want):
 
 
 def assert_same_control(got, want):
-    """Every ControlInfo fact equal; segment ranges compared by file name.
-    The commit lookup is sorted by hash, so it compares positionally."""
-    for a, b in zip(got.lookup_arrays, want.lookup_arrays):
+    """Every ControlInfo fact equal, and the broadcast each builds from its
+    segments; segment ranges compared by file name. The commit lookup is
+    sorted by hash, so it compares positionally."""
+    for a, b in zip(got.decode_broadcast(), want.decode_broadcast()):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(got.pr_sorted, want.pr_sorted)
     assert got.ddl_scns == want.ddl_scns
     assert got.dropped_columns == want.dropped_columns
     assert got.drop_scns == want.drop_scns
@@ -118,17 +118,31 @@ def assert_same_control(got, want):
     assert ranges(got) == ranges(want)
 
 
+class ControlReads:
+    """The segments whose control rows were read, by kind: ``fold`` (the
+    fold of ``load_control``) and ``broadcast`` (commit rows: a replay's
+    broadcast, ``capped``, or the commit of a DDL row that folds late)."""
+
+    def __init__(self) -> None:
+        self.fold: list[str] = []
+        self.broadcast: list[str] = []
+
+    def clear(self) -> None:
+        self.fold.clear()
+        self.broadcast.clear()
+
+
 @pytest.fixture
 def sidecar_reads(monkeypatch):
-    """Counts the sidecars ``load_control`` folds in."""
+    """Records every read of the one control-row reader."""
     from olrx.stages import decode
 
-    seen: list[str] = []
-    fold = decode._ControlState.fold_segments
+    seen = ControlReads()
+    read = decode._control_rows
 
-    def spy(self, paths, stats):
-        seen.extend(paths)
-        return fold(self, paths, stats)
+    def spy(paths, commits=False):
+        (seen.broadcast if commits else seen.fold).extend(paths)
+        return read(paths, commits)
 
-    monkeypatch.setattr(decode._ControlState, "fold_segments", spy)
+    monkeypatch.setattr(decode, "_control_rows", spy)
     return seen

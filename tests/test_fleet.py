@@ -251,3 +251,47 @@ def test_run_tail_closes_its_session(tmp_path, gen_small):
     out = run_tail(spec_path, iterations=1)
     assert len(out) == 1 and out[0].stats.num_rows > 0
     assert _alive_appliers() == []
+
+
+def test_applier_killed_mid_route_fails_fast_then_resumes(
+        tmp_path, gen_small, expected_small, monkeypatch):
+    """``ray.kill`` of one applier after the first block is routed makes
+    the replay raise within 30 s, not at the fence timeout; a
+    ``resume=True`` rerun then equals the oracle, and its lineage counters
+    add up with the partitions the failed call committed to exactly the
+    stream's events."""
+    from olrx.stages import exchange
+    from olrx.state import manifest as MF
+
+    _, _, paths, _ = gen_small
+    marker = str(tmp_path / "killed")
+    make = exchange.make_router
+
+    def killing_router(appliers, num_appliers, ready_refs=None):
+        route, victim = make(appliers, num_appliers, ready_refs), appliers[0]
+
+        def fn(batch):
+            out = route(batch)
+            if not os.path.exists(marker):     # once, after the first block
+                open(marker, "w").close()
+                ray.kill(victim)
+            return out
+
+        return fn
+
+    monkeypatch.setattr(exchange, "make_router", killing_router)
+    cfg = dataclasses.replace(CFG, num_partitions=8, batch_size=1000,
+                              num_appliers=2)
+    lake = str(tmp_path / "lake")
+    t0 = time.monotonic()
+    with pytest.raises(Exception):
+        replay_to_lake(paths, lake, cfg, resume=False)
+    assert time.monotonic() - t0 < 30
+    assert os.path.exists(marker), "the applier must die mid-route"
+    monkeypatch.undo()
+    committed = sum(m.counters.get("events", 0) for m in
+                    MF.read_all(os.path.join(lake, "_manifest")).values())
+    res = replay_to_lake(paths, lake, cfg, resume=True)
+    assert sum(res.stats["events"].to_pylist()) + committed == 7220
+    assert sorted_table(read_lake(lake),
+                        expected_small.schema).equals(expected_small)

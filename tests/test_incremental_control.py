@@ -3,6 +3,7 @@ control equals a full scan for any landing order, a tail iteration's cost
 follows the new segments, and pruning never loses a transaction."""
 
 import glob
+import json
 import os
 import shutil
 
@@ -11,14 +12,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from olrx import schema as S
 from olrx.gen import GenConfig, ensure_changelog, write_control_sidecars
 from olrx.oracle import apply_naive
 from olrx.pipelines.replay import (ReplayConfig, read_lake, replay_dataset,
                                    replay_to_lake)
 from olrx.schema import xid_hash
 from olrx.stages import partition
-from olrx.stages.decode import (CHECKPOINT_NAME, _ControlState, hot_partials,
-                                load_control)
+from olrx.stages.decode import (CHECKPOINT_NAME, ControlInfo, _ControlState,
+                                hot_partials, load_control)
 from olrx.state import manifest as MF
 from tests.conftest import (assert_same_control, assert_same_partials,
                             fresh_hot_partials, fresh_scan, sorted_table)
@@ -76,7 +78,8 @@ def test_fold_equals_full_scan(tmp_path):
             got = load_control(sorted(landed))
             assert_same_control(got, fresh_scan(sorted(landed), tmp_path))
         # the stream exercises every fact the fold carries
-        assert got.dropped_columns and got.rename_ops and len(got.pr_sorted)
+        assert (got.dropped_columns and got.rename_ops
+                and len(got.decode_broadcast()[2]))
         st = _ControlState.read(os.path.join(land, "_ctl", CHECKPOINT_NAME))
         flags = st.open_txns.to_pydict()
         assert any(b and not c and not r for b, c, r
@@ -87,27 +90,43 @@ def test_fold_equals_full_scan(tmp_path):
         assert pc.sum(pc.equal(side["op"], "R")).as_py() > 0
 
 
-def test_tail_iteration_cost_follows_new_segments(tmp_path, sidecar_reads):
+def test_tail_iteration_cost_follows_new_segments(tmp_path, sidecar_reads,
+                                                  monkeypatch):
     """One new pair after 10 committed pairs and one after 100: both
-    iterations open the same number of sidecars (the new pair's) and
-    hand the event read the same number of segments."""
+    iterations fold the same number of sidecars (the new pair's), read the
+    commit rows of the same number of segments for their broadcast, hand
+    the event read the same number of segments, and ship broadcasts whose
+    bytes are within 20% of each other."""
+    shipped: list[int] = []
+    build = ControlInfo.decode_broadcast
+
+    def spy(self, paths=None):
+        out = build(self, paths)
+        shipped.append(sum(a.nbytes for a in out))
+        return out
+
+    monkeypatch.setattr(ControlInfo, "decode_broadcast", spy)
     d = ensure_changelog(GenConfig(scale=0.01, segments_per_shard=110))
     pairs = _pairs(sorted(glob.glob(d + "/*.parquet")))
     assert len(pairs) > 101
     land, lake = str(tmp_path / "land"), str(tmp_path / "lake")
     landed: list[str] = []
-    seen = {}
+    seen, sent = {}, {}
     for k in (10, 100):
         landed += _land([p for pr in pairs[len(landed) // 2:k] for p in pr],
                         land)
         replay_to_lake(sorted(landed), lake, TAIL)
         landed += _land(pairs[k], land)
         sidecar_reads.clear()
+        shipped.clear()
         res = replay_to_lake(sorted(landed), lake, TAIL)
-        seen[k] = (len(sidecar_reads), len(res.segments_read))
+        seen[k] = (len(sidecar_reads.fold), len(sidecar_reads.broadcast),
+                   len(res.segments_read))
+        sent[k], = shipped
     assert seen[10] == seen[100], seen
     assert seen[100][0] == 2
-    assert seen[100][1] < 10
+    assert seen[100][1] < 10 and seen[100][2] < 10
+    assert abs(sent[100] - sent[10]) <= 0.2 * sent[10], sent
 
 
 def test_hot_partials_fold_equals_fresh_scan(tmp_path):
@@ -233,9 +252,10 @@ def _expected(table):
 
 
 def _committed(res, xid: str) -> bool:
-    """Whether the replay's commit lookup holds ``xid``."""
+    """Whether the replay's broadcast commit lookup, built from the
+    segments its event read got, holds ``xid``."""
     return bool(np.isin(xid_hash(pa.array([xid])),
-                        res.control.lookup_arrays[0]))
+                        res.control.decode_broadcast(res.segments_read)[0]))
 
 
 def test_late_commit_below_floor_is_applied(tmp_path):
@@ -333,4 +353,80 @@ def test_sidecar_landing_late_folds_from_empty(tmp_path, gen_small,
     write_control_sidecars(late)
     sidecar_reads.clear()
     assert_same_control(load_control(landed), want)
-    assert len(sidecar_reads) == len(landed), "must fold from empty"
+    assert len(sidecar_reads.fold) == len(landed), "must fold from empty"
+
+
+def _control_segment(path, rows):
+    """A segment holding only the control rows ``rows`` (op, xid, scn[,
+    ddl]) on shard ``path``'s shard, and its sidecar."""
+    shard = int(os.path.basename(path)[5:7])
+    pq.write_table(pa.Table.from_pylist(
+        [dict(op=op, xid=xid, scn=scn, scn_idx=i, shard=shard, seq=0,
+              ddl=ddl[0] if ddl else None)
+         for i, (op, xid, scn, *ddl) in enumerate(rows)],
+        schema=S.changelog_schema()), path)
+    write_control_sidecars([path])
+    return path
+
+
+def _ddl_segments(src):
+    """Synthetic segments: ``early`` commits an unrelated txn (scn 1-5);
+    ``ddl`` begins an add-column and a rename txn and holds their DDL rows
+    (scn 10-14); ``commit``, on the other shard, commits both (scn 20-21)."""
+    os.makedirs(src)
+    add = json.dumps({"add_columns": [{"name": "tool_meta",
+                                       "type": "string"}]})
+    rename = json.dumps({"rename_columns": {"tool": "tool_label"}})
+    early = _control_segment(os.path.join(src, "shard00-seg0000.parquet"),
+                             [("B", "x0", 1), ("C", "x0", 5)])
+    ddl = _control_segment(os.path.join(src, "shard00-seg0001.parquet"),
+                           [("B", "xa", 10), ("DDL", "xa", 11, add),
+                            ("B", "xr", 12), ("DDL", "xr", 14, rename)])
+    commit = _control_segment(os.path.join(src, "shard01-seg0001.parquet"),
+                              [("C", "xa", 20), ("C", "xr", 21)])
+    return early, ddl, commit
+
+
+def test_ddl_commit_folding_later_or_earlier(tmp_path, sidecar_reads):
+    """A DDL transaction whose C row folds in a later call than its DDL
+    rows, and one whose C row folds in an earlier call: at every landing
+    the DDL facts equal a fresh scan. A DDL row that folds after its C row
+    reads the commit rows only of the covered segments whose scn range
+    reaches the row's scn."""
+    early, ddl, commit = _ddl_segments(str(tmp_path / "src"))
+    for name, order in (("later", (early, ddl, commit)),
+                        ("earlier", (early, commit, ddl))):
+        land = str(tmp_path / name)
+        landed: list[str] = []
+        for p in order:
+            landed += _land([p], land)
+            sidecar_reads.clear()
+            got = load_control(sorted(landed))
+            reads = [os.path.basename(p) for p in sidecar_reads.broadcast]
+            assert_same_control(got, fresh_scan(sorted(landed), tmp_path))
+            folded = {os.path.basename(p) for p in landed}
+            if os.path.basename(commit) not in folded:
+                assert got.ddl_scns == [] and got.rename_ops == ()
+            if name == "earlier" and p == ddl:
+                assert reads == [os.path.basename(commit)], reads
+            else:
+                assert reads == []
+        assert got.ddl_scns == [20]
+        assert got.rename_ops == ((21, "tool", "tool_label"),)
+
+
+def test_capped_max_commit_scn_on_resumed_input(tmp_path, gen_small):
+    """On an input folded in two calls, ``capped(e).max_commit_scn`` is the
+    largest C-row SCN at or below ``e``, and the capped broadcast holds
+    exactly the commits at or below it."""
+    _, _, paths, full = gen_small
+    landed = _land(paths, str(tmp_path / "land"))
+    load_control(landed[:4])
+    control = load_control(landed)
+    scns = np.sort(full.filter(pc.equal(full["op"], "C"))["scn"].to_numpy())
+    for e in (scns[0] - 1, scns[0], scns[len(scns) // 2] + 1,
+              scns[-1] - 1, scns[-1]):
+        below = scns[scns <= e]
+        capped = control.capped(int(e))
+        assert capped.max_commit_scn == (below[-1] if len(below) else -1)
+        assert len(capped.decode_broadcast()[0]) == len(below)

@@ -7,7 +7,6 @@ import json
 import os
 import shutil
 
-import numpy as np
 import pyarrow as pa
 import pytest
 import ray
@@ -122,11 +121,11 @@ def test_checkpoint_corrupt_falls_back(tmp_path, gen_small, damage,
                 else b"\x00garbage" + raw[::-1])
     sidecar_reads.clear()
     got = load_control(paths)
-    assert len(sidecar_reads) == len(paths)
+    assert len(sidecar_reads.fold) == len(paths)
     assert_same_control(got, fresh_scan(paths, tmp_path))
     sidecar_reads.clear()
     assert_same_control(load_control(paths), got)
-    assert sidecar_reads == [], "the rewritten checkpoint must load"
+    assert sidecar_reads.fold == [], "the rewritten checkpoint must load"
     # and it round-trips through the file, not only through this process
     from olrx.stages.decode import _ControlState
     assert_same_control(_ControlState.read(cp).info(paths), got)
@@ -163,7 +162,7 @@ def test_checkpoint_changed_segment_full_fold(tmp_path, gen_small, change,
         paths = [p for p in paths if p != victim]
     sidecar_reads.clear()
     got = load_control(paths)
-    assert len(sidecar_reads) == len(paths), "must fold from empty"
+    assert len(sidecar_reads.fold) == len(paths), "must fold from empty"
     assert_same_control(got, fresh_scan(paths, tmp_path))
 
 
@@ -217,13 +216,13 @@ def test_checkpoint_subset_keeps_superset(tmp_path, gen_small, sidecar_reads):
     assert os.stat(cp).st_mtime_ns == st.st_mtime_ns
     sidecar_reads.clear()
     assert_same_control(load_control(paths), full)
-    assert sidecar_reads == []
+    assert sidecar_reads.fold == []
 
 
 def test_checkpoint_bytes_per_transaction(tmp_path, gen_small):
-    """The checkpoint carries each commit once, as its 16 B lookup entry
-    (xid hash, commit SCN), and no xid strings: under 28 B per committed
-    transaction on the small stream."""
+    """The checkpoint carries no copy of the commits or PR keys (they stay
+    in the sidecars): under 6 B per committed transaction on the small
+    stream."""
     import pyarrow.compute as pc
 
     from olrx.stages.decode import CHECKPOINT_NAME, load_control
@@ -234,29 +233,130 @@ def test_checkpoint_bytes_per_transaction(tmp_path, gen_small):
     cp = os.path.join(os.path.dirname(paths[0]), "_ctl", CHECKPOINT_NAME)
     txns = pc.sum(pc.equal(full["op"], "C")).as_py()
     assert txns > 500
-    assert os.path.getsize(cp) < 28 * txns, os.path.getsize(cp) / txns
+    assert os.path.getsize(cp) < 6 * txns, os.path.getsize(cp) / txns
+
+
+def _folded_state(paths):
+    """A control state folded from empty over ``paths``, in memory."""
+    from olrx.stages.decode import _ControlState, _file_stats
+
+    st = _ControlState()
+    st.fold_segments(paths, _file_stats(paths))
+    return st
+
+
+def _assert_same_state(got, want):
+    """Every field of two control states equal."""
+    for name in ("segments", "shard_watermarks", "max_commit_scn",
+                 "span_done"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("open_txns", "ddl_rows", "partials"):
+        assert getattr(got, name).equals(getattr(want, name)), name
+
+
+def test_checkpoint_concurrent_writers(tmp_path, gen_small, monkeypatch):
+    """Threads of one process that load the same ``_ctl`` directory at
+    once — two over all but the last two segments, two over all of them,
+    with a 1 µs switch interval — leave a checkpoint that reads back and
+    equals a fold of the segments its header names. Every writer
+    opens its file before any of them writes, sleeps a random while before
+    each write and flushes it, so their writes reach the files interleaved
+    in changing orders."""
+    import builtins
+    import random
+    import sys
+    import threading
+    import time
+
+    from olrx.stages import decode
+
+    paths = _copied_changelog(tmp_path, gen_small)
+    cp = os.path.join(os.path.dirname(paths[0]), "_ctl",
+                      decode.CHECKPOINT_NAME)
+    sets = (paths[:-2], paths)
+    gate: list = []
+    errors: list = []
+    rng = random.Random(0)
+    real_open = builtins.open
+
+    class Yielding:
+        def __init__(self, f):
+            self.f = f
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, b):
+            time.sleep(rng.random() * 0.002)
+            n = self.f.write(b)
+            self.f.flush()
+            return n
+
+    def gated_open(file, mode="r", *a, **kw):
+        f = real_open(file, mode, *a, **kw)
+        if "w" not in mode:
+            return f
+        try:
+            gate[-1].wait()
+        except threading.BrokenBarrierError:
+            pass
+        return Yielding(f)
+
+    def load(s):
+        try:
+            decode.load_control(s)
+        except Exception as e:      # surfaced in the main thread below
+            errors.append(e)
+
+    monkeypatch.setattr(decode, "open", gated_open, raising=False)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            if os.path.exists(cp):
+                os.remove(cp)
+            gate.append(threading.Barrier(4, timeout=5))
+            threads = [threading.Thread(target=load, args=(s,))
+                       for s in sets * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors, errors
+            st = decode._ControlState.read(cp)
+            assert st is not None, "the checkpoint must read back"
+            assert len(st.segments) in (len(s) for s in sets)
+            _assert_same_state(st, _folded_state(sorted(st.segments)))
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_control_summary_roundtrip(tmp_path, gen_small):
     """The Arrow-IPC checkpoint (non-executable — r2 advisory replaced
-    pickle) must reload byte-equal control state, including the precomputed
-    lookup arrays and PR anti-join keys."""
-    from olrx.stages.decode import load_control
+    pickle) must reload equal control state: the header facts, the DDL
+    rows with their commit SCNs and the open-transaction table equal those
+    of an in-memory fold, and the broadcast built from the reloaded state
+    is sorted by hash."""
+    from olrx.stages.decode import (CHECKPOINT_NAME, _ControlState,
+                                    load_control)
 
     paths = _copied_changelog(tmp_path, gen_small)
     fresh = load_control(paths)          # computes + writes the checkpoint
     cached = load_control(paths)         # loads the checkpoint
-    assert cached.max_commit_scn == fresh.max_commit_scn
-    assert cached.shard_watermarks == fresh.shard_watermarks
-    assert cached.ddl_scns == fresh.ddl_scns
-    assert cached.max_txn_span == fresh.max_txn_span
-    np.testing.assert_array_equal(cached.pr_sorted, fresh.pr_sorted)
-    l0f, l1f = fresh.lookup_arrays
-    l0c, l1c = cached.lookup_arrays
-    assert len(l0f) == len(l1f) > 0
-    assert (l0f[1:] >= l0f[:-1]).all(), "sorted by hash"
-    np.testing.assert_array_equal(l0c, l0f)
-    np.testing.assert_array_equal(l1c, l1f)
+    assert_same_control(cached, fresh)
+    cp = os.path.join(os.path.dirname(paths[0]), "_ctl", CHECKPOINT_NAME)
+    read = _ControlState.read(cp)
+    _assert_same_state(read, _folded_state(paths))
+    assert pa.compute.count(read.ddl_rows["cscn"]).as_py() > 0
+    h, scn, _ = cached.decode_broadcast()
+    assert len(h) == len(scn) > 0
+    assert (h[1:] >= h[:-1]).all(), "sorted by hash"
     # and no pickle anywhere near the checkpoint
     ctl_dir = os.path.join(os.path.dirname(paths[0]), "_ctl")
     assert not [f for f in os.listdir(ctl_dir) if f.endswith(".pkl")]
