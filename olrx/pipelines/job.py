@@ -103,8 +103,8 @@ class TailSession:
     tail iteration re-stats the spec file and rebuilds the ReplayConfig when
     it changed, so a filter edit (table_regex, skip_xids, condition, …)
     takes effect at the next iteration with no job bounce. Manifests keep
-    the iterations idempotent regardless of when the config flips: already-
-    confirmed partitions are watermark-skipped, only new/now-tracked data
+    the iterations idempotent regardless of when the config flips: decode
+    drops what each partition already confirmed, only new/now-tracked data
     is applied.
 
     Live metrics (reference MetricsPrometheus analog,

@@ -269,7 +269,7 @@ GROUP BY op
 def _filter_params(sf_dir: str) -> dict:
     """Deterministic filter set shared by the Ray query and the SQL oracle."""
     paths = changelog_paths_for(sf_dir)
-    scns = np.sort(load_control(paths).decode_broadcast()[1])
+    scns = np.sort(load_control(paths).commit_scns())
     start = int(scns[len(scns) // 10])
     return {
         "skip_xids": ("x10", "x11", "x12"),
@@ -441,7 +441,7 @@ def _net_change_bounds(sf_dir: str) -> tuple[int, int]:
     percentile commit SCNs. The SAME helper feeds the Ray query and the SQL
     oracle, so both sides cut at identical literals."""
     paths = changelog_paths_for(sf_dir)
-    scns = load_control(paths).decode_broadcast()[1]
+    scns = load_control(paths).commit_scns()
     k1, k3 = len(scns) // 4, (3 * len(scns)) // 4
     return int(np.partition(scns, k1)[k1]), int(np.partition(scns, k3)[k3])
 

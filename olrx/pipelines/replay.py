@@ -233,25 +233,30 @@ def oversized_xids(paths: list[str], max_events: int) -> tuple[str, ...]:
 
 
 def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
-                    min_commit_scn_excl: int = -1,
+                    floors: "np.ndarray | None" = None,
                     hot: frozenset | None = None,
                     read: list | None = None) -> rd.Dataset:
-    """The decoded event stream of ``paths`` above the floor. Only the
-    segments whose indexed scn range meets the scn filter are read (the
-    list is appended to ``read`` when given): the filter would drop every
-    row of the others, so the pruning is exact. So does the big-txn
-    pre-pass, and the broadcast (before the ``start_seq`` filter): every
-    DML, C and PR row of a txn committing in (floor, end] lies in them."""
+    """The decoded event stream of ``paths``: events committed above their
+    partition's resume cut ``floors[part]`` (None: none) and the start
+    position. Only the segments whose indexed scn range meets the scn
+    filter are read (the list is appended to ``read`` when given): the
+    filter would drop every row of the others, so the pruning is exact. So
+    does the big-txn pre-pass, and the broadcast (before the ``start_seq``
+    filter): every DML, C and PR row of a txn committing in (lowest floor,
+    end] lies in them."""
     hot_ref = None
     if hot:
         hot_ref = ray.put(hot)
-    floor = max(min_commit_scn_excl, cfg.start_commit_scn)
+    start = cfg.start_commit_scn
     start_time_us = cfg.start_time_us
     if cfg.start_time_rel_us is not None:
         rel_abs = resolve_start_time_rel(paths, cfg.start_time_rel_us)
         start_time_us = max(start_time_us or 0, rel_abs)
     if start_time_us is not None:
-        floor = max(floor, resolve_start_time(paths, start_time_us))
+        start = max(start, resolve_start_time(paths, start_time_us))
+    floors = np.maximum(np.full(cfg.num_partitions, -1, np.int64)
+                        if floors is None else floors, start)
+    floor = int(floors.min())
     # scan pruning: a txn with commit > floor began at scn > floor - span,
     # so segments and row groups entirely ≤ that bound can never contribute
     # (belt-and-suspenders with the decode-level filter)
@@ -281,7 +286,7 @@ def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
                          override_num_blocks=coarse_read_blocks())
     return ds.map_batches(
         make_resolver(commit_ref, cfg.num_partitions, hot_ref,
-                      cfg.salt_block, floor,
+                      cfg.salt_block, floors,
                       skip, cfg.conv_regex, cfg.condition,
                       include_table=cfg.multi_table,
                       table_regex=cfg.table_regex),
@@ -291,12 +296,13 @@ def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
 
 
 def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
-          floor: int = -1, mdir: str | None = None,
+          floors: "np.ndarray | None" = None, mdir: str | None = None,
           kept_fleet: bool = False) -> tuple[ControlInfo, dict, list]:
     """The plan both replay modes run: load and cap the control, fence the
     schema version, drops and renames against the prior manifests
     ``prev_ms`` (empty in dataset mode), pick the hot keys (pinned in
-    ``mdir`` when given), decode above ``floor`` and size the applier fleet.
+    ``mdir`` when given), decode above the per-partition ``floors`` and
+    size the applier fleet.
     Returns the control, the ``run_actor_exchange`` arguments and the
     segments the event read gets.
 
@@ -333,9 +339,10 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
     nbytes = sum(control.segments[p][0] for p in paths)
     read: list[str] = []
     return control, dict(
-        events=_decoded_events(paths, cfg, control,
-                               min_commit_scn_excl=floor, hot=hot, read=read),
+        events=_decoded_events(paths, cfg, control, floors=floors, hot=hot,
+                               read=read),
         num_appliers=cfg.resolved_num_appliers(nbytes, kept_fleet=kept_fleet),
+        num_partitions=cfg.num_partitions,
         schema_version=max([control.schema_version]
                            + [m.schema_version for m in prev]),
         compact_threshold=cfg.applier_compact_threshold,
@@ -374,23 +381,15 @@ def replay_to_lake(paths: list[str], out_dir: str,
     ms = MF.read_all(mdir) if resume else {}
     if ms:  # an old-layout lake fails here, before any write could mix it
         snapshot_footer(os.path.join(out_dir, ms[min(ms)].files[0]))
-    # global floor: safe to drop in decode only what EVERY partition confirmed
-    floor = MF.global_watermark(mdir, ms, cfg.num_partitions) if resume else -1
+    # each partition's resume cut: decode drops every event at or below it,
+    # so the exchange and the commit only ever see events they apply
+    floors = resume_floors(mdir, ms, cfg.num_partitions) if resume else None
     timings: dict = {}
-    control, run, read = _plan(paths, cfg, timings, ms, floor, mdir,
+    control, run, read = _plan(paths, cfg, timings, ms, floors, mdir,
                                kept_fleet=fleet is not None)
-    # per-partition confirmed watermarks (resume): receive-time lineage
-    # counters exclude rows the commit path's watermark filter will drop,
-    # so manifest counters stay stream-exact across resumes (r2 advisory)
-    wms = None
-    if ms:
-        wms = np.full(cfg.num_partitions, -1, np.int64)
-        for p, m in ms.items():
-            if 0 <= p < cfg.num_partitions:
-                wms[p] = m.watermark_commit_scn
     safe_wm = cfg.safe_watermark(control)
     stats = run_actor_exchange(
-        **run, part_watermarks=wms, timings=timings, fleet=fleet,
+        **run, timings=timings, fleet=fleet,
         commit=dict(out_dir=out_dir, safe_watermark=safe_wm,
                     max_commit_scn=control.max_commit_scn,
                     max_txn_span=control.max_txn_span,
@@ -402,6 +401,26 @@ def replay_to_lake(paths: list[str], out_dir: str,
     MF.write_lake_watermark(mdir, safe_wm, run["schema_version"])
     return ReplayResult(control=control, stats=stats, out_dir=out_dir,
                         timings=timings, segments_read=read)
+
+
+def resume_floors(mdir: str, ms: dict, num_partitions: int) -> np.ndarray:
+    """Per-partition resume cut of the lake whose manifests ``ms`` live in
+    ``mdir``: the partition's confirmed watermark, at least the global floor
+    (``MF.global_watermark``, which covers partitions that never committed).
+    A lake partitioned differently raises ``ValueError``: a key would hash
+    to another partition, and a resume would commit it twice."""
+    had = {m.num_partitions for m in ms.values()} - {-1}
+    if had - {num_partitions} or max(ms, default=-1) >= num_partitions:
+        was = "/".join(map(str, sorted(had))) or f"at least {max(ms) + 1}"
+        raise ValueError(
+            f"num_partitions changed ({was} → {num_partitions}); the "
+            "partitioning is pinned at first commit — rebuild the lake "
+            "(resume=False) to change it")
+    floors = np.full(num_partitions,
+                     MF.global_watermark(mdir, ms, num_partitions), np.int64)
+    for p, m in ms.items():
+        floors[p] = max(floors[p], m.watermark_commit_scn)
+    return floors
 
 
 def _resolved_hot_keys(paths: list[str], cfg: ReplayConfig,

@@ -121,7 +121,7 @@ def _split_scn(paths: list[str]) -> int:
 
     from olrx.stages.decode import load_control
 
-    scns = load_control(paths).decode_broadcast()[1]
+    scns = load_control(paths).commit_scns()
     k = len(scns) // 2
     return int(np.partition(scns, k)[k])
 

@@ -42,25 +42,26 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
                      output_codec: str = "zstd",
                      dropped: tuple = (),
                      renamed: "dict[str, str] | None" = None,
-                     snapshot_keep: int = 1) -> pa.Table:
+                     snapshot_keep: int = 1,
+                     num_partitions: int = -1) -> pa.Table:
     """Lake-mode per-partition apply: merge with base state, write parquet
-    atomically, then publish the manifest. Idempotent under task retries:
-    a retry re-reads the (old) manifest, recomputes the same bytes and
-    re-publishes the same files/manifest — a no-op replacement.
+    atomically, then publish the manifest (which records ``num_partitions``,
+    the lake's partition count). Idempotent under task retries: a retry
+    re-reads the (old) manifest, recomputes the same bytes and re-publishes
+    the same files/manifest — a no-op replacement.
 
     ``counters``: exact pre-compaction stream counts from the exchange (the
-    in-``group`` events may already be folded to winners). The exchange
-    stamps ``_wm`` = the per-partition watermark its receive-time counts
-    already excluded — when it matches this partition's manifest watermark,
-    the counts stay stream-exact through the resume filter with no recount
-    (r2 advisory); a mismatch (retried finalize after a partial tail commit)
-    falls back to recounting the folded winners. ``_min_scn`` is the
-    receive-time min commit SCN (folded winners would over-state birth)."""
+    in-``group`` events may already be folded to winners). Decode already
+    dropped every event at or below the partition's watermark
+    (``replay.resume_floors``), so the counts are the applied stream's. The
+    watermark filter below is a safety net for a manifest that moved since
+    the replay read it: when it drops a row, the counters are recounted
+    from the folded winners. ``_min_scn`` is the receive-time min commit
+    SCN (folded winners would over-state birth)."""
     part = int(group["part"][0].as_py())
     mdir = os.path.join(out_dir, "_manifest")
     prev = MF.read_manifest(mdir, part)
     counters = dict(counters)
-    wm_counted = counters.pop("_wm", -1)
     fm = counters.pop("_min_scn", -1)
     fresh_min = fm if fm >= 0 else None   # min commit SCN applied THIS run
     target_watermark = max(safe_watermark, prev.watermark_commit_scn if prev else -1)
@@ -74,9 +75,7 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
         n_before = group.num_rows
         group = group.filter(pc.greater(group["commit_scn"],
                                         prev.watermark_commit_scn))
-        if group.num_rows != n_before and prev.watermark_commit_scn != wm_counted:
-            # the filter dropped rows the counters still include — recount
-            # (counters from a watermark-aware exchange already exclude them)
+        if group.num_rows != n_before:
             counters = apply_stats(group)
         base = _read_base(out_dir, prev)
         if base is not None and base.num_rows:
@@ -132,6 +131,7 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
         max_txn_span=max_txn_span,
         first_watermark=first_wm,
         first_data_scn=first_data,
+        num_partitions=num_partitions,
     )
     MF.write_manifest(mdir, m)
     # GC superseded snapshots, keeping the newest `snapshot_keep` at or

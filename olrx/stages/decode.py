@@ -191,6 +191,15 @@ class ControlInfo:
         keep = [p for p in paths if meets(p)]
         return keep or sorted(paths, key=lambda p: self.segments[p][2])[-1:]
 
+    def commit_scns(self) -> np.ndarray:
+        """The commit SCNs at or below ``max_commit_scn`` of every segment
+        of this control, unordered: one read of their C rows, with none of
+        ``decode_broadcast``'s PR keys and hash sort."""
+        rows = _control_rows(list(self.segments), commits=True)
+        return rows.filter(pc.and_(
+            pc.equal(rows["op"], "C"),
+            pc.less_equal(rows["scn"], self.max_commit_scn)))["scn"].to_numpy()
+
     def decode_broadcast(self, paths: "list[str] | None" = None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sorted xid-hashes, aligned commit_scns, sorted PR keys) of the
@@ -631,7 +640,7 @@ class CommitResolver:
 
     def __init__(self, commit_ref, num_partitions: int,
                  hot_ref=None, salt_block: int = 64,
-                 min_commit_scn_excl: int = -1,
+                 floors: "np.ndarray | None" = None,
                  skip_xids: tuple[str, ...] = (),
                  conv_regex: str | None = None,
                  condition: str | None = None,
@@ -641,7 +650,8 @@ class CommitResolver:
         self.num_partitions = num_partitions
         self.hot: frozenset = ray.get(hot_ref) if hot_ref is not None else frozenset()
         self.salt_block = salt_block
-        self.min_commit_scn_excl = min_commit_scn_excl  # resume watermark
+        #: per-partition resume cut (None: no cut)
+        self.floors = None if floors is None or floors.max() < 0 else floors
         # user-facing filters (reference §2.6): skip-xid list
         # (/root/reference/src/OpenLogReplicator.cpp:1047-1063), table/owner
         # regex (:1009-1045), row `condition` expression
@@ -709,8 +719,6 @@ class CommitResolver:
             xid_hash(gather("xid")),
             gather("scn").to_numpy(zero_copy_only=False),
             gather("scn_idx").to_numpy(zero_copy_only=False), self._broadcast)
-        if self.min_commit_scn_excl >= 0:
-            keep = keep & (commit_scn > self.min_commit_scn_excl)
         if not keep.all():
             idx = idx[keep]
             commit_scn = commit_scn[keep]
@@ -721,6 +729,14 @@ class CommitResolver:
         part = partition_ids(gather("conv_id"), gather("turn_idx"),
                              self.num_partitions, self.hot, self.salt_block,
                              table=tbl_arr)
+        if self.floors is not None:
+            # the one exactly-once cut, the reference's Metadata::isNewData
+            # (src/metadata/Metadata.cpp:716-727)
+            new = commit_scn > self.floors[part]
+            if not new.all():
+                idx, commit_scn, part = idx[new], commit_scn[new], part[new]
+            if len(idx) == 0:
+                return self._empty()
         # THE payload gather: one take over only the columns the stream needs
         # (xid/op stay behind — already consumed above)
         want = (["table_name"] if self.include_table else []) + [
@@ -767,7 +783,7 @@ class CommitResolver:
 
 
 def make_resolver(commit_ref, num_partitions: int, hot_ref=None,
-                  salt_block: int = 64, min_commit_scn_excl: int = -1,
+                  salt_block: int = 64, floors: "np.ndarray | None" = None,
                   skip_xids: tuple[str, ...] = (), conv_regex: str | None = None,
                   condition: str | None = None, include_table: bool = False,
                   table_regex: str | None = None):
@@ -780,7 +796,7 @@ def make_resolver(commit_ref, num_partitions: int, hot_ref=None,
     def fn(batch: pa.Table) -> pa.Table:
         if not holder:
             holder.append(CommitResolver(commit_ref, num_partitions, hot_ref,
-                                         salt_block, min_commit_scn_excl,
+                                         salt_block, floors,
                                          skip_xids, conv_regex, condition,
                                          include_table, table_regex))
         return holder[0](batch)

@@ -49,12 +49,19 @@ shipping can never stand in for a shard still on its way.
 Lake-mode finalize (``PartitionApplier.finalize_commit``) turns one
 applier's holding into per-partition commits: ONE stable ``take`` puts the
 holding in partition order and each partition is a zero-copy slice of it
-(``split_by_partition``), every partition's lineage counters come from one
-pass over the merged count arrays, and the ``apply_and_commit`` calls run
-on a pool of ``min(partitions held, pa.cpu_count())`` threads, so one
-partition's merge, zstd parquet encode, fsyncs and mkdirs overlap
-another's. The pool size is not a knob: it stays inside the 2 Arrow
-threads each applier pins because the whole fleet finalizes at once.
+(``split_by_partition``), every partition's lineage counters are a row of
+the applier's dense per-partition arrays (op counts and birth SCNs, summed
+as shards arrive), and the ``apply_and_commit`` calls run on a pool of
+``min(partitions held, pa.cpu_count())`` threads, so one partition's
+merge, zstd parquet encode, fsyncs and mkdirs overlap another's. The pool
+size is not a knob: it stays inside the 2 Arrow threads each applier pins
+because the whole fleet finalizes at once.
+
+Exactly-once is not the exchange's concern: on a resume, decode drops
+every event at or below its partition's confirmed watermark
+(``replay.resume_floors``), so an applier buffers, folds, counts and
+commits only events it applies. A partition whose watermark covers the
+whole input receives nothing and has no row in the stats.
 
 Payload blobs are lz4-compressed Arrow IPC (``BLOB_CODEC``): the
 exchange's scarce resource on a bandwidth-bound host — and the cross-node
@@ -65,12 +72,12 @@ blobs at a time.
 
 Fleet lifetime: the applier actors belong to an :class:`ApplierFleet`, and
 every exchange starts with ``ApplierFleet.begin``, which resets each
-actor's per-run state (schema, watermarks, buffers, blobs, dedupe digests,
-counters). Whoever creates the fleet owns its lifetime: a long-lived caller
-(``TailSession``) keeps one fleet across iterations, so an iteration pays
-no actor spawn; a caller that passes no fleet gets one scoped to the call,
-whose actors are killed when the call returns, so no run ever gets an
-actor another run has used. The owner also sets the size
+actor's per-run state (schema, partition count, buffers, blobs, dedupe
+digests, counters). Whoever creates the fleet owns its lifetime: a
+long-lived caller (``TailSession``) keeps one fleet across iterations, so
+an iteration pays no actor spawn; a caller that passes no fleet gets one
+scoped to the call, whose actors are killed when the call returns, so no
+run ever gets an actor another run has used. The owner also sets the size
 (``ReplayConfig.resolved_num_appliers``): below ~24 MB of input per
 applier, a call-scoped fleet gets one applier per CPU and a kept fleet 2×
 CPUs (both at most 8). ``close`` kills the actors and returns once they are
@@ -150,58 +157,23 @@ def from_ipc(buf: pa.Buffer) -> pa.Table:
     return pa.ipc.open_stream(buf).read_all()
 
 
-def _op_counts(t: pa.Table, wm_arr: "np.ndarray | None" = None
+def _op_counts(t: pa.Table, num_partitions: int
                ) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-shard lineage: ``(counts, mins)`` where counts is a (2, k) array
-    of (part*4 + op_code, count) and mins is a (2, m) array of
-    (part, min commit_scn). Both accumulated at RECEIVE time (before any
-    fold), so they track the event stream exactly — the reference dml_ops
-    metrics (/root/reference/src/common/metrics/Metrics.h); the min feeds
-    the manifest's ``first_data_scn`` (data birth for SCN time travel — a
-    fold keeps only winners, whose min over-states birth).
-
-    ``wm_arr`` (per-partition confirmed commit-SCN watermarks, resume runs):
-    rows at or below their partition's watermark are excluded, so the counts
-    match the post-watermark-filter stream that ``apply_and_commit``
-    actually applies — stream-exact on resume, not winner-count (r2 advisory)."""
+    """One shard's lineage: per-partition op counts, ``(num_partitions,
+    4)``, and min commit SCNs, ``(num_partitions,)`` (int64 max where
+    none). Taken at RECEIVE time (before any fold), they track the event
+    stream exactly, like the reference's dml_ops metrics; the min feeds the
+    manifest's ``first_data_scn`` (data birth for SCN time travel — a fold
+    keeps only winners, whose min over-states birth)."""
     part = t["part"].to_numpy(zero_copy_only=False).astype(np.int64)
     op = t["op_code"].to_numpy(zero_copy_only=False).astype(np.int64)
-    cscn = t["commit_scn"].to_numpy(zero_copy_only=False)
-    if wm_arr is not None:
-        keep = cscn > wm_arr[part]
-        if not keep.all():
-            part, op, cscn = part[keep], op[keep], cscn[keep]
-    if len(part) == 0:
-        z = np.zeros((2, 0), np.int64)
-        return z, z
-    key = part * 4 + op
-    # bincount, not np.unique: O(n) with no sort — this runs on the actor's
+    # bincount, not np.add.at: O(n) with no sort — this runs on the actor's
     # message path for every shard
-    cnt = np.bincount(key)
-    uniq = np.flatnonzero(cnt)
-    imax = np.iinfo(np.int64).max
-    mins = np.full(int(part.max()) + 1, imax, np.int64)
-    np.minimum.at(mins, part, cscn)
-    pu = np.flatnonzero(mins != imax)
-    return np.stack([uniq, cnt[uniq]]), np.stack([pu, mins[pu]])
-
-
-def _merge_counts(parts: list[np.ndarray]) -> np.ndarray:
-    merged = np.concatenate(parts, axis=1)
-    uniq, inv = np.unique(merged[0], return_inverse=True)
-    cnt = np.zeros(len(uniq), np.int64)
-    np.add.at(cnt, inv, merged[1])
-    return np.stack([uniq, cnt])
-
-
-def _merge_mins(parts: list[np.ndarray]) -> np.ndarray:
-    merged = np.concatenate(parts, axis=1)
-    if merged.shape[1] == 0:
-        return merged
-    uniq, inv = np.unique(merged[0], return_inverse=True)
-    mn = np.full(len(uniq), np.iinfo(np.int64).max, np.int64)
-    np.minimum.at(mn, inv, merged[1])
-    return np.stack([uniq, mn])
+    counts = np.bincount(part * 4 + op, minlength=num_partitions * 4)
+    births = np.full(num_partitions, np.iinfo(np.int64).max, np.int64)
+    np.minimum.at(births, part,
+                  t["commit_scn"].to_numpy(zero_copy_only=False))
+    return counts.reshape(num_partitions, 4), births
 
 
 #: blobs fetched+decompressed together at finalize — bounds applier heap to
@@ -259,32 +231,6 @@ def split_by_partition(events: pa.Table) -> "list[tuple[int, pa.Table]]":
             for lo, hi in zip(starts, ends)]
 
 
-def _partition_counters(op_counts: np.ndarray, part_mins: np.ndarray,
-                        part_ids: list[int],
-                        part_watermarks: "np.ndarray | None"
-                        ) -> "list[dict[str, int]]":
-    """Manifest counters of each partition in ``part_ids``, from one pass
-    over the applier's merged lineage arrays (``_gather``): the exact
-    receive-time stream counts per op, ``_wm`` = the watermark those counts
-    already excluded (the resume-exactness contract with
-    ``apply_and_commit``) and ``_min_scn`` = the receive-time data birth
-    (the folded winners' min would over-state it: losers at earlier SCNs
-    are gone)."""
-    key, cnt = op_counts
-    n = 1 + max(max(part_ids, default=-1), int((key // 4).max(initial=-1)),
-                int(part_mins[0].max(initial=-1)))
-    by_op = np.zeros((n, 4), np.int64)
-    np.add.at(by_op, (key // 4, key % 4), cnt)
-    birth = np.full(n, -1, np.int64)
-    birth[part_mins[0]] = part_mins[1]
-    return [{"events": int(by_op[p].sum()), "inserts": int(by_op[p, 0]),
-             "updates": int(by_op[p, 1]), "deletes": int(by_op[p, 2]),
-             "_wm": (int(part_watermarks[p]) if part_watermarks is not None
-                     else -1),
-             "_min_scn": int(birth[p])}
-            for p in part_ids]
-
-
 @ray.remote
 class PartitionApplier:
     """Owns `num_partitions / num_appliers` hash partitions; buffers the
@@ -318,16 +264,15 @@ class PartitionApplier:
             cols[f"v_{n}"] = pa.nulls(2, t)
         cols["part"] = pa.array(np.zeros(2, np.int32))
         events = from_ipc(pa.py_buffer(to_ipc(pa.table(cols)).to_pybytes()))
-        _op_counts(events)
+        _op_counts(events, 1)
         rows = merge_apply(compact_events(events.take(pa.array([1, 0]))),
                            S.MAX_SCHEMA_VERSION)
         pq.write_table(rows, pa.BufferOutputStream(), compression="zstd")
 
     def begin(self, applier_id: int, num_appliers: int,
-              schema_version: int,
+              schema_version: int, num_partitions: int,
               compact_threshold: int = 0,
               multi_table: bool = False,
-              part_watermarks: "np.ndarray | None" = None,
               dropped: tuple = (),
               renamed: "dict[str, str] | None" = None) -> None:
         """Start one exchange run: reset ALL per-run state. The actor may
@@ -338,6 +283,7 @@ class PartitionApplier:
             self._fold_thread.join()
         self.applier_id = applier_id
         self.num_appliers = num_appliers
+        self.num_partitions = num_partitions
         self.schema_version = schema_version
         self.dropped = tuple(dropped)
         self.renamed = dict(renamed or {})
@@ -359,12 +305,12 @@ class PartitionApplier:
         #: fold runs; if a fold is still running when the next trigger
         #: fires, the tail simply keeps buffering until it finishes.
         self._fold_thread: "threading.Thread | None" = None
-        self.counts: list[np.ndarray] = []    # per-shard (part*4+op, n) pairs
-        self.min_scns: list[np.ndarray] = []  # per-shard (part, min commit scn)
+        #: receive-time lineage (``_op_counts``): per-partition op counts
+        #: and min commit SCNs
+        self.op_counts = np.zeros((num_partitions, 4), np.int64)
+        self.births = np.full(num_partitions, np.iinfo(np.int64).max,
+                              np.int64)
         self.seen_shards: set = set()         # content digests (retry dedupe)
-        #: per-partition confirmed watermarks (resume): counters exclude rows
-        #: the commit path will drop, staying stream-exact (r2 advisory)
-        self.part_watermarks = part_watermarks
         #: meta fold trigger (rows, 0 = off): the geometric schedule
         #: (fold when the tail outgrows the folded prefix) keeps total fold
         #: work O(stream). Staggered ±25% by applier id so the fleet doesn't
@@ -401,9 +347,9 @@ class PartitionApplier:
         if n:
             if blob_id not in self.blobs:
                 self.blobs[blob_id] = blob_ref_box[0]
-            cnts, mins = _op_counts(meta, self.part_watermarks)
-            self.counts.append(cnts)
-            self.min_scns.append(mins)
+            counts, births = _op_counts(meta, self.num_partitions)
+            self.op_counts += counts
+            np.minimum(self.births, births, out=self.births)
             self.meta_runs.append(meta)
             self.tail_rows += n
             if (self.compact_threshold
@@ -460,12 +406,11 @@ class PartitionApplier:
         the right rate."""
         return len(self.seen_shards)
 
-    def _gather(self) -> "tuple[pa.Table, np.ndarray, np.ndarray] | None":
+    def _gather(self) -> "pa.Table | None":
         """Materialize this applier's holding: fold + materialize whatever
         meta is still buffered (the since-last-fold tail; earlier folds
-        already carry their payload in ``materialized``). Returns full
-        decoded events plus exact pre-fold (part, op) stream counts and
-        per-partition receive-time min commit SCNs (data birth)."""
+        already carry their payload in ``materialized``). Returns the full
+        decoded events."""
         if self._fold_thread is not None:
             self._fold_thread.join()   # an in-flight fold owns `materialized`
             self._fold_thread = None
@@ -475,11 +420,7 @@ class PartitionApplier:
             self._fold(*self._take_tail())
         events = self.materialized
         self.materialized, self.folded_rows = None, 0
-        counts = _merge_counts(self.counts or [np.zeros((2, 0), np.int64)])
-        self.counts = []
-        mins = _merge_mins(self.min_scns or [np.zeros((2, 0), np.int64)])
-        self.min_scns = []
-        return events, counts, mins
+        return events
 
     def finalize_rows(self) -> pa.Table:
         """Merge-apply all owned events; keys are globally unique across
@@ -490,7 +431,7 @@ class PartitionApplier:
             return S.transcripts_schema(
                 self.schema_version, include_table=self.multi_table,
                 dropped=self.dropped, renamed=self.renamed).empty_table()
-        return merge_apply(held[0], self.schema_version, self.dropped,
+        return merge_apply(held, self.schema_version, self.dropped,
                            self.renamed)
 
     def finalize_commit(self, out_dir: str, safe_watermark: int,
@@ -519,12 +460,14 @@ class PartitionApplier:
         held = self._gather()
         jobs: list = []
         if held is not None:
-            all_events, op_counts, part_mins = held
-            groups = split_by_partition(all_events)
-            counters = _partition_counters(
-                op_counts, part_mins, [p for p, _ in groups],
-                self.part_watermarks)
-            jobs = [(g, c) for (_, g), c in zip(groups, counters)]
+            # manifest counters: the exact receive-time stream counts, and
+            # the receive-time data birth (the folded winners' min would
+            # over-state it: losers at earlier SCNs are gone)
+            c, birth = self.op_counts, self.births
+            jobs = [(g, {"events": int(c[p].sum()), "inserts": int(c[p, 0]),
+                         "updates": int(c[p, 1]), "deletes": int(c[p, 2]),
+                         "_min_scn": int(birth[p])})
+                    for p, g in split_by_partition(held)]
         t1 = time.perf_counter()
 
         def commit(job: "tuple[pa.Table, dict]") -> pa.Table:
@@ -532,7 +475,8 @@ class PartitionApplier:
                 job[0], out_dir, self.schema_version, safe_watermark,
                 max_commit_scn, max_txn_span, counters=job[1],
                 output_codec=output_codec, dropped=self.dropped,
-                renamed=self.renamed, snapshot_keep=snapshot_keep)
+                renamed=self.renamed, snapshot_keep=snapshot_keep,
+                num_partitions=self.num_partitions)
 
         if len(jobs) > 1:
             pool = ThreadPoolExecutor(min(len(jobs), pa.cpu_count()))
@@ -666,15 +610,15 @@ class ApplierFleet:
         self.appliers: list = []
 
     def begin(self, num_appliers: int, schema_version: int,
-              **run) -> "tuple[list, list]":
+              num_partitions: int, **run) -> "tuple[list, list]":
         """Start a run on the first ``num_appliers`` actors, spawning any
         that are missing or found dead. Returns ``(appliers, ready_refs)``:
         the run's actors and their ``PartitionApplier.begin`` refs — the
         router waits on those before it ships a shard. ``run`` are the
         remaining ``PartitionApplier.begin`` keywords."""
         def start(i: int):
-            return self.appliers[i].begin.remote(i, num_appliers,
-                                                 schema_version, **run)
+            return self.appliers[i].begin.remote(
+                i, num_appliers, schema_version, num_partitions, **run)
 
         reused = min(len(self.appliers), num_appliers)
         self.appliers += _fresh_appliers(num_appliers - reused)
@@ -855,9 +799,9 @@ def _pid_running(pid: int) -> bool:
 
 def run_actor_exchange(events, num_appliers: int, schema_version: int,
                        commit: dict | None = None,
+                       num_partitions: int = 32,
                        compact_threshold: int = 0,
                        multi_table: bool = False,
-                       part_watermarks: "np.ndarray | None" = None,
                        dropped: tuple = (),
                        renamed: "dict[str, str] | None" = None,
                        timings: "dict | None" = None,
@@ -867,9 +811,10 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
     ``commit=None`` → final transcript rows as a list of per-applier Arrow
     ObjectRefs (feed ``ray.data.from_arrow_refs`` — the result never
     concatenates on the driver). With ``commit`` kwargs → the stats table
-    (small: one row per partition). ``part_watermarks`` (resume runs) makes
-    the receive-time lineage counters exclude rows the commit path will
-    drop at its per-partition watermark filter.
+    (small: one row per partition that received events). ``events`` carry
+    partition ids below ``num_partitions`` (default: ``ReplayConfig``'s).
+    On a resume, decode has already dropped every event at or below its
+    partition's cut, so every event routed here is applied.
 
     ``timings`` receives the phase walls ``route``, ``fence`` and
     ``finalize``; lake mode adds ``finalize_gather`` and
@@ -887,9 +832,9 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
     try:
         out = _exchange(fleet, events, num_appliers, schema_version, commit,
                         {} if timings is None else timings, own,
+                        num_partitions=num_partitions,
                         compact_threshold=compact_threshold,
                         multi_table=multi_table,
-                        part_watermarks=part_watermarks,
                         dropped=dropped, renamed=renamed)
     except BaseException:
         fleet.close()

@@ -10,9 +10,10 @@ for a partitioned lake sink:
   (atomic on POSIX) *after* the partition's parquet is durably written;
 - manifest records the applied watermark (max commit SCN), schema version,
   output files, row count and lineage counters;
-- on resume, a partition whose manifest watermark already covers the input
-  is skipped entirely, and events ≤ the watermark are dropped before apply —
-  re-running a failed/duplicate task is a no-op (idempotent upsert).
+- on resume, decode drops every event at or below its partition's
+  manifest watermark (``replay.resume_floors``), so a partition whose
+  watermark already covers the input receives nothing — re-running a
+  failed/duplicate task is a no-op (idempotent upsert).
 
 Watermark granularity is the commit SCN: a transaction is applied atomically
 (all its events share one commit_scn), so "everything ≤ W" is always a
@@ -63,6 +64,9 @@ class PartitionManifest:
     #: manifests written before the field existed (treated as unknown:
     #: as-of reads below the oldest retained snapshot then refuse).
     first_data_scn: int = -1
+    #: the lake's partition count, which a resume must keep (a key's
+    #: partition depends on it); -1 on manifests written before the field.
+    num_partitions: int = -1
     updated_unix: float = 0.0
 
     def path(self, manifest_dir: str) -> str:

@@ -157,7 +157,7 @@ def test_failed_exchange_discards_fleet():
         raise RuntimeError("injected router failure")
 
     fleet = ApplierFleet()
-    _, ready = fleet.begin(2, 0)
+    _, ready = fleet.begin(2, 0, num_partitions=1)
     ray.get(ready)
     ids = _actor_ids(fleet)
     events = rd.from_items([{"x": 1}]).map_batches(boom)
@@ -291,6 +291,49 @@ def test_applier_killed_mid_route_fails_fast_then_resumes(
     monkeypatch.undo()
     committed = sum(m.counters.get("events", 0) for m in
                     MF.read_all(os.path.join(lake, "_manifest")).values())
+    res = replay_to_lake(paths, lake, cfg, resume=True)
+    assert sum(res.stats["events"].to_pylist()) + committed == 7220
+    assert sorted_table(read_lake(lake),
+                        expected_small.schema).equals(expected_small)
+
+
+def test_applier_killed_inside_finalize_then_resumes(
+        tmp_path, gen_small, expected_small, monkeypatch):
+    """Once the first applier's ``finalize_commit`` has returned, the other
+    applier is killed before its finalize launches: the replay raises with
+    half the partitions committed. A resume over all segments then starts
+    from partitions at two watermarks; it equals the oracle, and its
+    lineage counters add up with the failed call's commits to exactly the
+    stream's events."""
+    from olrx.stages import exchange
+    from olrx.state import manifest as MF
+
+    _, _, paths, _ = gen_small
+    fence = exchange._fence_and_launch
+    killed: list[int] = []
+
+    def killing_fence(appliers, totals, launch, timeout_s=600.0):
+        def launch_then_kill(i):
+            ref = launch(i)
+            if not killed:
+                ray.get(ref)
+                killed.append(1 - i)
+                _kill_and_wait(appliers[1 - i])
+            return ref
+
+        return fence(appliers, totals, launch_then_kill, timeout_s)
+
+    monkeypatch.setattr(exchange, "_fence_and_launch", killing_fence)
+    cfg = dataclasses.replace(CFG, num_appliers=2)
+    lake = str(tmp_path / "lake")
+    first = [p for p in paths if "seg0000" in p or "seg0001" in p]
+    with pytest.raises(Exception):
+        replay_to_lake(first, lake, cfg, resume=False)
+    assert killed, "an applier must die inside finalize"
+    monkeypatch.undo()
+    ms = MF.read_all(os.path.join(lake, "_manifest"))
+    assert ms and {p % 2 for p in ms} == {1 - killed[0]}
+    committed = sum(m.counters.get("events", 0) for m in ms.values())
     res = replay_to_lake(paths, lake, cfg, resume=True)
     assert sum(res.stats["events"].to_pylist()) + committed == 7220
     assert sorted_table(read_lake(lake),

@@ -1,9 +1,12 @@
 """Lake sink: manifests, exactly-once, resume, incremental, shard gating."""
 
+import json
 import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
+import pytest
 
 from olrx.pipelines.replay import ReplayConfig, read_lake, replay_to_lake
 from olrx.state import manifest as MF
@@ -97,3 +100,95 @@ def test_resume_reads_manifests_once(tmp_path, gen_small, expected_small,
     assert calls == [os.path.join(out, "_manifest")]
     monkeypatch.undo()
     assert _lake_table(out, expected_small.schema).equals(expected_small)
+
+
+def _files(out: str) -> dict:
+    """relative path → (size, mtime_ns) of every file under ``out``."""
+    return {os.path.relpath(os.path.join(d, f), out):
+            (os.stat(os.path.join(d, f)).st_size,
+             os.stat(os.path.join(d, f)).st_mtime_ns)
+            for d, _, fs in os.walk(out) for f in fs}
+
+
+@pytest.mark.parametrize("before,after", [(8, 4), (4, 8)])
+def test_resume_with_another_partition_count_raises(tmp_path, gen_small,
+                                                    before, after):
+    """A key's partition depends on the partition count, so a resume with
+    another count would commit keys a second time in another partition.
+    It raises before any write, naming both counts."""
+    _, _, paths, _ = gen_small
+    out = str(tmp_path / "lake")
+    first = [p for p in paths if "seg0000" in p or "seg0001" in p]
+    replay_to_lake(first, out, ReplayConfig(num_partitions=before))
+    snap = _files(out)
+    with pytest.raises(ValueError,
+                       match=rf"num_partitions changed \({before} → {after}\)"
+                             r".*rebuild"):
+        replay_to_lake(paths, out, ReplayConfig(num_partitions=after))
+    assert _files(out) == snap
+    ms = MF.read_all(os.path.join(out, "_manifest"))
+    assert {m.num_partitions for m in ms.values()} == {before}
+
+
+def test_resume_over_manifests_without_partition_count(tmp_path, gen_small):
+    """Manifests written before they recorded the partition count are
+    bounded by their partition ids: a count below the highest id raises."""
+    _, _, paths, _ = gen_small
+    out = str(tmp_path / "lake")
+    first = [p for p in paths if "seg0000" in p]
+    replay_to_lake(first, out, ReplayConfig(num_partitions=8))
+    mdir = os.path.join(out, "_manifest")
+    for name in os.listdir(mdir):
+        if name.startswith("part-"):
+            with open(os.path.join(mdir, name)) as f:
+                d = json.load(f)
+            del d["num_partitions"]
+            with open(os.path.join(mdir, name), "w") as f:
+                json.dump(d, f)
+    top = max(MF.read_all(mdir))
+    with pytest.raises(ValueError, match=rf"\(at least {top + 1} → 4\)"):
+        replay_to_lake(paths, out, ReplayConfig(num_partitions=4))
+
+
+def _events(ds) -> pa.Table:
+    """A decoded event dataset's meta columns as one table, in a fixed
+    row order."""
+    t = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow",
+                                              batch_size=None)))
+    t = t.select([c for c in t.column_names if not c.startswith("v_")])
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+def test_resume_floors_cut_decode_per_partition(tmp_path, gen_small):
+    """On a lake whose manifests sit at two watermarks and that has no
+    lake-level watermark file, decode with the resume floors emits no event
+    at or below its partition's floor and every committed event above it."""
+    from olrx.pipelines.replay import _decoded_events, resume_floors
+    from olrx.stages.decode import load_control
+
+    _, _, paths, _ = gen_small
+    cfg = ReplayConfig(num_partitions=8)
+    out = str(tmp_path / "lake")
+    first = [p for p in paths if "seg0000" in p or "seg0001" in p]
+    replay_to_lake(first, out, cfg)
+    mdir = os.path.join(out, "_manifest")
+    os.remove(os.path.join(mdir, "_lake.json"))
+    ms = MF.read_all(mdir)
+    assert sorted(ms) == list(range(8))
+    hi = ms[0].watermark_commit_scn
+    control = load_control(paths)
+    every = _events(_decoded_events(paths, cfg, control))
+    cscn = every["commit_scn"].to_numpy()
+    lo = int(np.median(cscn[cscn <= hi]))
+    for p in (0, 2, 4, 6):
+        ms[p].watermark_commit_scn = lo
+        MF.write_manifest(mdir, ms[p])
+
+    floors = resume_floors(mdir, MF.read_all(mdir), cfg.num_partitions)
+    assert floors.tolist() == [lo, hi] * 4
+    got = _events(_decoded_events(paths, cfg, control, floors=floors))
+    part = got["part"].to_numpy()
+    assert (got["commit_scn"].to_numpy() > floors[part]).all()
+    above = cscn > floors[every["part"].to_numpy()]
+    assert got.num_rows and above.sum() < len(above)
+    assert got.equals(every.filter(pa.array(above)))

@@ -383,7 +383,7 @@ def test_exchange_retry_dedupe(tmp_path, gen_small):
 
     def run(n_deliveries: int) -> pa.Table:
         fleet = ApplierFleet()
-        appliers, ready = fleet.begin(1, sv)
+        appliers, ready = fleet.begin(1, sv, num_partitions=cfg.num_partitions)
         ray.get(ready)
         for _ in range(n_deliveries):
             # a fresh router per delivery = a retried task's fresh blob-id
