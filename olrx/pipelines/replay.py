@@ -50,8 +50,11 @@ from olrx.state import manifest as MF
 @dataclass
 class ReplayConfig:
     num_partitions: int = 32        # ≥ 4× apply parallelism for balance
-    batch_size: int = 131_072       # decode batch rows (coarse: task overhead
-                                    # dominates below ~20 MB blocks)
+    #: decode batch rows; None = decode each read block as it arrives (the
+    #: read already makes coarse blocks, ``coarse_read_blocks``). A row
+    #: count re-batches blocks, concatenating them, and holds the first
+    #: shard back until a batch fills
+    batch_size: int | None = None
     salt_hot: bool = False          # heavy-hitter detection + turn-salting
     hot_frac_threshold: float = 0.02
     salt_block: int = 64
@@ -68,17 +71,20 @@ class ReplayConfig:
     #: None → sized to the input and the fleet's owner
     #: (``resolved_num_appliers``)
     num_appliers: int | None = None
-    #: applier memory bound, ON by default (judge r1): when an applier's
-    #: un-compacted buffer exceeds max(this, rows already folded), an
-    #: OFF-PATH worker thread folds it into the per-key winner set
-    #: (compact_events, a proven semigroup), materializes those winners'
-    #: payload and releases the consumed plasma blobs (r3 — see
-    #: exchange.PartitionApplier._start_fold; the message path only swaps
-    #: buffers). The ±25% per-applier stagger keeps the fleet from folding
-    #: in lockstep; the geometric trigger doubles fold sizes, so total
-    #: compaction work is O(stream) while live state stays O(winner set +
-    #: one buffer of equal size). 0 = off.
-    applier_compact_threshold: int = 1_000_000
+    #: applier fold floor (rows; 0 = off), ON by default (judge r1): an
+    #: applier folds its un-compacted buffer once it reaches max(this, rows
+    #: already folded), on an OFF-PATH worker thread: it compacts the buffer
+    #: with the folded winners (compact_rows, a proven semigroup),
+    #: materializes the new winners' payload, releases the consumed plasma
+    #: blobs and keeps the winners in partition order (r3 — see
+    #: exchange.PartitionApplier._fold; the message path only swaps
+    #: buffers). The default 1 folds from the first shard, so the fold
+    #: work overlaps the route and finalize only folds the last tail. The
+    #: ±25% per-applier stagger keeps the fleet from folding in lockstep;
+    #: the geometric trigger doubles fold sizes, so total compaction work
+    #: is O(stream) while live state stays O(winner set + one buffer of
+    #: equal size).
+    applier_compact_threshold: int = 1
     #: user-facing filters (reference §2.6)
     skip_xids: tuple[str, ...] = ()      # drop named transactions
     conv_regex: str | None = None        # track only matching conv_ids

@@ -166,12 +166,43 @@ CONTROL_COLUMNS = ["xid", "op", "scn", "scn_idx", "ddl", "shard",
                    "undo_scn", "undo_scn_idx"]
 
 
+def dictionary_codes(strings) -> "tuple[np.ndarray, pa.Array]":
+    """``(codes, values)`` of an Arrow string array or chunked array: its
+    distinct values (a null is one of them) and each row's index into
+    them, so per-value work runs once per distinct string."""
+    import pyarrow.compute as pc
+
+    if pa.types.is_dictionary(strings.type):
+        strings = strings.cast(strings.type.value_type)
+    d = pc.dictionary_encode(strings, null_encoding="encode")
+    if isinstance(d, pa.ChunkedArray):
+        d = d.combine_chunks()
+    return d.indices.to_numpy(zero_copy_only=False), d.dictionary
+
+
+def hash_values(strings: pa.Array) -> np.ndarray:
+    """uint64 hash of each string of ``strings``: ``pd.util.hash_array``
+    over them as Python objects (a null hashes to the uint64 max). Stable
+    across processes (pandas' fixed siphash key): partition ids and
+    ``_ctl`` ``xid_h`` are persisted."""
+    import pandas as pd
+
+    return pd.util.hash_array(np.asarray(
+        strings.to_numpy(zero_copy_only=False), dtype=object))
+
+
+def string_hash(strings) -> np.ndarray:
+    """``hash_values`` of an Arrow string array or chunked array, bit for
+    bit, but each distinct string is converted and hashed once: the rows
+    index the hashed dictionary by their codes."""
+    codes, values = dictionary_codes(strings)
+    return hash_values(values)[codes]
+
+
 def xid_hash(xids) -> np.ndarray:
     """uint64 hash of each transaction id (an Arrow string array): the key
     of every commit lookup and of the partial-rollback anti-join."""
-    import pandas as pd
-    return pd.util.hash_array(np.asarray(
-        xids.to_numpy(zero_copy_only=False), dtype=object))
+    return string_hash(xids)
 
 
 def control_rows(paths: list[str]) -> pa.Table:

@@ -38,11 +38,10 @@ def _as_np(col) -> np.ndarray:
     return col.to_numpy(zero_copy_only=False)
 
 
-def _dict_codes(col) -> np.ndarray:
-    d = pc.dictionary_encode(col)
-    if isinstance(d, pa.ChunkedArray):
-        d = d.combine_chunks()
-    return d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+#: the columns ``_KeySegments`` reads (``table_name`` when present), so
+#: all that ``compact_rows`` needs of an event set
+KEY_SEGMENT_COLUMNS = ("table_name", "conv_id", "turn_idx", "op_code",
+                       "commit_scn", "scn", "scn_idx", "changed_mask")
 
 
 class _KeySegments:
@@ -55,14 +54,15 @@ class _KeySegments:
 
     def __init__(self, group: pa.Table) -> None:
         n = group.num_rows
-        codes = _dict_codes(group["conv_id"])
+        codes = S.dictionary_codes(group["conv_id"])[0].astype(np.int64)
         turn = _as_np(group["turn_idx"]).astype(np.int64)
         sort_keys = (_as_np(group["scn_idx"]).astype(np.int64),
                      _as_np(group["scn"]).astype(np.int64),
                      _as_np(group["commit_scn"]).astype(np.int64), turn, codes)
         multi = "table_name" in group.column_names
         if multi:
-            tcodes = _dict_codes(group["table_name"])
+            tcodes = S.dictionary_codes(group["table_name"])[0].astype(
+                np.int64)
             sort_keys = sort_keys + (tcodes,)
         self.order = order = np.lexsort(sort_keys)
         codes_s, turn_s = codes[order], turn[order]
@@ -150,17 +150,12 @@ def merge_apply(group: pa.Table, schema_version: int,
                                          dropped=dropped, renamed=rn))
 
 
-def compact_events(group: pa.Table) -> pa.Table:
-    """Reduce an event set to the subset that can still influence any future
-    merge: per key, the last delete row, the last alive row, and each
-    column's latest setting row. "Latest X over a union = latest of the
-    per-part latests", so compaction is a proper semigroup: appliers can
-    fold it over arriving shards incrementally, keeping buffered state
-    O(#keys) instead of O(#events) — the TransactionBuffer memory-bound
-    analog (/root/reference/src/common/MemoryManager.cpp:197-260).
-    """
+def compact_rows(group: pa.Table) -> np.ndarray:
+    """The rows of ``group`` that can still influence any future merge, in
+    ascending order: per key, the last delete row, the last alive row, and
+    each column's latest setting row. Reads only ``KEY_SEGMENT_COLUMNS``."""
     if group.num_rows == 0:
-        return group
+        return np.zeros(0, np.int64)
     ks = _KeySegments(group)
     keep_sorted = [ks.last_where(ks.is_d), ks.last_where(~ks.is_d)]
     n_cols = len(S.payload_columns(S.MAX_SCHEMA_VERSION))
@@ -169,7 +164,20 @@ def compact_events(group: pa.Table) -> pa.Table:
             ks.last_where(((ks.mask_s >> bit) & 1 == 1) & ~ks.is_d))
     kept = np.unique(np.concatenate(keep_sorted))
     kept = kept[kept >= 0]
-    return group.take(pa.array(np.sort(ks.order[kept])))
+    return np.sort(ks.order[kept])
+
+
+def compact_events(group: pa.Table) -> pa.Table:
+    """Reduce an event set to its ``compact_rows``. "Latest X over a union
+    = latest of the per-part latests", so compaction is a proper semigroup:
+    appliers can fold it over arriving shards incrementally, keeping
+    buffered state O(#keys) instead of O(#events) — the TransactionBuffer
+    memory-bound analog
+    (/root/reference/src/common/MemoryManager.cpp:197-260).
+    """
+    if group.num_rows == 0:
+        return group
+    return group.take(pa.array(compact_rows(group)))
 
 
 def apply_stats(group: pa.Table) -> dict[str, int]:

@@ -20,18 +20,24 @@ gather), and on a multi-node cluster turns payload movement into a
 winners-only fetch.
 
 Memory: applier heap holds the un-folded meta tail (deep-copied out of the
-object store) plus the materialized WINNER set. Whenever the tail exceeds
-``compact_threshold`` rows (geometric trigger: the fold threshold rises to
-the folded size, keeping total fold work linear in the stream), the fold
-compacts it to the per-key influence set (``compact_events`` — a proven
-semigroup, tests/test_property.py) AND materializes those winners' payload
-immediately (r3), releasing the consumed blobs — so plasma holds only the
-since-last-fold payload share, decompression overlaps the routing window,
-and finalize starts from pre-gathered winners. Size the object store to
-that share (``bench.py`` sizes it to ~55 % of RAM; an undersized store
-does not fail, it throttles the streaming executor — measured 1.8× wall at
-4 CPUs). This is the TransactionBuffer big-txn swap analog
-(/root/reference/src/common/MemoryManager.cpp:197-260).
+object store) plus ``runs``: the materialized WINNER set, in partition
+order. Folding starts with the first shard: whenever the tail reaches
+``max(compact_threshold, folded rows)`` (a geometric trigger: the fold
+threshold rises to the folded size, keeping total fold work linear in the
+stream), a worker thread compacts the run and the tail together to the
+per-key influence set (``compact_rows`` — a proven semigroup,
+tests/test_property.py), materializes the tail's surviving winners'
+payload immediately (r3), releasing the consumed blobs, and puts the
+union back in partition order with one take. So plasma holds only the
+since-last-fold payload share, decompression and the partition sort
+overlap the routing window, and finalize starts from pre-gathered,
+pre-sorted winners. Size the object store to that share (``bench.py``
+sizes it to ~55 % of RAM; an undersized store does not fail, it throttles
+the streaming executor — measured 1.8× wall at 4 CPUs). This is the
+TransactionBuffer big-txn swap analog
+(/root/reference/src/common/MemoryManager.cpp:197-260). The folds run on a
+spare core while Ray Data routes; a host with one physical core gains
+less from them.
 
 Completion is fenced by COUNT, not by acks: every shard carries a
 deterministic content digest (same input block ⇒ same digest), routers
@@ -47,15 +53,19 @@ distinct digests, a duplicate delivered by an attempt that died after
 shipping can never stand in for a shard still on its way.
 
 Lake-mode finalize (``PartitionApplier.finalize_commit``) turns one
-applier's holding into per-partition commits: ONE stable ``take`` puts the
-holding in partition order and each partition is a zero-copy slice of it
-(``split_by_partition``), every partition's lineage counters are a row of
+applier's holding into per-partition commits. The stream-end fold
+compacts and materializes only the since-last-fold tail and appends it,
+in partition order, as a second run beside the first: no compaction or
+``take`` over the whole holding is left for finalize. Each partition is
+its zero-copy slices of the runs, concatenated as chunks
+(``partition_slices``); every partition's lineage counters are a row of
 the applier's dense per-partition arrays (op counts and birth SCNs, summed
 as shards arrive), and the ``apply_and_commit`` calls run on a pool of
 ``min(partitions held, pa.cpu_count())`` threads, so one partition's
 merge, zstd parquet encode, fsyncs and mkdirs overlap another's. The pool
 size is not a knob: it stays inside the 2 Arrow threads each applier pins
-because the whole fleet finalizes at once.
+because the whole fleet finalizes at once. A partition-ordered run is
+also the unit a spill to disk would write.
 
 Exactly-once is not the exchange's concern: on a resume, decode drops
 every event at or below its partition's confirmed watermark
@@ -117,7 +127,8 @@ import pyarrow.parquet as pq
 import ray
 
 from olrx import schema as S
-from olrx.stages.apply import compact_events, merge_apply
+from olrx.stages.apply import (KEY_SEGMENT_COLUMNS, compact_events,
+                               compact_rows, merge_apply)
 from olrx.stages.commit import apply_and_commit, stats_row
 
 #: outstanding un-acked `add_shard` calls per router worker before it waits.
@@ -211,24 +222,35 @@ def materialize_events(meta: pa.Table, blobs: dict) -> pa.Table:
     return pa.table(cols)
 
 
-def split_by_partition(events: pa.Table) -> "list[tuple[int, pa.Table]]":
-    """``(part_id, rows)`` per partition of ``events``, in partition order.
-
-    ONE stable ``take`` puts the holding in partition order, then each
-    partition is a zero-copy ``slice`` of that table; rows keep their order
-    within a partition. A take per partition would cost a full re-gather
-    each: after a stream-end ``_gather`` the holding has one chunk per
-    payload blob, and a take over a multi-chunk table gathers them all."""
-    if not events.num_rows:
-        return []
+def partition_order(events: pa.Table,
+                    rows: "np.ndarray | None" = None) -> pa.Table:
+    """``events`` (only its rows ``rows``, when given) in partition order,
+    by ONE stable ``take``: rows keep their order within a partition. A
+    take per partition would cost a full re-gather each: a holding has one
+    chunk per payload blob, and a take over a multi-chunk table gathers
+    them all."""
     parts = events["part"].to_numpy(zero_copy_only=False)
-    order = np.argsort(parts, kind="stable")
-    parts = parts[order]
-    ordered = events.take(pa.array(order))
+    if rows is None:
+        rows = np.arange(len(parts))
+    return events.take(pa.array(rows[np.argsort(parts[rows], kind="stable")]))
+
+
+def partition_slices(run: pa.Table) -> "list[tuple[int, pa.Table]]":
+    """``(part_id, rows)`` per partition of ``run``, a table in partition
+    order (:func:`partition_order`): each is a zero-copy ``slice``."""
+    if not run.num_rows:
+        return []
+    parts = run["part"].to_numpy(zero_copy_only=False)
     starts = np.flatnonzero(np.r_[True, parts[1:] != parts[:-1]])
     ends = np.r_[starts[1:], len(parts)]
-    return [(int(parts[lo]), ordered.slice(lo, hi - lo))
+    return [(int(parts[lo]), run.slice(lo, hi - lo))
             for lo, hi in zip(starts, ends)]
+
+
+def split_by_partition(events: pa.Table) -> "list[tuple[int, pa.Table]]":
+    """``(part_id, rows)`` per partition of ``events``, in partition order:
+    one stable take (:func:`partition_order`), then zero-copy slices."""
+    return partition_slices(partition_order(events))
 
 
 @ray.remote
@@ -236,7 +258,7 @@ class PartitionApplier:
     """Owns `num_partitions / num_appliers` hash partitions; buffers the
     META stream (heap), folds it to the influence set and materializes the
     winners' payload at each geometric fold, then merges/commits the
-    pre-gathered winner events at finalize."""
+    pre-gathered, partition-ordered winner runs at finalize."""
 
     def __init__(self) -> None:
         # all appliers finalize concurrently; each Arrow kernel spawning a
@@ -290,14 +312,17 @@ class PartitionApplier:
         self.multi_table = multi_table
         self.meta_runs: list[pa.Table] = []   # heap-owned meta tables
         self.tail_rows = 0                    # un-folded rows since last fold
-        self.folded_rows = 0                  # size of the folded prefix
+        self.folded_rows = 0                  # rows held in ``runs``
         self.blobs: dict = {}                 # blob_id -> payload ObjectRef
-        #: winner events WITH payload from completed folds (r3): each fold
-        #: materializes its winners immediately and releases the consumed
-        #: payload blobs, so decompress+gather overlaps the routing window
-        #: and plasma holds only the since-last-fold payload instead of the
-        #: whole replay's
-        self.materialized: "pa.Table | None" = None
+        #: winner events WITH payload from completed folds (r3), each run in
+        #: partition order: each fold materializes its winners immediately
+        #: and releases the consumed payload blobs, so decompress+gather
+        #: overlaps the routing window and plasma holds only the
+        #: since-last-fold payload instead of the whole replay's. Mid-stream
+        #: folds keep one run; the stream-end fold appends a second
+        self.runs: list[pa.Table] = []
+        #: off-path folds run so far and their seconds (the fold profile)
+        self.folds, self.fold_s = 0, 0.0
         #: folds run OFF the message path on this worker thread (one at a
         #: time): an inline fold blocks the mailbox, and the tail fold at
         #: stream end showed up as +5-8 s of fence at 16 CPUs. numpy/Arrow
@@ -318,7 +343,8 @@ class PartitionApplier:
         self.compact_threshold = compact_threshold
         if compact_threshold:
             frac = applier_id / max(1, num_appliers - 1) if num_appliers > 1 else 0.5
-            self.compact_threshold = int(compact_threshold * (0.75 + 0.5 * frac))
+            self.compact_threshold = max(
+                1, int(compact_threshold * (0.75 + 0.5 * frac)))
 
     def add_shard(self, meta_ipc: pa.Buffer, blob_id: int, blob_ref_box: list,
                   shard_key: bytes) -> int:
@@ -365,9 +391,9 @@ class PartitionApplier:
         thread (r3): compact to the influence set, materialize the winners'
         payload, release the consumed plasma blobs. The mailbox keeps
         draining shards meanwhile — only the snapshot swap happens on the
-        message path. One fold at a time; ``materialized`` is only ever
-        touched by the fold thread between joins, and by finalize after the
-        join, so there is no concurrent access."""
+        message path. One fold at a time; ``runs`` is only ever touched by
+        the fold thread between joins, and by finalize after the join, so
+        there is no concurrent access."""
         self._fold_thread = threading.Thread(
             target=self._fold, args=self._take_tail(), daemon=True)
         self._fold_thread.start()
@@ -379,18 +405,41 @@ class PartitionApplier:
         self.tail_rows = 0
         return snapshot, blobs
 
-    def _fold(self, snapshot: list, blobs: dict) -> None:
-        """Compact ``snapshot`` to its influence set, materialize the
-        winners' payload from ``blobs`` and fold them into
-        ``materialized``."""
-        meta = compact_events(
-            pa.concat_tables(snapshot, promote_options="default"))
-        events = materialize_events(meta, blobs)
-        if self.materialized is not None:
-            events = compact_events(pa.concat_tables(
-                [self.materialized, events], promote_options="default"))
-        self.materialized = events
-        self.folded_rows = events.num_rows
+    def _fold(self, snapshot: list, blobs: dict, final: bool = False) -> None:
+        """Fold the meta tail ``snapshot`` into ``runs``, materializing its
+        surviving rows' payload from ``blobs``.
+
+        A mid-stream fold runs ONE compaction over the runs and the tail
+        (heap stays bounded by the winner set), materializes only the
+        tail's survivors, and puts the union in partition order with one
+        take. The stream-end fold (``final``) compacts and materializes the
+        tail alone and appends it as one more run: ``merge_apply`` over
+        ``compact(A) ∪ compact(B)`` equals ``merge_apply(A ∪ B)``
+        (tests/test_property.py), so finalize never compacts or gathers the
+        whole holding."""
+        t0 = time.perf_counter()
+        tail = pa.concat_tables(snapshot, promote_options="default")
+        base = [] if final else self.runs
+        held = sum(r.num_rows for r in base)
+        keys = pa.concat_tables(
+            [t.select([c for c in KEY_SEGMENT_COLUMNS
+                       if c in t.column_names]) for t in base + [tail]],
+            promote_options="default")
+        kept = compact_rows(keys)
+        cut = int(np.searchsorted(kept, held))
+        if cut < len(kept):   # the runs may supersede every tail row
+            base = base + [materialize_events(
+                tail.take(pa.array(kept[cut:] - held)), blobs)]
+        union = pa.concat_tables(base, promote_options="default")
+        run = partition_order(union, np.concatenate(
+            [kept[:cut], np.arange(held, union.num_rows)]))
+        if final:
+            self.runs.append(run)
+            return
+        self.runs = [run]
+        self.folded_rows = run.num_rows
+        self.folds += 1
+        self.fold_s += time.perf_counter() - t0
 
     def received(self) -> int:
         """Delivery fence: distinct shards (content digests) that have
@@ -406,33 +455,36 @@ class PartitionApplier:
         the right rate."""
         return len(self.seen_shards)
 
-    def _gather(self) -> "pa.Table | None":
-        """Materialize this applier's holding: fold + materialize whatever
-        meta is still buffered (the since-last-fold tail; earlier folds
-        already carry their payload in ``materialized``). Returns the full
-        decoded events."""
+    def _gather(self) -> "list[pa.Table]":
+        """This applier's holding as runs in partition order: the earlier
+        folds' run plus the since-last-fold tail, folded on its own."""
         if self._fold_thread is not None:
-            self._fold_thread.join()   # an in-flight fold owns `materialized`
+            self._fold_thread.join()   # an in-flight fold owns `runs`
             self._fold_thread = None
-        if not self.meta_runs and self.materialized is None:
-            return None
         if self.meta_runs:
-            self._fold(*self._take_tail())
-        events = self.materialized
-        self.materialized, self.folded_rows = None, 0
-        return events
+            self._fold(*self._take_tail(), final=True)
+        runs, self.runs, self.folded_rows = self.runs, [], 0
+        return runs
 
-    def finalize_rows(self) -> pa.Table:
+    def _fold_profile(self) -> "dict[str, float]":
+        return {"fold": self.fold_s, "folds": self.folds}
+
+    @ray.method(num_returns=2)
+    def finalize_rows(self) -> "tuple[pa.Table, dict[str, float]]":
         """Merge-apply all owned events; keys are globally unique across
-        partitions, so one reduction over the applier's whole holding is
-        partition-exact."""
-        held = self._gather()
-        if held is None:
-            return S.transcripts_schema(
+        partitions, so one reduction over the applier's runs is
+        partition-exact. Returns the rows and the fold profile (``fold``
+        seconds and ``folds`` count of the off-path folds)."""
+        runs = self._gather()
+        if not runs:
+            rows = S.transcripts_schema(
                 self.schema_version, include_table=self.multi_table,
                 dropped=self.dropped, renamed=self.renamed).empty_table()
-        return merge_apply(held, self.schema_version, self.dropped,
-                           self.renamed)
+        else:
+            rows = merge_apply(
+                pa.concat_tables(runs, promote_options="default"),
+                self.schema_version, self.dropped, self.renamed)
+        return rows, self._fold_profile()
 
     def finalize_commit(self, out_dir: str, safe_watermark: int,
                         max_commit_scn: int, max_txn_span: int,
@@ -443,9 +495,9 @@ class PartitionApplier:
 
         Returns the stats rows in partition order, as an IPC stream buffer
         (:func:`to_ipc`; decode with :func:`from_ipc`), and this applier's
-        finalize profile in seconds: ``gather`` (materialize the holding and
-        split it by partition, ``split_by_partition``) and ``commit`` (the
-        per-partition commits).
+        finalize profile in seconds: ``gather`` (fold the tail and slice
+        each partition out of the runs) and ``commit`` (the per-partition
+        commits), plus the off-path ``fold`` seconds and ``folds`` count.
 
         The commits overlap on ``min(partitions held, pa.cpu_count())``
         threads; a single partition commits inline. The size is derived, not
@@ -457,17 +509,19 @@ class PartitionApplier:
         partition's exception, in partition order, propagates unchanged;
         queued commits are dropped."""
         t0 = time.perf_counter()
-        held = self._gather()
-        jobs: list = []
-        if held is not None:
-            # manifest counters: the exact receive-time stream counts, and
-            # the receive-time data birth (the folded winners' min would
-            # over-state it: losers at earlier SCNs are gone)
-            c, birth = self.op_counts, self.births
-            jobs = [(g, {"events": int(c[p].sum()), "inserts": int(c[p, 0]),
-                         "updates": int(c[p, 1]), "deletes": int(c[p, 2]),
-                         "_min_scn": int(birth[p])})
-                    for p, g in split_by_partition(held)]
+        pieces: "dict[int, list[pa.Table]]" = {}
+        for run in self._gather():
+            for p, g in partition_slices(run):
+                pieces.setdefault(p, []).append(g)
+        # manifest counters: the exact receive-time stream counts, and the
+        # receive-time data birth (the folded winners' min would over-state
+        # it: losers at earlier SCNs are gone)
+        c, birth = self.op_counts, self.births
+        jobs = [(pa.concat_tables(pieces[p], promote_options="default"),
+                 {"events": int(c[p].sum()), "inserts": int(c[p, 0]),
+                  "updates": int(c[p, 1]), "deletes": int(c[p, 2]),
+                  "_min_scn": int(birth[p])})
+                for p in sorted(pieces)]
         t1 = time.perf_counter()
 
         def commit(job: "tuple[pa.Table, dict]") -> pa.Table:
@@ -486,7 +540,8 @@ class PartitionApplier:
                 pool.shutdown(cancel_futures=True)
         else:
             stats = [commit(j) for j in jobs]
-        profile = {"gather": t1 - t0, "commit": time.perf_counter() - t1}
+        profile = {"gather": t1 - t0, "commit": time.perf_counter() - t1,
+                   **self._fold_profile()}
         if not stats:
             stats = [stats_row(-1, 0, safe_watermark, True, {})[:0]]
         return to_ipc(pa.concat_tables(stats)), profile
@@ -817,9 +872,10 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
     partition's cut, so every event routed here is applied.
 
     ``timings`` receives the phase walls ``route``, ``fence`` and
-    ``finalize``; lake mode adds ``finalize_gather`` and
-    ``finalize_commit``, the largest such split of any applier's
-    ``finalize_commit``.
+    ``finalize``, and the fold profile of the applier that spent longest
+    in off-path folds: its ``fold`` seconds and ``folds`` count. Lake mode
+    adds ``finalize_gather`` and ``finalize_commit``, the largest such
+    split of any applier's ``finalize_commit``.
 
     ``fleet``: the caller's :class:`ApplierFleet`, reused and left open;
     None → a fleet scoped to this call, which also tops up the
@@ -870,18 +926,23 @@ def _exchange(fleet: ApplierFleet, events, num_appliers: int,
         else (lambda i: appliers[i].finalize_commit.remote(**commit)))
     t2 = time.perf_counter()
     if commit is None:
+        out = [r for r, _ in refs]
         # block until the blocks are durably in plasma: the refs stay valid
         # (owned by the driver) when a call-scoped fleet is closed next
-        ray.wait(refs, num_returns=len(refs), fetch_local=False)
-        out = refs
+        ray.wait(out, num_returns=len(out), fetch_local=False)
+        profiles = ray.get([p for _, p in refs])
     else:
         bufs, profiles = zip(*ray.get(refs))
         outs = [from_ipc(b) for b in bufs]
         out = pa.concat_tables([t for t in outs if t.num_rows > 0] or outs[:1])
         # the slowest applier's split of its finalize (the fleet's finalize
-        # ends with it): materialize + partition-order gather, then commits
+        # ends with it): tail fold + partition slices, then commits
         for k in ("gather", "commit"):
             timings[f"finalize_{k}"] = round(max(p[k] for p in profiles), 3)
+    # the applier that spent longest in off-path folds
+    busiest = max(profiles, key=lambda p: p["fold"])
+    timings["fold"] = round(busiest["fold"], 3)
+    timings["folds"] = busiest["folds"]
     timings["fence"] = round(t2 - t1, 3)
     timings["finalize"] = round(time.perf_counter() - t2, 3)
     return out

@@ -12,26 +12,22 @@ keeps every ``(conv_id, turn_idx)`` row key in exactly one partition, so
 per-row LWW ordering (the only ordering upserts need, SURVEY §4.1) is
 preserved while one conversation spreads over many partitions.
 
-Hashes are stable across processes (pandas siphash with its fixed default
-key), a requirement for resume: the same key must land in the same partition
-in every run.
+Hashes are stable across processes (``schema.hash_values``: pandas siphash
+with its fixed default key), a requirement for resume: the same key must
+land in the same partition in every run.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
+from olrx import schema as S
+
 _SALT_MULT = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _stable_hash(strings: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit hash of an object array of strings."""
-    return pd.util.hash_array(strings, categorize=True)
 
 
 def partition_ids(conv_id, turn_idx, num_partitions: int,
@@ -39,14 +35,15 @@ def partition_ids(conv_id, turn_idx, num_partitions: int,
                   table=None) -> np.ndarray:
     """Vectorized partition id for each row; hot conv_ids are turn-salted.
     ``table`` (multi-table streams) mixes the table identity into the hash so
-    the same conv_id in two tables co-locates per (table, conv)."""
-    conv = np.asarray(conv_id.to_numpy(zero_copy_only=False), dtype=object)
-    h = _stable_hash(conv)
+    the same conv_id in two tables co-locates per (table, conv). Hashing
+    and the hot test run once per distinct conv_id."""
+    codes, convs = S.dictionary_codes(conv_id)
+    h = S.hash_values(convs)[codes]
     if table is not None:
-        h = h ^ (_stable_hash(np.asarray(table.to_numpy(zero_copy_only=False),
-                                         dtype=object)) * _SALT_MULT)
+        h = h ^ (S.string_hash(table) * _SALT_MULT)
     if hot:
-        hot_mask = np.isin(conv, list(hot))
+        hot_mask = pc.is_in(convs, value_set=pa.array(list(hot), convs.type))
+        hot_mask = hot_mask.to_numpy(zero_copy_only=False)[codes]
         if hot_mask.any():
             turns = np.asarray(turn_idx.to_numpy(zero_copy_only=False), dtype=np.int64)
             salt = (turns // salt_block).astype(np.uint64)

@@ -1,6 +1,6 @@
-"""Applier finalize in lake mode: the partition split, the durable snapshot
-publish, the finalize profile, and a partition commit failing inside an
-applier's commit pool."""
+"""Applier finalize in lake mode: the partition split, the folds that run
+while the route does, the durable snapshot publish, the finalize profile,
+and a partition commit failing inside an applier's commit pool."""
 
 import os
 import time
@@ -9,8 +9,11 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from olrx.pipelines.replay import ReplayConfig, read_lake, replay_to_lake
-from olrx.stages.exchange import split_by_partition
+import ray
+
+from olrx.pipelines.replay import (ReplayConfig, read_lake, replay_dataset,
+                                   replay_to_lake)
+from olrx.stages.exchange import ApplierFleet, split_by_partition
 from olrx.state import manifest as MF
 from tests.conftest import sorted_table
 from tests.test_fleet import _alive_appliers
@@ -48,6 +51,58 @@ def test_split_by_partition_is_one_stable_gather():
     data = {g["v_text"].chunk(0).buffers()[2].address for _, g in groups}
     assert len(data) == 1
     assert all(g["v_text"].num_chunks == 1 for _, g in groups)
+
+
+@pytest.fixture
+def one_block_per_segment(gen_small, monkeypatch):
+    """One read block per segment, so each segment reaches the appliers
+    as its own shards while the route runs."""
+    _, _, paths, _ = gen_small
+    monkeypatch.setattr("olrx.pipelines.replay.coarse_read_blocks",
+                        lambda num_files=None: len(paths))
+    return paths
+
+
+def test_default_lake_replay_folds_while_routing(tmp_path,
+                                                 one_block_per_segment,
+                                                 expected_small):
+    """At the default config the appliers fold from the first shard: the
+    profile shows off-path folds, the lake equals the oracle, and the
+    counters equal those of a replay that folds only at finalize."""
+    paths = one_block_per_segment
+    res = replay_to_lake(paths, str(tmp_path / "lake"), ReplayConfig(),
+                         resume=False)
+    assert res.timings["folds"] >= 1 and res.timings["fold"] > 0, res.timings
+    assert sorted_table(read_lake(str(tmp_path / "lake")),
+                        expected_small.schema).equals(expected_small)
+    late = replay_to_lake(paths, str(tmp_path / "late"),
+                          ReplayConfig(applier_compact_threshold=0),
+                          resume=False)
+    assert late.timings["folds"] == 0, late.timings
+    assert res.stats.sort_by("partition").equals(
+        late.stats.sort_by("partition"))
+
+
+def test_default_dataset_replay_folds_while_routing(one_block_per_segment,
+                                                    expected_small):
+    res = replay_dataset(one_block_per_segment, ReplayConfig())
+    assert res.timings["folds"] >= 1 and res.timings["fold"] > 0, res.timings
+    assert sorted_table(res.dataset,
+                        expected_small.schema).equals(expected_small)
+
+
+def test_every_applier_folds_at_the_smallest_threshold():
+    """The ±25% stagger never rounds a threshold of 1 down to 0 (off)."""
+    fleet = ApplierFleet()
+    try:
+        appliers, ready = fleet.begin(4, 0, num_partitions=4,
+                                      compact_threshold=1)
+        ray.get(ready)
+        got = ray.get([a.__ray_call__.remote(lambda s: s.compact_threshold)
+                       for a in appliers])
+    finally:
+        fleet.close()
+    assert got == [1, 1, 1, 1], got
 
 
 def test_snapshot_is_fsynced_before_it_is_published(tmp_path, gen_small,

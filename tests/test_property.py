@@ -113,3 +113,38 @@ def test_compaction_preserves_merge(events, split_at):
     merged_compacted = merge_apply(recombined, 1)
     key = [("conv_id", "ascending"), ("turn_idx", "ascending")]
     assert merged_compacted.sort_by(key).equals(merged_plain.sort_by(key))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(event, min_size=0, max_size=40,
+                unique_by=lambda e: (e[0], e[1], e[3], e[4], e[5])),
+       st.integers(0, 4), st.integers(1, 3))
+def test_partition_ordered_runs_merge_like_the_union(events, split_at, nparts):
+    """merge(concat(compact(A), compact(B))) == merge(A ∪ B) with each run
+    in partition order — the applier's stream-end fold appends its tail
+    as a second run instead of compacting the union — and so does every
+    partition's concatenated slices of the runs."""
+    from olrx.stages.apply import compact_events
+    from olrx.stages.exchange import partition_order, partition_slices
+
+    t = to_table(events)
+    t = t.append_column("part", pa.array([e[0] % nparts for e in events],
+                                         pa.int32()))
+    cut = (len(events) * split_at) // 4
+    runs = [partition_order(compact_events(r))
+            for r in (t.slice(0, cut), t.slice(cut))]
+    for r in runs:
+        part = r["part"].to_numpy()
+        assert (np.diff(part) >= 0).all()
+    key = [("conv_id", "ascending"), ("turn_idx", "ascending")]
+    want = merge_apply(t, 1).sort_by(key)
+    assert merge_apply(pa.concat_tables(runs), 1).sort_by(key).equals(want)
+    pieces = {}
+    for r in runs:
+        for p, g in partition_slices(r):
+            pieces.setdefault(p, []).append(g)
+    per_part = [merge_apply(pa.concat_tables(pieces[p]), 1)
+                for p in sorted(pieces)]
+    got = (pa.concat_tables(per_part) if per_part
+           else merge_apply(t.slice(0, 0), 1))
+    assert got.sort_by(key).equals(want)

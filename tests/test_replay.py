@@ -2,8 +2,10 @@
 
 import glob
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from olrx.gen import GenConfig, ensure_changelog
 from olrx.oracle import apply_naive
@@ -277,3 +279,59 @@ def test_plan_step_callers_agree_at_a_stop_position(tmp_path, gen_small):
         assert json.load(f)["hot"], "the test must salt some key"
     assert sorted_table(read_lake(lake), exp.schema).equals(exp), \
         "lake mode != oracle at the cut"
+
+
+@pytest.mark.parametrize("chunks", [
+    [["a", "b", "a", "a", "c"]],                     # repeats
+    [["x", None, "y", None, "x"]],                   # nulls
+    [[]],                                            # empty
+    [["p", None, "q"], [], ["q", "p", "r", None]],   # chunked, empty chunk
+    [[None, None]],                                  # nulls only
+])
+def test_string_hash_is_hash_array_over_objects(chunks):
+    """The dictionary-coded hashes equal ``pd.util.hash_array`` over the
+    rows as Python objects, bit for bit: partition ids and ``_ctl``
+    ``xid_h`` are persisted."""
+    import pandas as pd
+
+    from olrx.schema import string_hash, xid_hash
+
+    rows = [v for c in chunks for v in c]
+    want = pd.util.hash_array(np.asarray(rows, dtype=object))
+    arrays = [pa.array(c, pa.string()) for c in chunks]
+    for strings in (pa.chunked_array(arrays, pa.string()),
+                    pa.concat_arrays(arrays)):
+        assert np.array_equal(string_hash(strings), want)
+        assert np.array_equal(xid_hash(strings), want)
+        assert string_hash(strings).dtype == np.uint64
+
+
+def test_partition_ids_hash_each_row_as_an_object():
+    """``partition_ids`` equals the per-row object hash it replaced, with
+    and without a table column and hot keys."""
+    import pandas as pd
+
+    from olrx.stages.partition import _SALT_MULT, partition_ids
+
+    rng = np.random.default_rng(11)
+    conv = pa.array([f"c{i}" for i in rng.integers(0, 40, 3000)])
+    turn = pa.array(rng.integers(0, 300, 3000).astype(np.int32))
+    table = pa.array([f"t{i}" for i in rng.integers(0, 3, 3000)])
+    hot = frozenset(["c3", "c7", "absent"])
+
+    def objects(a):
+        return pd.util.hash_array(np.asarray(
+            a.to_numpy(zero_copy_only=False), dtype=object))
+
+    for tbl in (None, table):
+        h = objects(conv)
+        if tbl is not None:
+            h = h ^ (objects(tbl) * _SALT_MULT)
+        assert np.array_equal(partition_ids(conv, turn, 16, table=tbl),
+                              (h % np.uint64(16)).astype(np.int32))
+        is_hot = np.isin(np.asarray(conv.to_pylist(), object), list(hot))
+        salt = (turn.to_numpy().astype(np.int64) // 64).astype(np.uint64)
+        salted = np.where(is_hot, h ^ ((salt + np.uint64(1)) * _SALT_MULT), h)
+        assert np.array_equal(
+            partition_ids(conv, turn, 16, hot=hot, salt_block=64, table=tbl),
+            (salted % np.uint64(16)).astype(np.int32))

@@ -1,6 +1,7 @@
 """Interleaved A/B of the benchmark: a git revision against this checkout.
 
-    python3 tools/ab.py --rev REV --workload W --pairs N --seed0 S [--trace]
+    python3 tools/ab.py --rev REV --workload W --pairs N --seed0 S \
+        [--trace] [--timings] [--records DIR]
 
 Checks REV out as a ``git worktree`` under a temp dir, then runs
 ``BENCHMARK.json``'s command (``perfbench/run.py --workload W --seed S+i
@@ -18,7 +19,10 @@ runs both sides with ``--trace 1`` and also prints the parent median
 [IQR] → change median of every ``per_layer`` metric, so a claim can be
 stated for the layer it touched. ``--records DIR`` keeps each run's full
 record (the line before the result) as ``DIR/<side>-<seed>.json``, since
-the parent's own copy goes with its worktree. Exits 1 if any
+the parent's own copy goes with its worktree. ``--timings`` also prints,
+per side, the median over all cycles of every ``ReplayResult.timings`` key
+(the ``timings`` of each cycle in the run records), so a claim can name
+the replay phase it moved without tracing. Exits 1 if any
 run failed or reported ``correct: false`` or failed operations. The
 worktree is removed on exit.
 """
@@ -69,6 +73,23 @@ def run_once(tree: str, cmd: list[str], workload: str, seed: int,
     return res
 
 
+def phase_medians(runs: dict[str, list[dict]]
+                  ) -> dict[str, tuple[float | None, float | None]]:
+    """Per ``ReplayResult.timings`` key, the (parent, change) median over
+    every cycle of every run of that side (None: the side never had it)."""
+    samples: dict[str, dict[str, list[float]]] = {}
+    for side, rs in runs.items():
+        for r in rs:
+            for c in r.get("record", {}).get("cycles", []):
+                for k, v in c.get("timings", {}).items():
+                    if isinstance(v, (int, float)):
+                        by_side = samples.setdefault(k, {})
+                        by_side.setdefault(side, []).append(v)
+    return {k: tuple(statistics.median(by[side]) if by.get(side) else None
+                     for side in ("parent", "change"))
+            for k, by in sorted(samples.items())}
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", required=True, help="parent revision")
@@ -78,6 +99,8 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--trace", action="store_true",
                     help="trace both sides and compare per-layer metrics")
     ap.add_argument("--records", help="directory to keep each run's record in")
+    ap.add_argument("--timings", action="store_true",
+                    help="print each side's median replay phase timings")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -101,7 +124,7 @@ def main(argv: list[str]) -> int:
                     os.makedirs(args.records, exist_ok=True)
                     with open(os.path.join(args.records,
                                            f"{side}-{seed}.json"), "w") as f:
-                        json.dump(res.pop("record"), f)
+                        json.dump(res["record"], f)
                 runs[side].append(res)
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       f"correct={res.get('correct')} "
@@ -159,6 +182,12 @@ def main(argv: list[str]) -> int:
     if args.trace:
         print("per layer:")
         table(bench["per_layer"], "per_layer")
+    if args.timings:
+        print("replay timings (median over all cycles, seconds except "
+              "counts such as folds): parent → change")
+        for key, meds in phase_medians(runs).items():
+            print(f"  {key}: " + " → ".join(
+                "-" if m is None else f"{m:.4g}" for m in meds))
     print("runs:")
     for side in ("parent", "change"):
         for r in runs[side]:
