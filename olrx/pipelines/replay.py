@@ -9,19 +9,25 @@ table, then stop. Offline/tail mode (re-run over a growing directory,
 
 Pipeline shape (one wide exchange, SURVEY §4.2):
 
-    read_parquet(segments that can contribute,      # stateless IO tasks
-                 columns=pruned, scn filter)
-      → map_batches(CommitResolver)                 # filter+join+flatten+part
+    from_arrow(segment groups)                      # the control's index,
+                                                    # byte-balanced runs
+      → map_batches(read + CommitResolver)          # stateless tasks: each
+                                                    # file under its own
+                                                    # schema (columns pruned,
+                                                    # scn filter), one decode
+                                                    # per same-schema run
       → THE exchange (stages/exchange.py)           # late-materialization
                                                     # applier-actor routing
       → rows (dataset mode) | parquet + manifest per partition (lake mode)
 
 plus one earlier control pass (``load_control``, incremental from its
-checkpoint) that indexes each segment's scn range. On a resume the read
-and the broadcast commit lookup get only the segments whose range meets
-the scn filter (``ControlInfo.segments_to_read``): the new ones and the
-few older ones a still-open transaction reaches into, not the whole
-history. Both modes build their exchange with one plan step (``_plan``).
+checkpoint) that indexes each segment's bytes and scn range. On a resume
+the read and the broadcast commit lookup get only the segments whose range
+meets the scn filter (``ControlInfo.segments_to_read``): the new ones and
+the few older ones a still-open transaction reaches into, not the whole
+history. The read list comes from that index, so no Parquet datasource
+rediscovers the files per call. Both modes build their exchange with one
+plan step (``_plan``).
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from olrx import schema as S
 from olrx.ops.scaling import coarse_read_blocks
 from olrx.stages.commit import snapshot_footer
 from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, load_control,
-                               make_resolver)
+                               make_resolver, make_segment_decoder,
+                               segment_groups)
 from olrx.stages.partition import detect_hot_keys
 from olrx.state import manifest as MF
 
@@ -50,10 +57,10 @@ from olrx.state import manifest as MF
 @dataclass
 class ReplayConfig:
     num_partitions: int = 32        # ≥ 4× apply parallelism for balance
-    #: decode batch rows; None = decode each read block as it arrives (the
-    #: read already makes coarse blocks, ``coarse_read_blocks``). A row
-    #: count re-batches blocks, concatenating them, and holds the first
-    #: shard back until a batch fills
+    #: decode batch rows; None = decode each run of same-schema segments
+    #: of a read group at once, up to Ray Data's target block size
+    #: (``decode.read_runs``; ``coarse_read_blocks`` groups). A row count
+    #: cuts the runs into batches of exactly that many rows
     batch_size: int | None = None
     salt_hot: bool = False          # heavy-hitter detection + turn-salting
     hot_frac_threshold: float = 0.02
@@ -171,8 +178,10 @@ class ReplayResult:
     stats: "pa.Table | None" = None          # one row per partition (lake mode)
     dataset: "rd.Dataset | None" = None      # final rows (dataset mode)
     out_dir: str | None = None
-    #: phase wall times of THIS replay (control/route/fence/finalize); kept
-    #: per result so concurrent replays in one process never cross-attribute
+    #: phase wall times of THIS replay: ``plan`` and ``control`` (``_plan``),
+    #: then ``route``, ``fence``, ``finalize`` and their splits
+    #: (``run_actor_exchange``); kept per result so concurrent replays in
+    #: one process never cross-attribute
     timings: dict = field(default_factory=dict)
     #: the segments handed to the event read (the rest were pruned)
     segments_read: list = field(default_factory=list)
@@ -288,16 +297,24 @@ def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
     cols = list(EVENT_COLUMNS)
     if cfg.multi_table or cfg.table_regex:
         cols = ["table_name"] + cols
-    ds = rd.read_parquet(paths, columns=cols, filter=flt,
-                         override_num_blocks=coarse_read_blocks())
-    return ds.map_batches(
-        make_resolver(commit_ref, cfg.num_partitions, hot_ref,
-                      cfg.salt_block, floors,
-                      skip, cfg.conv_regex, cfg.condition,
-                      include_table=cfg.multi_table,
-                      table_regex=cfg.table_regex),
+    # the read list is the control's segment index, not a Parquet
+    # datasource: no file discovery, metadata tasks or fragment sampling
+    # per call, and one decode per run of files (``read_runs``)
+    groups = segment_groups(paths, [control.segments[p][0] for p in paths],
+                            coarse_read_blocks(len(paths)))
+    decode = make_resolver(commit_ref, cfg.num_partitions, hot_ref,
+                           cfg.salt_block, floors,
+                           skip, cfg.conv_regex, cfg.condition,
+                           include_table=cfg.multi_table,
+                           table_regex=cfg.table_regex)
+    return rd.from_arrow([pa.table({"paths": [g]}) for g in groups]
+                         ).map_batches(
+        make_segment_decoder(
+            decode, cols, flt,
+            max_bytes=rd.DataContext.get_current().target_max_block_size,
+            max_rows=cfg.batch_size),
         batch_format="pyarrow",
-        batch_size=cfg.batch_size,
+        batch_size=1,
     )
 
 
@@ -316,16 +333,20 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
     every segment into its checkpoint, so the txn-span bound and schema
     version cover all history — a span seeded from a partial run would
     silently under-prune (judge ADVICE r1); prior runs' spans can only
-    widen it. A segment listed twice (by any path) is read once."""
+    widen it. A segment listed twice (by any path) is read once.
+
+    ``timings`` gets ``control`` (the load and cap) and ``plan`` (all of
+    this step, the control included)."""
+    t0 = time.perf_counter()
     first: dict[str, str] = {}
     for p in paths:
         first.setdefault(os.path.realpath(p), p)
     paths = list(first.values())
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     control = load_control(paths)
     if cfg.end_commit_scn is not None:
         control = control.capped(cfg.end_commit_scn)
-    timings["control"] = round(time.perf_counter() - t0, 3)
+    timings["control"] = round(time.perf_counter() - t1, 3)
     prev = prev_ms.values()
     control.max_txn_span = max([control.max_txn_span]
                                + [m.max_txn_span for m in prev])
@@ -344,7 +365,7 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
     # fleet sizing counts every landed byte, so a kept fleet keeps its size
     nbytes = sum(control.segments[p][0] for p in paths)
     read: list[str] = []
-    return control, dict(
+    run = dict(
         events=_decoded_events(paths, cfg, control, floors=floors, hot=hot,
                                read=read),
         num_appliers=cfg.resolved_num_appliers(nbytes, kept_fleet=kept_fleet),
@@ -352,7 +373,9 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
         schema_version=max([control.schema_version]
                            + [m.schema_version for m in prev]),
         compact_threshold=cfg.applier_compact_threshold,
-        multi_table=cfg.multi_table, dropped=dropped, renamed=renamed), read
+        multi_table=cfg.multi_table, dropped=dropped, renamed=renamed)
+    timings["plan"] = round(time.perf_counter() - t0, 3)
+    return control, run, read
 
 
 def replay_dataset(paths: list[str], cfg: ReplayConfig | None = None) -> ReplayResult:

@@ -19,8 +19,17 @@ case where whole transactions are present in the input (SURVEY §2.2-2.3):
   one, the same rows derived from the segment (``schema.control_rows``).
 - ``hot_partials`` — the per-segment hot-key counts a salting replay sums,
   kept in the same checkpoint and computed only for segments it lacks.
-- ``CommitResolver`` — the ``map_batches`` decode function
-  (``make_resolver``): joins each event batch against the broadcast commit
+- ``segment_groups`` / ``read_runs`` / ``make_segment_decoder`` — the
+  replay's event read, the analog of the reference's reader going block
+  after block through the log files it already tracks: the segment list
+  from the control's index is split into consecutive, byte-balanced
+  groups, one Ray Data task a group. A task reads its files one by one
+  under each file's own schema (pruned columns, scn filter) and decodes
+  each run of same-schema files at once, so no Parquet datasource
+  rediscovers the files and the resolver runs once per run, not once per
+  datasource batch.
+- ``CommitResolver`` — the decode function (``make_resolver``): joins each
+  event batch against the broadcast commit
   lookup (drops rolled-back / open txns — the reference's
   ``src/parser/Transaction.cpp:207-210``), flattens the ``after``
   struct image into payload columns, attaches the hash partition id. Its
@@ -33,7 +42,7 @@ broadcast is 16 B a transaction (hash + commit SCN) of the segments read,
 shared zero-copy by every decode worker on a node: O(window) in a tail
 replay, every commit in a full replay — ~11 GB per node at 10^10 events
 (~7×10^8 txns). Chunking it by commit-SCN range, so a decode task fetches
-only the chunks its read block can reference, is the way past that.
+only the chunks its read group can reference, is the way past that.
 """
 
 from __future__ import annotations
@@ -800,5 +809,69 @@ def make_resolver(commit_ref, num_partitions: int, hot_ref=None,
                                          skip_xids, conv_regex, condition,
                                          include_table, table_regex))
         return holder[0](batch)
+
+    return fn
+
+
+def segment_groups(paths: list[str], sizes: "list[int]", n: int
+                   ) -> list[list[str]]:
+    """``paths`` split into ``n`` groups of consecutive paths (fewer when
+    there are fewer paths), balanced by their byte ``sizes``: a path joins
+    the group whose share of the total bytes holds its midpoint, and every
+    group keeps at least one path. A pure function of its arguments, so a
+    replay of the same input reads the same groups."""
+    n = max(1, min(n, len(paths)))
+    sz = np.asarray(sizes, np.float64)
+    mid = np.cumsum(sz) - sz / 2
+    cuts = [0]
+    for j in range(1, n):
+        c = int(np.searchsorted(mid, sz.sum() * j / n))
+        cuts.append(min(max(c, cuts[-1] + 1), len(paths) - (n - j)))
+    cuts.append(len(paths))
+    return [paths[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def read_runs(paths: list[str], columns: list[str], scn_filter=None,
+              max_bytes: "int | None" = None, max_rows: "int | None" = None):
+    """The rows of the segments ``paths`` in order, read file by file under
+    each file's own schema (``columns`` pruned, ``scn_filter`` an
+    expression that also prunes row groups), as runs: consecutive files of
+    one schema concatenated, under ``max_bytes`` bytes (a larger file is a
+    run of its own) and, when set, exactly ``max_rows`` rows (the last run
+    of a schema may be shorter).
+
+    A ``pyarrow.dataset`` over several files would read them all under the
+    first file's schema: a narrow pre-DDL first file drops the added
+    column of the later ones, and a wide first file fails the narrow ones."""
+    run: list[pa.Table] = []
+    for p in paths:
+        t = pq.read_table(p, columns=columns, filters=scn_filter)
+        if run and (not t.schema.equals(run[0].schema)
+                    or (max_bytes is not None
+                        and sum(r.nbytes for r in run) + t.nbytes > max_bytes)):
+            yield pa.concat_tables(run)
+            run = []
+        run.append(t)
+        if max_rows:
+            whole = pa.concat_tables(run)
+            while whole.num_rows >= max_rows:
+                yield whole.slice(0, max_rows)
+                whole = whole.slice(max_rows)
+            run = [whole] if whole.num_rows else []
+    if run:
+        yield pa.concat_tables(run)
+
+
+def make_segment_decoder(decode, columns: list[str], scn_filter=None,
+                         max_bytes: "int | None" = None,
+                         max_rows: "int | None" = None):
+    """The replay's read + decode as one ``map_batches`` fn over a table of
+    segment groups (a ``paths`` list column, one group per row): yields
+    ``decode(run)`` for every run of :func:`read_runs` over each group."""
+    def fn(batch: pa.Table):
+        for group in batch["paths"].to_pylist():
+            for run in read_runs(group, columns, scn_filter, max_bytes,
+                                 max_rows):
+                yield decode(run)
 
     return fn

@@ -153,7 +153,8 @@ def to_ipc(t: pa.Table, compression: "str | None" = None) -> pa.Buffer:
     stats cross the applier boundary in this form: a bare ``pa.Table``
     argument or return value goes through Ray's Arrow reducer, whose import
     of ``ray.air`` (and with it ``ray.data``) would land in the applier.
-    ``finalize_rows`` alone returns a table: it is a Ray Data block."""
+    ``finalize_rows`` returns its rows this way too; a small task
+    (:func:`_ipc_block`) turns them into a Ray Data block."""
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(
             sink, t.schema,
@@ -470,11 +471,12 @@ class PartitionApplier:
         return {"fold": self.fold_s, "folds": self.folds}
 
     @ray.method(num_returns=2)
-    def finalize_rows(self) -> "tuple[pa.Table, dict[str, float]]":
+    def finalize_rows(self) -> "tuple[pa.Buffer, dict[str, float]]":
         """Merge-apply all owned events; keys are globally unique across
         partitions, so one reduction over the applier's runs is
-        partition-exact. Returns the rows and the fold profile (``fold``
-        seconds and ``folds`` count of the off-path folds)."""
+        partition-exact. Returns the rows as an IPC stream buffer
+        (:func:`to_ipc`) and the fold profile (``fold`` seconds and
+        ``folds`` count of the off-path folds)."""
         runs = self._gather()
         if not runs:
             rows = S.transcripts_schema(
@@ -484,7 +486,7 @@ class PartitionApplier:
             rows = merge_apply(
                 pa.concat_tables(runs, promote_options="default"),
                 self.schema_version, self.dropped, self.renamed)
-        return rows, self._fold_profile()
+        return to_ipc(rows), self._fold_profile()
 
     def finalize_commit(self, out_dir: str, safe_watermark: int,
                         max_commit_scn: int, max_txn_span: int,
@@ -901,6 +903,14 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
     return out
 
 
+@ray.remote
+def _ipc_block(buf: pa.Buffer) -> pa.Table:
+    """The Ray Data block of an applier's ``finalize_rows`` buffer. Built
+    in a task, whose worker Ray Data already uses, so the block's Arrow
+    reducer never imports ``ray.data`` into an applier."""
+    return from_ipc(buf)
+
+
 def _exchange(fleet: ApplierFleet, events, num_appliers: int,
               schema_version: int, commit: "dict | None", timings: dict,
               top_up: bool, **run):
@@ -926,7 +936,7 @@ def _exchange(fleet: ApplierFleet, events, num_appliers: int,
         else (lambda i: appliers[i].finalize_commit.remote(**commit)))
     t2 = time.perf_counter()
     if commit is None:
-        out = [r for r, _ in refs]
+        out = [_ipc_block.remote(r) for r, _ in refs]
         # block until the blocks are durably in plasma: the refs stay valid
         # (owned by the driver) when a call-scoped fleet is closed next
         ray.wait(out, num_returns=len(out), fetch_local=False)

@@ -36,6 +36,36 @@ def gen_small():
 
 
 @pytest.fixture(scope="session")
+def mixed_schema_dir(tmp_path_factory):
+    """The small changelog with its pre-DDL segments rewritten WITHOUT the
+    tool_meta struct field (a narrow physical schema); (that directory,
+    the source directory)."""
+    import json
+
+    import pyarrow.compute as pc
+    from olrx.gen import GenConfig, ensure_changelog
+
+    src = ensure_changelog(GenConfig(scale=0.001))
+    dst = tmp_path_factory.mktemp("mixed")
+    with open(os.path.join(src, "_COMPLETE")) as f:
+        ddl_scn = json.load(f)["ddl_scn"]
+    for p in sorted(glob.glob(src + "/*.parquet")):
+        t = pq.read_table(p)
+        max_scn = pc.max(t["scn"]).as_py()
+        if max_scn < ddl_scn:  # fully pre-DDL segment → narrow physical schema
+            for col in ("before", "after"):
+                arr = t[col].combine_chunks()
+                names = [f.name for f in arr.type if f.name != "tool_meta"]
+                children = [pc.struct_field(arr, nm) for nm in names]
+                narrow = pa.StructArray.from_arrays(
+                    children, names=names,
+                    mask=pc.is_null(arr))
+                t = t.set_column(t.schema.get_field_index(col), col, narrow)
+        pq.write_table(t, str(dst / os.path.basename(p)))
+    return str(dst), src
+
+
+@pytest.fixture(scope="session")
 def expected_small(gen_small):
     from olrx.oracle import apply_naive
 

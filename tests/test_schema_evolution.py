@@ -21,29 +21,6 @@ from olrx.pipelines.replay import ReplayConfig, replay_dataset
 from tests.conftest import sorted_table
 
 
-@pytest.fixture(scope="module")
-def mixed_schema_dir(tmp_path_factory):
-    """Rewrite pre-DDL segments WITHOUT the tool_meta struct field."""
-    src = ensure_changelog(GenConfig(scale=0.001))
-    dst = tmp_path_factory.mktemp("mixed")
-    meta = __import__("json").load(open(os.path.join(src, "_COMPLETE")))
-    ddl_scn = meta["ddl_scn"]
-    for p in sorted(glob.glob(src + "/*.parquet")):
-        t = pq.read_table(p)
-        max_scn = pc.max(t["scn"]).as_py()
-        if max_scn < ddl_scn:  # fully pre-DDL segment → narrow physical schema
-            for col in ("before", "after"):
-                arr = t[col].combine_chunks()
-                names = [f.name for f in arr.type if f.name != "tool_meta"]
-                children = [pc.struct_field(arr, nm) for nm in names]
-                narrow = pa.StructArray.from_arrays(
-                    children, names=names,
-                    mask=pc.is_null(arr))
-                t = t.set_column(t.schema.get_field_index(col), col, narrow)
-        pq.write_table(t, str(dst / os.path.basename(p)))
-    return str(dst), src
-
-
 def test_mixed_schema_replay(mixed_schema_dir):
     dst, src = mixed_schema_dir
     paths = sorted(glob.glob(dst + "/*.parquet"))
@@ -54,6 +31,33 @@ def test_mixed_schema_replay(mixed_schema_dir):
     res = replay_dataset(paths, ReplayConfig(num_partitions=8))
     got = sorted_table(res.dataset, exp.schema)
     assert got.equals(exp)
+
+
+def test_mixed_schemas_in_one_read_group(mixed_schema_dir, tmp_path,
+                                         monkeypatch):
+    """Every segment in ONE read group, opening with a narrow pre-DDL file
+    and holding wide ones after it: each file is read under its own
+    schema, so neither the wide files' ``tool_meta`` values are dropped nor
+    the narrow files fail, and both replay modes equal the oracle."""
+    from olrx.pipelines.replay import read_lake, replay_to_lake
+
+    dst, src = mixed_schema_dir
+    paths = sorted(glob.glob(dst + "/*.parquet"))
+    widths = [len(pq.read_schema(p).field("after").type) for p in paths]
+    assert widths[0] < max(widths), "the group must open with a narrow file"
+    monkeypatch.setattr("olrx.pipelines.replay.coarse_read_blocks",
+                        lambda num_files=None: 1)
+    full = pa.concat_tables(
+        [pq.read_table(p) for p in sorted(glob.glob(src + "/*.parquet"))])
+    exp = apply_naive(full).sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")])
+    assert pc.sum(pc.is_valid(exp["tool_meta"])).as_py() > 0
+    cfg = ReplayConfig(num_partitions=8)
+    res = replay_dataset(paths, cfg)
+    assert sorted_table(res.dataset, exp.schema).equals(exp)
+    lake = str(tmp_path / "lake")
+    replay_to_lake(paths, lake, cfg, resume=False)
+    assert sorted_table(read_lake(lake), exp.schema).equals(exp)
 
 
 def test_drop_column_mid_stream():
