@@ -9,16 +9,17 @@ table, then stop. Offline/tail mode (re-run over a growing directory,
 
 Pipeline shape (one wide exchange, SURVEY §4.2):
 
-    from_arrow(segment groups)                      # the control's index,
-                                                    # byte-balanced runs
-      → map_batches(read + CommitResolver)          # stateless tasks: each
-                                                    # file under its own
-                                                    # schema (columns pruned,
-                                                    # scn filter), one decode
-                                                    # per same-schema run
-      → THE exchange (stages/exchange.py)           # late-materialization
-                                                    # applier-actor routing
-      → rows (dataset mode) | parquet + manifest per partition (lake mode)
+    segment groups                  # the control's index, byte-balanced
+                                    # runs of consecutive segments
+      → one Ray task a group:       # (exchange._route_group)
+          read_runs                 # each file under its own schema
+                                    # (columns pruned, scn filter)
+          → CommitResolver          # one decode per same-schema run
+          → router                  # payload blob + meta shards straight
+                                    # to the applier actors
+      → the driver folds each task's (applier, digest) list as it arrives
+      → fence, then rows (dataset mode) | parquet + manifest per
+        partition (lake mode) — THE exchange (stages/exchange.py)
 
 plus one earlier control pass (``load_control``, incremental from its
 checkpoint) that indexes each segment's bytes and scn range. On a resume
@@ -26,8 +27,10 @@ the read and the broadcast commit lookup get only the segments whose range
 meets the scn filter (``ControlInfo.segments_to_read``): the new ones and
 the few older ones a still-open transaction reaches into, not the whole
 history. The read list comes from that index, so no Parquet datasource
-rediscovers the files per call. Both modes build their exchange with one
-plan step (``_plan``).
+rediscovers the files per call, and no Ray Data execution starts: a call
+pays for its group tasks, not for an executor. Both modes build their
+exchange with one plan step (``_plan``); ``_decoded_events`` is a Ray Data
+view of the same decode plan, for the queries that read decoded events.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ import ray.data as rd
 from olrx import schema as S
 from olrx.ops.scaling import coarse_read_blocks
 from olrx.stages.commit import snapshot_footer
-from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, load_control,
-                               make_resolver, make_segment_decoder,
-                               segment_groups)
+from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, DecodePlan,
+                               load_control, make_resolver,
+                               make_segment_decoder, segment_groups)
 from olrx.stages.partition import detect_hot_keys
 from olrx.state import manifest as MF
 
@@ -247,11 +250,12 @@ def oversized_xids(paths: list[str], max_events: int) -> tuple[str, ...]:
     return tuple(sorted(r["xid"] for r in agg.take_all()))
 
 
-def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
-                    floors: "np.ndarray | None" = None,
-                    hot: frozenset | None = None,
-                    read: list | None = None) -> rd.Dataset:
-    """The decoded event stream of ``paths``: events committed above their
+def _decode_plan(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
+                 floors: "np.ndarray | None" = None,
+                 hot: frozenset | None = None,
+                 read: list | None = None) -> DecodePlan:
+    """The decoded event stream of ``paths``, as a plan the exchange runs
+    one Ray task a segment group: events committed above their
     partition's resume cut ``floors[part]`` (None: none) and the start
     position. Only the segments whose indexed scn range meets the scn
     filter are read (the list is appended to ``read`` when given): the
@@ -307,15 +311,24 @@ def _decoded_events(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
                            skip, cfg.conv_regex, cfg.condition,
                            include_table=cfg.multi_table,
                            table_regex=cfg.table_regex)
-    return rd.from_arrow([pa.table({"paths": [g]}) for g in groups]
-                         ).map_batches(
-        make_segment_decoder(
-            decode, cols, flt,
-            max_bytes=rd.DataContext.get_current().target_max_block_size,
-            max_rows=cfg.batch_size),
-        batch_format="pyarrow",
-        batch_size=1,
-    )
+    return DecodePlan(groups, make_segment_decoder(
+        decode, cols, flt,
+        max_bytes=rd.DataContext.get_current().target_max_block_size,
+        max_rows=cfg.batch_size))
+
+
+def _decoded_events(*args, **kwargs) -> rd.Dataset:
+    """A Ray Data view of :func:`_decode_plan` (same arguments), for the
+    queries and tests that read decoded events: one block a decoded run."""
+    plan = _decode_plan(*args, **kwargs)
+
+    def decode(batch: pa.Table):
+        for group in batch["paths"].to_pylist():
+            yield from plan.decode(group)
+
+    return rd.from_arrow([pa.table({"paths": [g]}) for g in plan.groups]
+                         ).map_batches(decode, batch_format="pyarrow",
+                                       batch_size=1)
 
 
 def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
@@ -366,8 +379,8 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
     nbytes = sum(control.segments[p][0] for p in paths)
     read: list[str] = []
     run = dict(
-        events=_decoded_events(paths, cfg, control, floors=floors, hot=hot,
-                               read=read),
+        plan=_decode_plan(paths, cfg, control, floors=floors, hot=hot,
+                          read=read),
         num_appliers=cfg.resolved_num_appliers(nbytes, kept_fleet=kept_fleet),
         num_partitions=cfg.num_partitions,
         schema_version=max([control.schema_version]

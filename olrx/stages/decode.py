@@ -19,15 +19,14 @@ case where whole transactions are present in the input (SURVEY §2.2-2.3):
   one, the same rows derived from the segment (``schema.control_rows``).
 - ``hot_partials`` — the per-segment hot-key counts a salting replay sums,
   kept in the same checkpoint and computed only for segments it lacks.
-- ``segment_groups`` / ``read_runs`` / ``make_segment_decoder`` — the
-  replay's event read, the analog of the reference's reader going block
-  after block through the log files it already tracks: the segment list
-  from the control's index is split into consecutive, byte-balanced
-  groups, one Ray Data task a group. A task reads its files one by one
-  under each file's own schema (pruned columns, scn filter) and decodes
-  each run of same-schema files at once, so no Parquet datasource
-  rediscovers the files and the resolver runs once per run, not once per
-  datasource batch.
+- ``segment_groups`` / ``read_runs`` / ``make_segment_decoder`` /
+  ``DecodePlan`` — the replay's event read, the analog of the reference's
+  reader going block after block through the log files it already tracks:
+  the segment list from the control's index is split into consecutive,
+  byte-balanced groups, one Ray task a group. A task reads its files one
+  by one under each file's own schema (pruned columns, scn filter) and
+  decodes each run of same-schema files at once, so no Parquet datasource
+  rediscovers the files and the resolver runs once per run.
 - ``CommitResolver`` — the decode function (``make_resolver``): joins each
   event batch against the broadcast commit
   lookup (drops rolled-back / open txns — the reference's
@@ -50,7 +49,9 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -640,12 +641,11 @@ def _unchanged(entries: dict[str, tuple]) -> bool:
 class CommitResolver:
     """Decode stage: committed-DML filter + image flatten + partition id.
 
-    Runs as a stateless ``map_batches`` fn built by :func:`make_resolver`:
-    the broadcast state (``commit_ref``: ``ControlInfo.decode_broadcast``
-    of the segments a replay reads; ``hot_ref``: the hot set) is a
-    ``ray.put`` ref fetched once per worker process, a zero-copy read
-    from the node's shared object store (~µs), and Ray reuses task workers
-    across dataset executions."""
+    Built by :func:`make_resolver` once per group task: the broadcast
+    state (``commit_ref``: ``ControlInfo.decode_broadcast`` of the
+    segments a replay reads; ``hot_ref``: the hot set) is a ``ray.put``
+    ref fetched at construction, a zero-copy read from the node's shared
+    object store (~µs), then reused for every run of the task's group."""
 
     def __init__(self, commit_ref, num_partitions: int,
                  hot_ref=None, salt_block: int = 64,
@@ -796,10 +796,10 @@ def make_resolver(commit_ref, num_partitions: int, hot_ref=None,
                   skip_xids: tuple[str, ...] = (), conv_regex: str | None = None,
                   condition: str | None = None, include_table: bool = False,
                   table_regex: str | None = None):
-    """Stateless decode fn for `map_batches`. The resolver object is built
-    lazily once per worker process and cached — `ray.get` on the broadcast
-    refs is a zero-copy shared-memory read, so there is no per-batch cost
-    and no actor-spawn cost per dataset execution."""
+    """The decode fn of a :class:`DecodePlan`: a picklable closure that
+    builds its :class:`CommitResolver` at its first call. Every task gets
+    its own unpickled copy, so the resolver is built once per task and
+    reused for each run of its group."""
     holder: list[CommitResolver] = []
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -865,13 +865,32 @@ def read_runs(paths: list[str], columns: list[str], scn_filter=None,
 def make_segment_decoder(decode, columns: list[str], scn_filter=None,
                          max_bytes: "int | None" = None,
                          max_rows: "int | None" = None):
-    """The replay's read + decode as one ``map_batches`` fn over a table of
-    segment groups (a ``paths`` list column, one group per row): yields
-    ``decode(run)`` for every run of :func:`read_runs` over each group."""
-    def fn(batch: pa.Table):
-        for group in batch["paths"].to_pylist():
-            for run in read_runs(group, columns, scn_filter, max_bytes,
-                                 max_rows):
-                yield decode(run)
+    """The replay's read + decode of one segment group: ``fn(group,
+    profile=None)`` yields ``decode(run)`` for every run of
+    :func:`read_runs` over ``group``. A ``profile`` dict, when given,
+    gains the ``read`` and ``decode`` seconds and the decoded ``raw_bytes``
+    (the time the caller spends between yields is not counted)."""
+    def fn(group: list[str], profile: "dict | None" = None):
+        t0 = time.perf_counter()
+        for run in read_runs(group, columns, scn_filter, max_bytes, max_rows):
+            t1 = time.perf_counter()
+            out = decode(run)
+            if profile is not None:
+                profile["read"] += t1 - t0
+                profile["decode"] += time.perf_counter() - t1
+                profile["raw_bytes"] += out.nbytes
+            yield out
+            t0 = time.perf_counter()
 
     return fn
+
+
+@dataclass(frozen=True)
+class DecodePlan:
+    """A replay's decoded event stream, not yet run: the segment
+    ``groups`` (:func:`segment_groups`) and ``decode``, a picklable
+    ``group → decoded tables`` function (:func:`make_segment_decoder`).
+    The exchange runs one Ray task a group; queries and tests take a Ray
+    Data view of the same plan (``replay._decoded_events``)."""
+    groups: list
+    decode: Callable

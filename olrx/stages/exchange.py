@@ -5,11 +5,15 @@ Decoded events reach the partition appliers point to point, one pass
 through the object store, and the heavy payload bytes never ride the
 exchange at all:
 
-    decode task ──┬─ payload (v_* columns, original order) ──► ONE plasma
-                  │   blob per decoded batch (``ray.put``, owned by an
-                  │   applier so it outlives the router worker)
-                  └─ meta (keys + op/order/mask + blob pointer, ~70 B/row,
-                      owner-sorted) ──► PartitionApplier actors
+    group task ──┬─ payload (v_* columns, original order) ──► ONE plasma
+                 │   blob per decoded batch (``ray.put``, owned by an
+                 │   applier so it outlives the task's worker)
+                 └─ meta (keys + op/order/mask + blob pointer, ~70 B/row,
+                     owner-sorted) ──► PartitionApplier actors
+
+One plain Ray task a segment group (:func:`_route_group`) reads, decodes
+and routes its group; the driver submits every group at once, Ray runs as
+many as there are CPUs, and the call starts no Ray Data execution.
 
 Late materialization: appliers buffer and fold ONLY the meta stream; the
 text payload is looked up per WINNER row at finalize, straight from the
@@ -32,21 +36,21 @@ union back in partition order with one take. So plasma holds only the
 since-last-fold payload share, decompression and the partition sort
 overlap the routing window, and finalize starts from pre-gathered,
 pre-sorted winners. Size the object store to that share (``bench.py``
-sizes it to ~55 % of RAM; an undersized store does not fail, it throttles
-the streaming executor — measured 1.8× wall at 4 CPUs). This is the
+sizes it to ~55 % of RAM; an undersized store does not fail, it slows the
+route — measured 1.8× wall at 4 CPUs when Ray Data ran it). This is the
 TransactionBuffer big-txn swap analog
 (/root/reference/src/common/MemoryManager.cpp:197-260). The folds run on a
-spare core while Ray Data routes; a host with one physical core gains
-less from them.
+spare core while the group tasks route; a host with one physical core
+gains less from them.
 
 Completion is fenced by COUNT, not by acks: every shard carries a
-deterministic content digest (same input block ⇒ same digest), routers
-report the digest of each shard they shipped PER APPLIER (their map
-output), and the driver polls each applier until the number of distinct
+deterministic content digest (same input group ⇒ same digest), group
+tasks return the digest of each shard they shipped PER APPLIER, and the
+driver polls each applier until the number of distinct
 digests it received matches the number of distinct digests routed to it —
 that applier's finalize launches immediately, so drain skew across the
 fleet overlaps with finalize work instead of serializing behind a global
-barrier. A retried router block re-ships its shards under a fresh blob id;
+barrier. A retried group task re-ships its shards under a fresh blob id;
 appliers drop the duplicates by digest, so the folded meta AND the lineage
 counters stay exact under Ray task retry, and because both sides count
 distinct digests, a duplicate delivered by an attempt that died after
@@ -131,10 +135,10 @@ from olrx.stages.apply import (KEY_SEGMENT_COLUMNS, compact_events,
                                compact_rows, merge_apply)
 from olrx.stages.commit import apply_and_commit, stats_row
 
-#: outstanding un-acked `add_shard` calls per router worker before it waits.
-#: Bounds the actor mailbox depth and extends Ray Data's backpressure
-#: through the actors (an ack returns once the shard is folded into the
-#: applier's heap state).
+#: outstanding un-acked `add_shard` calls per group task before it waits.
+#: Bounds the actor mailbox depth, so a task that decodes faster than its
+#: appliers keep up waits for them (an ack returns once the shard is
+#: folded into the applier's heap state).
 ACK_WINDOW = 32
 
 #: payload-blob compression. The exchange is DRAM/network-bandwidth-bound
@@ -359,7 +363,7 @@ class PartitionApplier:
         relative to the stream.
 
         ``shard_key`` is the shard's deterministic content digest: a RETRIED
-        router block re-ships identical rows under a fresh blob id, and a
+        group task re-ships identical rows under a fresh blob id, and a
         duplicate — while harmless to the LWW merge — would inflate the
         lineage counters. A duplicate contributes nothing, not even to
         ``received``: the fence counts distinct digests on both sides."""
@@ -551,17 +555,19 @@ class PartitionApplier:
 
 def make_router(appliers: list, num_appliers: int,
                 ready_refs: list | None = None):
-    """Stateless `map_batches` fn (fused with decode): put the batch's
-    payload columns into plasma as ONE blob (lz4 Arrow IPC, owned by
-    an applier so the ref outlives this pooled worker), owner-sort only the
-    light meta columns, and ship per-applier meta slices + the blob ref.
-    Emits one row per shipped shard: its applier and content digest (the
-    driver's per-applier fence totals count distinct digests)."""
+    """The router a group task (:func:`_route_group`) calls on each decoded
+    batch: put the batch's payload columns into plasma as ONE blob (lz4
+    Arrow IPC, owned by an applier so the ref outlives the task's worker),
+    owner-sort only the light meta columns, and ship per-applier meta
+    slices + the blob ref. Returns the ``(applier, content digest)`` of
+    every shipped shard (the driver's per-applier fence totals count
+    distinct digests) and the blob's bytes. The driver builds it once a
+    call; each task unpickles its own copy, so its state is per task."""
     import hashlib
 
     holder: dict = {}
 
-    def route(batch: pa.Table) -> pa.Table:
+    def route(batch: pa.Table) -> "tuple[list, int]":
         if ready_refs is not None and not holder.get("ready"):
             # the appliers' begin refs: ray.put(_owner=applier) needs live
             # owners, and a shard must not arrive before its applier reset
@@ -570,12 +576,12 @@ def make_router(appliers: list, num_appliers: int,
             ray.get(ready_refs)
             holder["ready"] = True
         pending: list = holder.setdefault("pending", [])
-        sent_to: list[int] = []
-        digests: list[bytes] = []
+        shards: "list[tuple[int, bytes]]" = []
+        blob_bytes = 0
         if batch.num_rows:
             if "base" not in holder:
-                # unique blob-id space per router worker (random 48-bit base
-                # + counter); a retried block gets fresh ids, so duplicate
+                # unique blob-id space per task (random 48-bit base +
+                # counter); a retried task gets fresh ids, so duplicate
                 # deliveries never alias
                 holder["base"] = int.from_bytes(os.urandom(6), "big") << 15
                 holder["seq"] = 0
@@ -584,8 +590,9 @@ def make_router(appliers: list, num_appliers: int,
             v_names = [n for n in batch.column_names if n.startswith("v_")]
             # ONE plasma write for the heavy payload, original row order —
             # no payload gather anywhere on the routing path
-            blob_ref = ray.put(to_ipc(batch.select(v_names), BLOB_CODEC),
-                               _owner=appliers[blob_id % num_appliers])
+            blob = to_ipc(batch.select(v_names), BLOB_CODEC)
+            blob_bytes = blob.size
+            blob_ref = ray.put(blob, _owner=appliers[blob_id % num_appliers])
             meta = batch.drop_columns(v_names)
             meta = meta.append_column(
                 "blob_id", pa.array(np.full(batch.num_rows, blob_id, np.int64)))
@@ -597,8 +604,8 @@ def make_router(appliers: list, num_appliers: int,
             meta_sorted = meta.take(pa.array(order))
             owner_sorted = owner[order]
             # deterministic per-shard content digests (retry dedupe): the
-            # same input block decodes to the same rows in the same order,
-            # so a retried block's shards hash identically
+            # same input group decodes to the same rows in the same order,
+            # so a retried task's shards hash identically
             scn_s = meta_sorted["scn"].combine_chunks().to_numpy(zero_copy_only=False)
             sidx_s = meta_sorted["scn_idx"].combine_chunks().to_numpy(zero_copy_only=False)
             part_s = part[order]
@@ -615,18 +622,38 @@ def make_router(appliers: list, num_appliers: int,
                     d.update(part_s[lo:hi].tobytes())
                     pending.append(appliers[a].add_shard.remote(
                         shard, blob_id, [blob_ref], d.digest()))
-                    sent_to.append(a)
-                    digests.append(d.digest())
+                    shards.append((a, d.digest()))
             if len(pending) > ACK_WINDOW:
                 done, rest = ray.wait(pending,
                                       num_returns=len(pending) - ACK_WINDOW)
                 holder["pending"] = rest
-        return pa.table({
-            "applier": pa.array(sent_to, pa.int32()),
-            "digest": pa.array(digests, pa.binary()),
-        })
+        return shards, blob_bytes
 
     return route
+
+
+#: per-task route profile keys: task seconds, then bytes
+ROUTE_PROFILE = ("read", "decode", "ship", "raw_bytes", "blob_bytes")
+
+
+@ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
+            scheduling_strategy="SPREAD")
+def _route_group(group: list, decode, route) -> "tuple[list, dict]":
+    """One segment group: ``decode`` (a ``DecodePlan``'s function) reads
+    and decodes its runs, ``route`` (:func:`make_router`) ships each.
+    Returns the ``(applier, digest)`` of every shipped shard and the
+    task's :data:`ROUTE_PROFILE`, as plain Python values (an Arrow return
+    would import ``ray.data`` into the worker). Retried like a Ray Data
+    task; the digest fence makes a retry's re-shipped shards idempotent."""
+    profile = dict.fromkeys(ROUTE_PROFILE, 0)
+    shards: list = []
+    for batch in decode(group, profile):
+        t0 = time.perf_counter()
+        sent, blob_bytes = route(batch)
+        profile["ship"] += time.perf_counter() - t0
+        profile["blob_bytes"] += blob_bytes
+        shards += sent
+    return shards, profile
 
 
 def _fence_and_launch(appliers: list, totals: np.ndarray, launch,
@@ -854,7 +881,7 @@ def _pid_running(pid: int) -> bool:
         return False
 
 
-def run_actor_exchange(events, num_appliers: int, schema_version: int,
+def run_actor_exchange(plan, num_appliers: int, schema_version: int,
                        commit: dict | None = None,
                        num_partitions: int = 32,
                        compact_threshold: int = 0,
@@ -863,32 +890,38 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
                        renamed: "dict[str, str] | None" = None,
                        timings: "dict | None" = None,
                        fleet: "ApplierFleet | None" = None):
-    """Drive the routed stream and finalize.
+    """Route the decode ``plan`` (a ``decode.DecodePlan``: one Ray task a
+    segment group, :func:`_route_group`) and finalize.
 
     ``commit=None`` → final transcript rows as a list of per-applier Arrow
     ObjectRefs (feed ``ray.data.from_arrow_refs`` — the result never
     concatenates on the driver). With ``commit`` kwargs → the stats table
-    (small: one row per partition that received events). ``events`` carry
-    partition ids below ``num_partitions`` (default: ``ReplayConfig``'s).
+    (small: one row per partition that received events). The decoded
+    events carry partition ids below ``num_partitions`` (default:
+    ``ReplayConfig``'s).
     On a resume, decode has already dropped every event at or below its
     partition's cut, so every event routed here is applied.
 
     ``timings`` receives the phase walls ``route``, ``fence`` and
-    ``finalize``, and the fold profile of the applier that spent longest
+    ``finalize``; the route profile summed over the group tasks:
+    ``route_read``, ``route_decode`` and ``route_ship`` (task seconds),
+    ``route_raw_bytes`` (decoded) and ``route_blob_bytes`` (lz4 payload),
+    and ``route_groups``; and the fold profile of the applier that spent longest
     in off-path folds: its ``fold`` seconds and ``folds`` count. Lake mode
     adds ``finalize_gather`` and ``finalize_commit``, the largest such
     split of any applier's ``finalize_commit``.
 
     ``fleet``: the caller's :class:`ApplierFleet`, reused and left open;
     None → a fleet scoped to this call, which also tops up the
-    :data:`STANDBY`. Either way an exception discards the fleet's actors
-    and drains the standby before it propagates.
+    :data:`STANDBY`. Either way an exception cancels the group tasks still
+    running, discards the fleet's actors and drains the standby before it
+    propagates.
     """
     own = fleet is None
     if own:
         fleet = ApplierFleet()
     try:
-        out = _exchange(fleet, events, num_appliers, schema_version, commit,
+        out = _exchange(fleet, plan, num_appliers, schema_version, commit,
                         {} if timings is None else timings, own,
                         num_partitions=num_partitions,
                         compact_threshold=compact_threshold,
@@ -906,30 +939,46 @@ def run_actor_exchange(events, num_appliers: int, schema_version: int,
 @ray.remote
 def _ipc_block(buf: pa.Buffer) -> pa.Table:
     """The Ray Data block of an applier's ``finalize_rows`` buffer. Built
-    in a task, whose worker Ray Data already uses, so the block's Arrow
-    reducer never imports ``ray.data`` into an applier."""
+    in a task, so the block's Arrow reducer, which imports ``ray.data``,
+    never runs in an applier."""
     return from_ipc(buf)
 
 
-def _exchange(fleet: ApplierFleet, events, num_appliers: int,
+def _exchange(fleet: ApplierFleet, plan, num_appliers: int,
               schema_version: int, commit: "dict | None", timings: dict,
               top_up: bool, **run):
     appliers, ready_refs = fleet.begin(num_appliers, schema_version, **run)
     if top_up:
         STANDBY.top_up(num_appliers)
     t0 = time.perf_counter()
-    routed = events.map_batches(make_router(appliers, num_appliers,
-                                            ready_refs=ready_refs),
-                                batch_format="pyarrow")
-    # consume the shard stream: per-applier distinct digests (tiny rows; a
-    # streaming driver fold, no extra shuffle)
+    # every group at once: each task takes a CPU, so Ray runs as many as
+    # there are CPUs and queues the rest (at most 3× CPUs groups)
+    route = make_router(appliers, num_appliers, ready_refs=ready_refs)
+    pending = [_route_group.remote(g, plan.decode, route)
+               for g in plan.groups]
+    # fold each task's shard list as it lands: per-applier distinct digests
     routed_to: list[set] = [set() for _ in range(num_appliers)]
-    for b in routed.iter_batches(batch_format="pyarrow"):
-        for a, d in zip(b["applier"].to_pylist(), b["digest"].to_pylist()):
-            routed_to[a].add(d)
+    profile = dict.fromkeys(ROUTE_PROFILE, 0)
+    try:
+        while pending:
+            [done], pending = ray.wait(pending)
+            shards, got = ray.get(done)
+            for a, d in shards:
+                routed_to[a].add(d)
+            for k, v in got.items():
+                profile[k] += v
+    except BaseException:
+        # fail fast: no group keeps decoding or shipping into a fleet that
+        # is about to be discarded
+        for ref in pending:
+            ray.cancel(ref)
+        raise
     totals = np.array([len(r) for r in routed_to], np.int64)
     t1 = time.perf_counter()
     timings["route"] = round(t1 - t0, 3)
+    for k, v in profile.items():
+        timings[f"route_{k}"] = v if k.endswith("bytes") else round(v, 3)
+    timings["route_groups"] = len(plan.groups)
     refs = _fence_and_launch(
         appliers, totals,
         (lambda i: appliers[i].finalize_rows.remote()) if commit is None

@@ -149,22 +149,85 @@ def test_failed_exchange_discards_fleet():
     """An exception inside an exchange kills the caller's fleet before it
     propagates: the actors' per-run state is unknown, so the next run must
     start from fresh ones."""
-    import ray.data as rd
-
+    from olrx.stages.decode import DecodePlan
     from olrx.stages.exchange import run_actor_exchange
 
-    def boom(batch):
+    def boom(group, profile=None):
         raise RuntimeError("injected router failure")
 
     fleet = ApplierFleet()
     _, ready = fleet.begin(2, 0, num_partitions=1)
     ray.get(ready)
     ids = _actor_ids(fleet)
-    events = rd.from_items([{"x": 1}]).map_batches(boom)
+    events = DecodePlan([["x"]], boom)
     with pytest.raises(Exception, match="injected router failure"):
         run_actor_exchange(events, 2, 0, fleet=fleet)
     assert fleet.appliers == []
     assert {gcs.actors(actor_id=aid)["State"] for aid in ids} == {"DEAD"}
+
+
+def test_failed_group_cancels_its_siblings(tmp_path):
+    """When one group task raises, the exchange cancels the group tasks
+    still running before the error propagates: a sibling that would write
+    a marker after 2 s never writes it."""
+    from olrx.stages.decode import DecodePlan
+    from olrx.stages.exchange import run_actor_exchange
+
+    marker = str(tmp_path / "late")
+
+    def decode(group, profile=None):
+        if group == ["boom"]:
+            raise RuntimeError("injected group failure")
+        deadline = time.monotonic() + 2
+        while time.monotonic() < deadline:
+            time.sleep(0.01)
+        open(marker, "w").close()
+        return []
+
+    with pytest.raises(Exception, match="injected group failure"):
+        run_actor_exchange(DecodePlan([["slow"], ["boom"]], decode), 2, 0,
+                           fleet=ApplierFleet())
+    time.sleep(3)
+    assert not os.path.exists(marker), "a sibling group kept running"
+
+
+def test_group_task_retried_after_its_worker_dies(tmp_path, gen_small,
+                                                  expected_small,
+                                                  monkeypatch):
+    """A group task's worker exits right after shipping its first shards;
+    Ray retries the task, which re-ships them. The appliers drop the
+    duplicates by content digest, so the lake equals the oracle and the
+    manifests count every event exactly once."""
+    from olrx.stages import exchange
+    from olrx.state import manifest as MF
+
+    _, _, paths, _ = gen_small
+    marker = str(tmp_path / "died")
+    make = exchange.make_router
+
+    def dying_router(appliers, num_appliers, ready_refs=None):
+        route = make(appliers, num_appliers, ready_refs)
+
+        def fn(batch):
+            out = route(batch)
+            if out[0] and not os.path.exists(marker):   # first attempt only
+                open(marker, "w").close()
+                os._exit(1)
+            return out
+
+        return fn
+
+    monkeypatch.setattr(exchange, "make_router", dying_router)
+    cfg = dataclasses.replace(CFG, num_partitions=8, batch_size=1000,
+                              num_appliers=2)
+    lake = str(tmp_path / "lake")
+    res = replay_to_lake(paths, lake, cfg, resume=False)
+    assert os.path.exists(marker), "a group task's worker must die"
+    ms = MF.read_all(os.path.join(lake, "_manifest")).values()
+    assert sum(m.counters["events"] for m in ms) == 7220
+    assert sum(res.stats["events"].to_pylist()) == 7220
+    assert sorted_table(read_lake(lake),
+                        expected_small.schema).equals(expected_small)
 
 
 def _tail_job(tmp_path, paths):

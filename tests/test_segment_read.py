@@ -1,7 +1,8 @@
 """The replay's segment read: the control's segment index split into
 byte-balanced groups, each group read file by file under each file's own
-schema and decoded once per run of same-schema files, with no Parquet
-datasource behind the stream."""
+schema and decoded once per run of same-schema files, one Ray task a
+group, with no Parquet datasource or Ray Data execution behind the
+stream."""
 
 import glob
 
@@ -12,6 +13,7 @@ import pytest
 import ray
 import ray.data
 
+from olrx.ops.scaling import coarse_read_blocks
 from olrx.pipelines.replay import (ReplayConfig, read_lake, replay_dataset,
                                    replay_to_lake)
 from olrx.stages.decode import (EVENT_COLUMNS, make_segment_decoder,
@@ -77,10 +79,9 @@ def test_read_runs_one_table_per_same_schema_run(mixed_schema_dir):
               for r in runs]
     assert widths == [k for i, k in enumerate(kinds)
                       if i == 0 or k != kinds[i - 1]]
-    # the map_batches fn yields one decode per run, group by group
+    # the group fn yields one decode per run, group by group
     fn = make_segment_decoder(lambda t: t.num_rows, EVENT_COLUMNS)
-    batch = pa.table({"paths": [paths[:3], paths[3:]]})
-    got = list(fn(batch))
+    got = [n for group in (paths[:3], paths[3:]) for n in fn(group)]
     assert sum(got) == sum(r.num_rows for r in runs)
     assert len(got) == (len(list(read_runs(paths[:3], EVENT_COLUMNS)))
                         + len(list(read_runs(paths[3:], EVENT_COLUMNS))))
@@ -170,7 +171,7 @@ def test_batch_size_caps_decode_rows(gen_small, expected_small):
     _, _, paths, _ = gen_small
     fn = make_segment_decoder(lambda t: t.num_rows, EVENT_COLUMNS,
                               max_rows=700)
-    sizes = list(fn(pa.table({"paths": [paths]})))
+    sizes = list(fn(paths))
     assert max(sizes) == 700 and len(sizes) > 1
     assert sum(sizes) == sum(pq.read_metadata(p).num_rows for p in paths)
     res = replay_dataset(paths, ReplayConfig(num_partitions=8,
@@ -201,3 +202,34 @@ def test_row_block_stays_out_of_the_appliers(gen_small, expected_small):
     finally:
         fleet.close()
     assert loaded == [False, False]
+
+
+def test_route_profile_in_timings(tmp_path, gen_small):
+    """Each group task reports its read, decode and ship seconds and its
+    decoded and lz4 blob bytes; the replay sums them into its timings."""
+    _, _, paths, _ = gen_small
+    res = replay_to_lake(paths, str(tmp_path / "lake"),
+                         ReplayConfig(num_partitions=8), resume=False)
+    t = res.timings
+    for k in ("route_read", "route_decode", "route_ship"):
+        assert t[k] > 0, k
+    assert t["route_groups"] == coarse_read_blocks(len(paths))
+    assert 0 < t["route_blob_bytes"] < t["route_raw_bytes"]
+
+
+def test_replay_starts_no_ray_data_execution(tmp_path, gen_small,
+                                             expected_small, monkeypatch):
+    """A lake replay reads, decodes and routes in plain Ray tasks: with
+    Ray Data's ``from_arrow`` and ``map_batches`` made to raise, it still
+    equals the oracle."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Ray Data in the replay path")
+
+    _, _, paths, _ = gen_small
+    monkeypatch.setattr(ray.data, "from_arrow", forbidden)
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", forbidden)
+    lake = str(tmp_path / "lake")
+    replay_to_lake(paths, lake, ReplayConfig(num_partitions=8), resume=False)
+    monkeypatch.undo()
+    assert sorted_table(read_lake(lake),
+                        expected_small.schema).equals(expected_small)
