@@ -119,10 +119,19 @@ class TailSession:
     (the paper's tail mode keeps its readers and buffers alive between
     checkpoints, too). ``close()`` — or leaving a ``with`` block — kills
     the fleet and stops the metrics server; an iteration that raises
-    discards the fleet, and the next one starts from fresh actors."""
+    discards the fleet, and the next one starts from fresh actors.
+
+    It also keeps one ``decode.ControlSession``: the resolved paths and
+    the folded control of every segment it has listed. A segment it has
+    folded is treated as immutable, as archived redo logs are, so an
+    iteration resolves, stats and folds only the segments new in the
+    directory listing. Every segment is checked again at the first
+    iteration, after an iteration that raised, and when a listed segment
+    leaves the directory."""
 
     def __init__(self, spec_path: str,
                  metrics_port: "int | None" = None) -> None:
+        from olrx.stages.decode import ControlSession
         from olrx.stages.exchange import ApplierFleet
         from olrx.state.metrics import LiveMetrics, MetricsServer
 
@@ -133,6 +142,7 @@ class TailSession:
         self.reloads = 0
         self.metrics = LiveMetrics()
         self.fleet = ApplierFleet()
+        self.control = ControlSession()
         self.metrics_server = (MetricsServer(self.metrics, metrics_port)
                                if metrics_port is not None else None)
         try:
@@ -178,8 +188,13 @@ class TailSession:
         paths = _resolve_paths(self.job.get("source", {}))
         if not paths:
             raise ValueError("no input segments matched the job source")
-        res = replay_to_lake(paths, self.job["target"]["uri"], self.cfg,
-                             resume=True, fleet=self.fleet)
+        try:
+            res = replay_to_lake(paths, self.job["target"]["uri"], self.cfg,
+                                 resume=True, fleet=self.fleet,
+                                 control_session=self.control)
+        except BaseException:
+            self.control.reset()   # the next iteration checks every segment
+            raise
         self.metrics.record_iteration(res, dict(res.timings), self.reloads,
                                       segments_landed=len(paths))
         try:

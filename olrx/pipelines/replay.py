@@ -10,10 +10,13 @@ table, then stop. Offline/tail mode (re-run over a growing directory,
 Pipeline shape (one wide exchange, SURVEY §4.2):
 
     segment groups                  # the control's index, byte-balanced
-                                    # runs of consecutive segments
+                                    # runs of consecutive segments: one
+                                    # a CPU for a small read, one a 2 MiB
+                                    # up to 3 a CPU (route_group_count)
       → one Ray task a group:       # (exchange._route_group)
           read_runs                 # each file under its own schema
-                                    # (columns pruned, scn filter)
+                                    # (columns pruned, row groups pruned
+                                    # by footer scn range, scn filter)
           → CommitResolver          # one decode per same-schema run
           → router                  # payload blob + meta shards straight
                                     # to the applier actors
@@ -28,7 +31,9 @@ meets the scn filter (``ControlInfo.segments_to_read``): the new ones and
 the few older ones a still-open transaction reaches into, not the whole
 history. The read list comes from that index, so no Parquet datasource
 rediscovers the files per call, and no Ray Data execution starts: a call
-pays for its group tasks, not for an executor. Both modes build their
+pays for its group tasks, not for an executor. A ``TailSession`` passes
+its ``decode.ControlSession``, so an iteration resolves, stats and folds
+only the segments new since the last one. Both modes build their
 exchange with one plan step (``_plan``); ``_decoded_events`` is a Ray Data
 view of the same decode plan, for the queries that read decoded events.
 """
@@ -50,8 +55,8 @@ import ray.data as rd
 from olrx import schema as S
 from olrx.ops.scaling import coarse_read_blocks
 from olrx.stages.commit import snapshot_footer
-from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, DecodePlan,
-                               load_control, make_resolver,
+from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, ControlSession,
+                               DecodePlan, load_control, make_resolver,
                                make_segment_decoder, segment_groups)
 from olrx.stages.partition import detect_hot_keys
 from olrx.state import manifest as MF
@@ -62,7 +67,7 @@ class ReplayConfig:
     num_partitions: int = 32        # ≥ 4× apply parallelism for balance
     #: decode batch rows; None = decode each run of same-schema segments
     #: of a read group at once, up to Ray Data's target block size
-    #: (``decode.read_runs``; ``coarse_read_blocks`` groups). A row count
+    #: (``decode.read_runs``; ``route_group_count`` groups). A row count
     #: cuts the runs into batches of exactly that many rows
     batch_size: int | None = None
     salt_hot: bool = False          # heavy-hitter detection + turn-salting
@@ -250,19 +255,38 @@ def oversized_xids(paths: list[str], max_events: int) -> tuple[str, ...]:
     return tuple(sorted(r["xid"] for r in agg.take_all()))
 
 
+#: segment bytes that pay for one more route task above one a CPU. An extra
+#: group task costs ~4 ms (dispatch, resolver build, result wait), and a
+#: task routes ~45 MB/s of segment bytes per CPU (``bulk_replay``: 10.3 MB
+#: in 0.23 s on a 1-CPU host), so 4 ms is ~180 KB; at 2 MiB a group that
+#: fixed cost stays under ~10% of the group's route
+GROUP_MIN_BYTES = 2 * 2**20
+
+
+def route_group_count(nbytes: int, num_files: int, cpus: int) -> int:
+    """Group tasks for a read of ``num_files`` segments of ``nbytes`` on
+    ``cpus`` CPUs: one a ``GROUP_MIN_BYTES`` of input, at least one a CPU
+    and at most three (``coarse_read_blocks``' count), never more than
+    files. A tail increment of a few hundred KB runs one task a CPU, all
+    at once; ``bulk_replay``'s 10 MB keeps 3 groups at 1 CPU."""
+    per_bytes = -(-nbytes // GROUP_MIN_BYTES)
+    return max(1, min(num_files, max(cpus, min(3 * cpus, per_bytes))))
+
+
 def _decode_plan(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
                  floors: "np.ndarray | None" = None,
                  hot: frozenset | None = None,
                  read: list | None = None) -> DecodePlan:
     """The decoded event stream of ``paths``, as a plan the exchange runs
-    one Ray task a segment group: events committed above their
-    partition's resume cut ``floors[part]`` (None: none) and the start
-    position. Only the segments whose indexed scn range meets the scn
-    filter are read (the list is appended to ``read`` when given): the
-    filter would drop every row of the others, so the pruning is exact. So
-    does the big-txn pre-pass, and the broadcast (before the ``start_seq``
-    filter): every DML, C and PR row of a txn committing in (lowest floor,
-    end] lies in them."""
+    one Ray task a segment group (``route_group_count`` groups): events
+    committed above their partition's resume cut ``floors[part]`` (None:
+    none) and the start position. Only the segments whose indexed scn
+    range meets the scn filter are read (the list is appended to ``read``
+    when given), and of those only the row groups whose footer range meets
+    it: the filter would drop every row of the others, so the pruning is
+    exact. So does the big-txn pre-pass, and the broadcast (before the
+    ``start_seq`` filter): every DML, C and PR row of a txn committing in
+    (lowest floor, end] lies in them."""
     hot_ref = None
     if hot:
         hot_ref = ray.put(hot)
@@ -278,20 +302,14 @@ def _decode_plan(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
     floor = int(floors.min())
     # scan pruning: a txn with commit > floor began at scn > floor - span,
     # so segments and row groups entirely ≤ that bound can never contribute
-    # (belt-and-suspenders with the decode-level filter)
+    # (belt-and-suspenders with the decode-level filter); every event of a
+    # txn committed ≤ end has scn ≤ end (events precede their commit
+    # record), so row groups above the stop position never contribute
     above = floor - max(0, control.max_txn_span) if floor >= 0 else None
     commit_ref = ray.put(control.decode_broadcast(
         control.segments_to_read(paths, above, cfg.end_commit_scn)))
     if cfg.start_seq is not None:
         paths = filter_paths_by_seq(paths, cfg.start_seq)
-    flt = None
-    if above is not None:
-        flt = pc.field("scn") > above
-    if cfg.end_commit_scn is not None:
-        # every event of a txn committed ≤ end has scn ≤ end (events precede
-        # their commit record) — row groups above the cut never contribute
-        ceil_flt = pc.field("scn") <= cfg.end_commit_scn
-        flt = ceil_flt if flt is None else flt & ceil_flt
     paths = control.segments_to_read(paths, above, cfg.end_commit_scn)
     if read is not None:
         read.extend(paths)
@@ -304,15 +322,17 @@ def _decode_plan(paths: list[str], cfg: ReplayConfig, control: ControlInfo,
     # the read list is the control's segment index, not a Parquet
     # datasource: no file discovery, metadata tasks or fragment sampling
     # per call, and one decode per run of files (``read_runs``)
-    groups = segment_groups(paths, [control.segments[p][0] for p in paths],
-                            coarse_read_blocks(len(paths)))
+    sizes = [control.segments[p][0] for p in paths]
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    groups = segment_groups(paths, sizes, route_group_count(
+        sum(sizes), len(paths), cpus))
     decode = make_resolver(commit_ref, cfg.num_partitions, hot_ref,
                            cfg.salt_block, floors,
                            skip, cfg.conv_regex, cfg.condition,
                            include_table=cfg.multi_table,
                            table_regex=cfg.table_regex)
     return DecodePlan(groups, make_segment_decoder(
-        decode, cols, flt,
+        decode, cols, above, cfg.end_commit_scn,
         max_bytes=rd.DataContext.get_current().target_max_block_size,
         max_rows=cfg.batch_size))
 
@@ -333,7 +353,9 @@ def _decoded_events(*args, **kwargs) -> rd.Dataset:
 
 def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
           floors: "np.ndarray | None" = None, mdir: str | None = None,
-          kept_fleet: bool = False) -> tuple[ControlInfo, dict, list]:
+          kept_fleet: bool = False,
+          session: "ControlSession | None" = None
+          ) -> tuple[ControlInfo, dict, list]:
     """The plan both replay modes run: load and cap the control, fence the
     schema version, drops and renames against the prior manifests
     ``prev_ms`` (empty in dataset mode), pick the hot keys (pinned in
@@ -346,17 +368,18 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
     every segment into its checkpoint, so the txn-span bound and schema
     version cover all history — a span seeded from a partial run would
     silently under-prune (judge ADVICE r1); prior runs' spans can only
-    widen it. A segment listed twice (by any path) is read once.
+    widen it. A segment listed twice (by any path) is read once. A
+    ``session`` (``decode.ControlSession``) keeps the resolved paths and
+    the folded control of the segments it has seen, so only new segments
+    are resolved, stat'ed and folded; None checks every path.
 
     ``timings`` gets ``control`` (the load and cap) and ``plan`` (all of
     this step, the control included)."""
     t0 = time.perf_counter()
-    first: dict[str, str] = {}
-    for p in paths:
-        first.setdefault(os.path.realpath(p), p)
-    paths = list(first.values())
+    session = session or ControlSession()
+    paths = session.distinct(paths)
     t1 = time.perf_counter()
-    control = load_control(paths)
+    control = load_control(paths, session)
     if cfg.end_commit_scn is not None:
         control = control.capped(cfg.end_commit_scn)
     timings["control"] = round(time.perf_counter() - t1, 3)
@@ -406,12 +429,18 @@ def replay_dataset(paths: list[str], cfg: ReplayConfig | None = None) -> ReplayR
 
 def replay_to_lake(paths: list[str], out_dir: str,
                    cfg: ReplayConfig | None = None, resume: bool = True,
-                   fleet=None) -> ReplayResult:
+                   fleet=None,
+                   control_session: "ControlSession | None" = None
+                   ) -> ReplayResult:
     """Replay into a partitioned Parquet lake table with commit manifests.
 
     ``fleet``: an ``exchange.ApplierFleet`` whose actors the actor exchange
     reuses (a long-lived caller such as ``TailSession`` owns one); None →
-    a fleet scoped to this call."""
+    a fleet scoped to this call. ``control_session``: a
+    ``decode.ControlSession`` the caller keeps across calls, so the plan
+    resolves, stats and folds only the segments new to it (it treats the
+    ones it has folded as immutable; see ``load_control``); None → every
+    segment is checked."""
     from olrx.stages.exchange import run_actor_exchange
     cfg = cfg or ReplayConfig()
     if not resume and os.path.isdir(out_dir):
@@ -428,7 +457,8 @@ def replay_to_lake(paths: list[str], out_dir: str,
     floors = resume_floors(mdir, ms, cfg.num_partitions) if resume else None
     timings: dict = {}
     control, run, read = _plan(paths, cfg, timings, ms, floors, mdir,
-                               kept_fleet=fleet is not None)
+                               kept_fleet=fleet is not None,
+                               session=control_session)
     safe_wm = cfg.safe_watermark(control)
     stats = run_actor_exchange(
         **run, timings=timings, fleet=fleet,

@@ -81,6 +81,12 @@ def transcripts_schema(schema_version: int = 0,
 
 MAX_SCHEMA_VERSION = len(ADDITIVE_COLUMNS)
 
+#: the lake snapshot columns (physical names) worth a parquet dictionary:
+#: few distinct values a partition. ``text`` and ``ts`` are all but unique
+#: per row and ``turn_idx`` is a small int, so they are written plain.
+SNAPSHOT_DICTIONARY_COLUMNS = ("table_name", "conv_id", "role", "tool",
+                               "tool_meta")
+
 # ---------------------------------------------------------------------------
 # changelog (synthetic redo stream)
 # ---------------------------------------------------------------------------

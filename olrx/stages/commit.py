@@ -95,10 +95,15 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
     tmp = fpath + f".tmp.{os.getpid()}"
     # zstd-1 snapshots: ~3× fewer disk/storage bytes than snappy on text —
     # the write leg shares one storage backend across all appliers, while
-    # finalize CPUs have headroom (measured: the hi-CPU leg is write-bound)
+    # finalize CPUs have headroom (measured: the hi-CPU leg is write-bound).
+    # Only the low-cardinality columns are dictionary-encoded: a dictionary
+    # of per-row-unique text or timestamps costs time and bytes (a 3.5k-row
+    # tail snapshot: write 1.58 → 1.29 ms, read 1.02 → 0.68 ms, 62.4 →
+    # 52.4 KB)
     with open(tmp, "wb") as f:
         pq.write_table(final, f, compression=output_codec,
-                       compression_level=1 if output_codec == "zstd" else None)
+                       compression_level=1 if output_codec == "zstd" else None,
+                       use_dictionary=list(S.SNAPSHOT_DICTIONARY_COLUMNS))
         # durable BEFORE it is published: the manifest written below must
         # never point at snapshot bytes a host crash can lose
         f.flush()
@@ -180,7 +185,10 @@ def _read_base(out_dir: str, m: MF.PartitionManifest) -> pa.Table | None:
                 f"partition {m.partition}: its manifest names the snapshot "
                 f"{p}, which is missing; rebuild the lake with "
                 "replay_to_lake(..., resume=False)")
-        tables.append(pq.read_table(p))
+        # no dataset layer, and no Arrow pool: commits already run one
+        # partition a pool thread
+        with pq.ParquetFile(p) as f:
+            tables.append(f.read(use_threads=False))
     if not tables:
         return None
     return pa.concat_tables(tables, promote_options="default")
@@ -200,11 +208,12 @@ def _base_as_events(base: pa.Table, m: MF.PartitionManifest) -> pa.Table:
     cols |= {
         "conv_id": base["conv_id"],
         "turn_idx": base["turn_idx"],
-        "op_code": pa.array(np.full(n, S.OP_I), pa.int8()),
-        "commit_scn": pa.array([m.watermark_commit_scn] * n, pa.int64()),
-        "scn": pa.array([-1] * n, pa.int64()),
-        "scn_idx": pa.array([-1] * n, pa.int32()),
-        "changed_mask": pa.array([S.full_mask(m.schema_version)] * n, pa.int32()),
+        "op_code": pa.array(np.full(n, S.OP_I, np.int8)),
+        "commit_scn": pa.array(np.full(n, m.watermark_commit_scn, np.int64)),
+        "scn": pa.array(np.full(n, -1, np.int64)),
+        "scn_idx": pa.array(np.full(n, -1, np.int32)),
+        "changed_mask": pa.array(np.full(n, S.full_mask(m.schema_version),
+                                         np.int32)),
     }
     for nm, t in S.payload_columns(S.MAX_SCHEMA_VERSION):
         cols[f"v_{nm}"] = (base[nm] if nm in base.schema.names

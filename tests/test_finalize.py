@@ -58,8 +58,8 @@ def one_block_per_segment(gen_small, monkeypatch):
     """One read block per segment, so each segment reaches the appliers
     as its own shards while the route runs."""
     _, _, paths, _ = gen_small
-    monkeypatch.setattr("olrx.pipelines.replay.coarse_read_blocks",
-                        lambda num_files=None: len(paths))
+    monkeypatch.setattr("olrx.pipelines.replay.route_group_count",
+                        lambda nbytes, num_files, cpus: len(paths))
     return paths
 
 

@@ -125,8 +125,8 @@ def test_fleet_reuse_has_no_state_bleed(tmp_path, gen_small, expected_small,
     # one read block per segment and one decode batch per block: the shards,
     # and so their digests, are the same in both runs (a batch bundling
     # several blocks concatenates them in arrival order)
-    monkeypatch.setattr("olrx.pipelines.replay.coarse_read_blocks",
-                        lambda num_files=None: len(paths))
+    monkeypatch.setattr("olrx.pipelines.replay.route_group_count",
+                        lambda nbytes, num_files, cpus: len(paths))
     cfg = dataclasses.replace(CFG, batch_size=None)
     ref = replay_to_lake(paths, str(tmp_path / "ref"), cfg, resume=False)
     want_stats = ref.stats.sort_by("partition")

@@ -45,8 +45,8 @@ def test_mixed_schemas_in_one_read_group(mixed_schema_dir, tmp_path,
     paths = sorted(glob.glob(dst + "/*.parquet"))
     widths = [len(pq.read_schema(p).field("after").type) for p in paths]
     assert widths[0] < max(widths), "the group must open with a narrow file"
-    monkeypatch.setattr("olrx.pipelines.replay.coarse_read_blocks",
-                        lambda num_files=None: 1)
+    monkeypatch.setattr("olrx.pipelines.replay.route_group_count",
+                        lambda nbytes, num_files, cpus: 1)
     full = pa.concat_tables(
         [pq.read_table(p) for p in sorted(glob.glob(src + "/*.parquet"))])
     exp = apply_naive(full).sort_by(

@@ -13,9 +13,8 @@ import pytest
 import ray
 import ray.data
 
-from olrx.ops.scaling import coarse_read_blocks
 from olrx.pipelines.replay import (ReplayConfig, read_lake, replay_dataset,
-                                   replay_to_lake)
+                                   replay_to_lake, route_group_count)
 from olrx.stages.decode import (EVENT_COLUMNS, make_segment_decoder,
                                 read_runs, segment_groups)
 from tests.conftest import sorted_table
@@ -114,10 +113,65 @@ def test_read_runs_apply_the_scn_filter(gen_small):
     _, _, paths, _ = gen_small
     t = pq.read_table(paths[0], columns=["scn"])
     mid = int(pc.min(t["scn"]).as_py()) + 10
-    runs = list(read_runs(paths[:1], EVENT_COLUMNS,
-                          scn_filter=pc.field("scn") > mid))
+    runs = list(read_runs(paths[:1], EVENT_COLUMNS, above=mid))
     assert sum(r.num_rows for r in runs) == int(
         pc.sum(pc.greater(t["scn"], mid)).as_py())
+
+
+def test_read_runs_prune_row_groups_by_footer_scn(tmp_path, gen_small,
+                                                  monkeypatch):
+    """A segment of 1,000-row row groups: ``read_runs`` returns exactly the
+    rows a filtered ``pq.read_table`` returns, and never reads a row group
+    whose footer range lies wholly outside the bounds."""
+    _, _, paths, _ = gen_small
+    seg = str(tmp_path / "shard00-seg0000.parquet")
+    pq.write_table(pa.concat_tables([pq.read_table(p) for p in paths
+                                     if "shard00" in p]),
+                   seg, row_group_size=1000)
+    md = pq.read_metadata(seg)
+    assert md.num_row_groups >= 4
+    j = [md.schema.column(k).path for k in range(md.num_columns)].index("scn")
+    ranges = [md.row_group(i).column(j).statistics
+              for i in range(md.num_row_groups)]
+    read = []
+    real = pq.ParquetFile.read_row_groups
+
+    def spy(self, row_groups, *args, **kwargs):
+        read.extend(row_groups)
+        return real(self, row_groups, *args, **kwargs)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+    # the bound at the 2nd group's max: groups 0-1 lie wholly at or below
+    # it; the top cut in the middle of the 4th group
+    above = ranges[1].max
+    at_most = (ranges[3].min + ranges[3].max) // 2
+    scn = pc.field("scn")
+    for lo, hi, flt in ((above, None, scn > above),
+                        (None, at_most, scn <= at_most),
+                        (above, at_most, (scn > above) & (scn <= at_most))):
+        read.clear()
+        want = pq.read_table(seg, columns=EVENT_COLUMNS, filters=flt)
+        got = pa.concat_tables(list(read_runs([seg], EVENT_COLUMNS,
+                                              above=lo, at_most=hi)))
+        assert got.equals(want)
+        skipped = {i for i, st in enumerate(ranges)
+                   if (lo is not None and st.max <= lo)
+                   or (hi is not None and st.min > hi)}
+        assert skipped and not skipped & set(read), (lo, hi, read)
+        assert len(read) == md.num_row_groups - len(skipped)
+
+
+@pytest.mark.parametrize("nbytes,files,cpus,want", [
+    (100_000, 8, 4, 4), (100_000, 2, 4, 2), (100_000, 8, 1, 1),
+    # bulk_replay's 10.3 MB of 32 files: today's 3 groups at 1 CPU
+    (10_300_000, 32, 1, 3),
+    # larger inputs: at most 3 a CPU, one a 2 MiB, never more than files
+    (10_300_000, 32, 4, 5), (100_000_000, 32, 4, 12), (100_000_000, 5, 4, 5),
+])
+def test_route_group_count(nbytes, files, cpus, want):
+    """Small reads run one group a CPU; a group is added per 2 MiB up to
+    3 a CPU, so bulk inputs keep ``coarse_read_blocks``' count at 1 CPU."""
+    assert route_group_count(nbytes, files, cpus) == want
 
 
 def _committed_op_counts(full: pa.Table) -> dict[str, int]:
@@ -213,7 +267,9 @@ def test_route_profile_in_timings(tmp_path, gen_small):
     t = res.timings
     for k in ("route_read", "route_decode", "route_ship"):
         assert t[k] > 0, k
-    assert t["route_groups"] == coarse_read_blocks(len(paths))
+    # a ~370 KB input is well under one group's bytes: one group a CPU
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert t["route_groups"] == min(cpus, len(paths))
     assert 0 < t["route_blob_bytes"] < t["route_raw_bytes"]
 
 

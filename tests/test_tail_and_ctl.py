@@ -8,6 +8,7 @@ import os
 import shutil
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 
@@ -650,3 +651,109 @@ def _parse_exposition(text: str):
             samples.setdefault(name, []).append(float(m.group(2)))
     assert helped == set(typed) == set(samples)
     return typed, samples
+
+
+# ---------------------------------------------------------------------------
+# a tail iteration's plan costs O(new segments), not O(landed history)
+# ---------------------------------------------------------------------------
+
+def _tail_pairs():
+    """(shard-0, shard-1) segment pairs of a 101-pair changelog."""
+    from olrx.gen import GenConfig, ensure_changelog
+
+    src = ensure_changelog(GenConfig(seed=7, scale=0.002,
+                                     segments_per_shard=101))
+    return [tuple(os.path.join(src, f"shard{s:02d}-seg{k:04d}.parquet")
+                  for s in (0, 1)) for k in range(101)]
+
+
+def _land(pairs, land):
+    """Copy each segment in, its sidecar first, as a log shipper would."""
+    for pair in pairs:
+        for p in pair:
+            name = os.path.basename(p)
+            shutil.copy(os.path.join(os.path.dirname(p), "_ctl", name),
+                        os.path.join(land, "_ctl", name))
+            shutil.copy(p, os.path.join(land, name))
+
+
+def _tail_spec(tmp_path):
+    land = tmp_path / "land"
+    os.makedirs(land / "_ctl")
+    spec_path = str(tmp_path / "job.json")
+    with open(spec_path, "w") as f:
+        json.dump({"source": {"directory": str(land),
+                              "expected_shards": [0, 1]},
+                   "target": {"uri": str(tmp_path / "lake"),
+                              "num_partitions": 8},
+                   "mode": "tail"}, f)
+    return str(land), spec_path
+
+
+def test_tail_plan_work_does_not_grow_with_history(tmp_path, monkeypatch):
+    """The ``os.stat`` and ``os.path.realpath`` calls on landed files in one
+    ``run_once`` that picks up one new pair are the same at 10 and at 100
+    landed pairs: the session stats and resolves only the new segments."""
+    from olrx.pipelines.job import TailSession
+
+    pairs = _tail_pairs()
+    land, spec_path = _tail_spec(tmp_path)
+    stat, realpath = os.stat, os.path.realpath
+    seen: dict[str, list] = {"stat": [], "realpath": []}
+
+    def counted(kind, fn):
+        def call(path, *args, **kwargs):
+            if str(path).startswith(land):
+                seen[kind].append(str(path))
+            return fn(path, *args, **kwargs)
+        return call
+
+    counts = {}
+    with TailSession(spec_path) as sess:
+        landed = 0
+        for n in (10, 100):
+            _land(pairs[landed:n], land)
+            sess.run_once()       # catches up; the first one checks all
+            _land(pairs[n:n + 1], land)
+            landed = n + 1
+            seen["stat"].clear()
+            seen["realpath"].clear()
+            with monkeypatch.context() as m:
+                m.setattr(os, "stat", counted("stat", stat))
+                m.setattr(os.path, "realpath", counted("realpath", realpath))
+                res = sess.run_once()
+            counts[n] = {k: len(v) for k, v in seen.items()}
+            assert res.control.shard_watermarks == fresh_scan(
+                sorted(glob.glob(land + "/*.parquet")),
+                tmp_path).shard_watermarks
+    # the new pair: its two segments and their sidecars
+    assert counts[10]["realpath"] == 2 and counts[10]["stat"] >= 4, counts
+    assert counts[10] == counts[100], counts
+
+
+def test_tail_session_start_rechecks_covered_segments(tmp_path):
+    """A segment rewritten in place between two sessions: the new session's
+    first iteration checks every segment, so its control is the fold of the
+    files as they are now, not the checkpoint's."""
+    from olrx.pipelines.job import TailSession
+    from olrx.schema import control_rows
+
+    pairs = _tail_pairs()
+    land, spec_path = _tail_spec(tmp_path)
+    _land(pairs[:6], land)
+    with TailSession(spec_path) as sess:
+        before = sess.run_once().control
+    # the newest shard-0 segment loses its second half, sidecar too
+    seg = os.path.join(land, os.path.basename(pairs[5][0]))
+    side = os.path.join(land, "_ctl", os.path.basename(seg))
+    t = pq.read_table(seg)
+    pq.write_table(t.slice(0, t.num_rows // 2), seg + ".tmp")
+    os.replace(seg + ".tmp", seg)
+    pq.write_table(control_rows([seg]), side + ".tmp")
+    os.replace(side + ".tmp", side)
+    paths = sorted(glob.glob(land + "/*.parquet"))
+    want = fresh_scan(paths, tmp_path)
+    assert want.shard_watermarks[0] < before.shard_watermarks[0]
+    with TailSession(spec_path) as sess:
+        got = sess.run_once().control
+    assert_same_control(got, want)

@@ -22,7 +22,11 @@ record (the line before the result) as ``DIR/<side>-<seed>.json``, since
 the parent's own copy goes with its worktree. ``--timings`` also prints,
 per side, the median over all cycles of every ``ReplayResult.timings`` key
 (the ``timings`` of each cycle in the run records), so a claim can name
-the replay phase it moved without tracing. Exits 1 if any
+the replay phase it moved without tracing. For a tail workload (its
+cycles carry ``lag_segments``) it prints each side's cycle mix: the share
+of cycles that picked up one segment pair and the share that picked up
+two or more, with each group's median ``commit_s`` and median events /
+``commit_s``, pooled over the side's runs and per run. Exits 1 if any
 run failed or reported ``correct: false`` or failed operations. The
 worktree is removed on exit.
 """
@@ -88,6 +92,32 @@ def phase_medians(runs: dict[str, list[dict]]
     return {k: tuple(statistics.median(by[side]) if by.get(side) else None
                      for side in ("parent", "change"))
             for k, by in sorted(samples.items())}
+
+
+def cycle_mix(rs: list[dict]) -> str | None:
+    """The tail cycle mix of the runs ``rs``: cycles grouped by the pairs
+    they picked up (``lag_segments // 2``: 1, or 2 and more), each group's
+    share of the cycles, median ``commit_s`` and median events /
+    ``commit_s``. None when no cycle carries ``lag_segments``."""
+    groups: dict[str, list[dict]] = {"1 pair": [], ">=2 pairs": []}
+    for r in rs:
+        for c in r.get("record", {}).get("cycles", []):
+            n = c.get("lag_segments", 0) // 2
+            if n >= 1 and c.get("commit_s"):
+                groups["1 pair" if n == 1 else ">=2 pairs"].append(c)
+    total = sum(len(g) for g in groups.values())
+    if not total:
+        return None
+    parts = []
+    for name, cs in groups.items():
+        if not cs:
+            parts.append(f"{name}: 0% of {total} cycles")
+            continue
+        commit = statistics.median(c["commit_s"] for c in cs)
+        rate = statistics.median(c["events"] / c["commit_s"] for c in cs)
+        parts.append(f"{name}: {len(cs) / total:.0%} of {total} cycles, "
+                     f"commit_s {commit:.4g}, {rate:.4g} ev/s")
+    return "; ".join(parts)
 
 
 def main(argv: list[str]) -> int:
@@ -188,6 +218,12 @@ def main(argv: list[str]) -> int:
         for key, meds in phase_medians(runs).items():
             print(f"  {key}: " + " → ".join(
                 "-" if m is None else f"{m:.4g}" for m in meds))
+    if any(cycle_mix(rs) for rs in runs.values()):
+        print("tail cycle mix (pairs picked up per cycle; medians):")
+        for side, rs in runs.items():
+            print(f"  {side}: {cycle_mix(rs)}")
+            for r in rs:
+                print(f"    seed {r['seed']}: {cycle_mix([r])}")
     print("runs:")
     for side in ("parent", "change"):
         for r in runs[side]:
