@@ -33,8 +33,8 @@ def coarse_buckets(per_cpu: int = 4, floor: int = 32) -> int:
 def coarse_read_blocks(num_files: int | None = None) -> int:
     """Read blocks for a parquet read: 3× CPUs, and never more blocks than
     files. Ray's default block count splits a few dozen small files into
-    ms-scale tasks, and the driver becomes the scheduling bottleneck. One
-    rule for the replay's segment groups and the lake reads'
-    ``override_num_blocks``."""
+    ms-scale tasks, and the driver becomes the scheduling bottleneck. Used
+    by ``emit.message_stream``'s segment read; the replay and the lake
+    reads group their files by bytes (``replay.route_group_count``)."""
     blocks = 3 * int(ray.cluster_resources().get("CPU", 8))
     return max(1, min(blocks, num_files)) if num_files is not None else blocks

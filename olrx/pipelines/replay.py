@@ -44,7 +44,6 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -53,8 +52,7 @@ import ray
 import ray.data as rd
 
 from olrx import schema as S
-from olrx.ops.scaling import coarse_read_blocks
-from olrx.stages.commit import snapshot_footer
+from olrx.stages.commit import read_snapshot_group, snapshot_footer
 from olrx.stages.decode import (EVENT_COLUMNS, ControlInfo, ControlSession,
                                DecodePlan, load_control, make_resolver,
                                make_segment_decoder, segment_groups)
@@ -264,11 +262,13 @@ GROUP_MIN_BYTES = 2 * 2**20
 
 
 def route_group_count(nbytes: int, num_files: int, cpus: int) -> int:
-    """Group tasks for a read of ``num_files`` segments of ``nbytes`` on
-    ``cpus`` CPUs: one a ``GROUP_MIN_BYTES`` of input, at least one a CPU
-    and at most three (``coarse_read_blocks``' count), never more than
-    files. A tail increment of a few hundred KB runs one task a CPU, all
-    at once; ``bulk_replay``'s 10 MB keeps 3 groups at 1 CPU."""
+    """Read tasks for ``num_files`` files of ``nbytes`` on ``cpus`` CPUs:
+    one a ``GROUP_MIN_BYTES`` of input, at least one a CPU and at most
+    three a CPU, never more than files. One rule for the replay's segment
+    groups and the lake reads' snapshot groups (:func:`read_snapshots`). A
+    tail increment of a few hundred KB, or a lake of a few MB, runs one
+    task a CPU, all at once; ``bulk_replay``'s 10 MB of segments keeps 3
+    groups at 1 CPU."""
     per_bytes = -(-nbytes // GROUP_MIN_BYTES)
     return max(1, min(num_files, max(cpus, min(3 * cpus, per_bytes))))
 
@@ -530,24 +530,37 @@ def _resolved_hot_keys(paths: list[str], cfg: ReplayConfig,
 
 def read_snapshots(files: list[str], schema: pa.Schema,
                    renamed: dict[str, str]) -> rd.Dataset:
-    """Read lake snapshots under the pinned physical ``schema`` and relabel
-    them to display names (physical → display ``renamed``). The relabel
-    runs inside the read tasks: Ray 2.49 takes ``_block_udf`` through
-    ``read_parquet``'s arrow args, where a ``rename_columns`` stage would
-    add a Project operator to every read. Every block has the pinned
-    schema's column order, so the new names are positional. An empty
-    mapping reads plainly."""
-    udf = {}
-    if renamed:
-        names = [renamed.get(n, n) for n in schema.names]
-        udf["_block_udf"] = partial(pa.Table.rename_columns, names=names)
-    return rd.read_parquet(files, schema=schema,
-                           override_num_blocks=coarse_read_blocks(len(files)),
-                           **udf)
+    """Read lake snapshots under the pinned physical ``schema``, relabelled
+    to display names (physical → display ``renamed``), with plain Ray
+    tasks and no Ray Data read execution: the file list splits into byte-
+    balanced groups with the replay's rule (``segment_groups``,
+    ``route_group_count``), one task a group, all submitted at once
+    (``commit.read_snapshot_group``), blocks capped at Ray Data's target
+    block size. The read runs now: every task has finished when this
+    returns, so the Dataset holds the table state as of this call, in the
+    object store, until it and its tables are dropped, whatever a later
+    commit's GC deletes. A failed task raises here. The Dataset is marked
+    executed (``materialize``, no execution for blocks already in the
+    store), so consuming it starts no streaming executor either: an
+    executor's reference cycles would keep the blocks pinned until
+    Python's next garbage collection."""
+    sizes = [os.path.getsize(f) for f in files]
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    groups = segment_groups(files, sizes, route_group_count(
+        sum(sizes), len(files), cpus))
+    names = [renamed.get(n, n) for n in schema.names]
+    max_bytes = rd.DataContext.get_current().target_max_block_size
+    tasks = [read_snapshot_group.remote(g, schema, names, max_bytes)
+             for g in groups]
+    return rd.from_arrow_refs(
+        [ref for task in tasks for ref in task]).materialize()
 
 
 def read_lake(out_dir: str) -> rd.Dataset:
-    """Read the current table state: only files referenced by manifests.
+    """Read the current table state: only files referenced by manifests,
+    read when this is called (:func:`read_snapshots`), so the Dataset holds
+    the state as of the call even after a later commit's GC deletes the
+    files.
 
     Snapshots store physical payload names (``stages.commit``), so every
     file reads under one pinned schema whatever rename epoch wrote it: the

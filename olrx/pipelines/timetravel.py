@@ -14,12 +14,13 @@ apply atomically, every retained snapshot is a consistent cut (the same
 invariant the reference maintains by checkpointing only at LWN
 boundaries).
 
-Scale shape: the as-of read is a plain partitioned ``read_parquet`` over
-one file per partition — no replay, no shuffle; retention cost is disk
-only (K× snapshot bytes), never memory or extra write traffic. Snapshots
-store physical column names, so snapshots of different schema or rename
-epochs read together under one pinned schema, with one footer fetch per
-read.
+Scale shape: the as-of read is the lake's one snapshot reader
+(``replay.read_snapshots``: plain Ray tasks over byte-balanced groups of
+the chosen files) over one file per partition — no replay, no shuffle;
+retention cost is disk only (K× snapshot bytes), never extra write
+traffic. Snapshots store physical column names, so snapshots of different
+schema or rename epochs read together under one pinned schema, with one
+footer fetch per read.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ def snapshot_files_asof(out_dir: str, commit_scn: int) -> list[str]:
 
 
 def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
-    """Table state as of ``commit_scn`` — a partitioned parquet read of the
-    chosen snapshots, streaming like any other Dataset source.
+    """Table state as of ``commit_scn``: the chosen snapshots, read when
+    this is called (``replay.read_snapshots``), so the Dataset keeps that
+    state even after a later commit's GC deletes the files.
 
     Snapshots store physical payload names and record their rename epoch's
     display mapping in the footer (``stages.commit``). The newest chosen

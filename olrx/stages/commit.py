@@ -12,6 +12,10 @@ of every applier process, whose spawn time is part of each replay's wall
 time. pandas still arrives at run time: pyarrow imports it on the first
 ``to_numpy`` or ``pa.array`` from numpy, which is why standby spares run
 ``PartitionApplier.warm`` before they are taken.
+
+The lake's one snapshot reader lives here too (:func:`read_snapshot_group`):
+a plain Ray task over a group of files, reading each under a pinned
+physical schema, so a lake read starts no Ray Data execution either.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from olrx import schema as S
 from olrx.stages.apply import apply_stats, merge_apply
@@ -171,6 +176,42 @@ def snapshot_footer(path: str) -> "tuple[pa.Schema, dict[str, str]]":
             f"{path}: lake written before physical column names; rebuild "
             "with replay_to_lake(..., resume=False)")
     return schema.remove_metadata(), json.loads(raw)
+
+
+def read_snapshot(path: str, schema: pa.Schema) -> pa.Table:
+    """One snapshot under the pinned physical ``schema``: a column added
+    after the file was written reads as nulls, and one dropped since is
+    not read. The read stays on the calling thread, as a segment's does."""
+    with pq.ParquetFile(path) as f:
+        have = set(f.schema_arrow.names)
+        t = f.read([n for n in schema.names if n in have], use_threads=False)
+    cols = [t[fl.name] if fl.name in have else pa.nulls(t.num_rows, fl.type)
+            for fl in schema]
+    return pa.Table.from_arrays(cols, names=schema.names).cast(schema)
+
+
+@ray.remote(num_returns="streaming", max_retries=-1,
+            retry_exceptions=[ray.exceptions.RaySystemError],
+            scheduling_strategy="SPREAD")
+def read_snapshot_group(files: list[str], schema: pa.Schema,
+                        names: list[str], max_bytes: int):
+    """One task of a lake read (``replay.read_snapshots``): the snapshots
+    ``files`` in order (:func:`read_snapshot`), relabelled to the display
+    ``names`` (positional, in ``schema``'s order), yielded as blocks, each
+    its own object owned by the caller: consecutive files concatenated
+    under ``max_bytes`` bytes, a larger file a block of its own
+    (``decode.read_runs``' rule). Retried like a route group task
+    (``exchange._route_group``); a retry re-reads the same files into the
+    same blocks."""
+    run: list[pa.Table] = []
+    for p in files:
+        t = read_snapshot(p, schema).rename_columns(names)
+        if run and sum(r.nbytes for r in run) + t.nbytes > max_bytes:
+            yield pa.concat_tables(run)
+            run = []
+        run.append(t)
+    if run:
+        yield pa.concat_tables(run)
 
 
 def _read_base(out_dir: str, m: MF.PartitionManifest) -> pa.Table | None:

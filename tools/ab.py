@@ -22,7 +22,11 @@ record (the line before the result) as ``DIR/<side>-<seed>.json``, since
 the parent's own copy goes with its worktree. ``--timings`` also prints,
 per side, the median over all cycles of every ``ReplayResult.timings`` key
 (the ``timings`` of each cycle in the run records), so a claim can name
-the replay phase it moved without tracing. For a tail workload (its
+the replay phase it moved without tracing; with it come each side's
+median cycle ``read_s`` and ``asof_s`` (the ``read_lake`` and
+``read_lake_asof`` calls) and every run's ``setup.ray_start_s``, Ray's
+own start before any olrx code runs, which moves ``setup_s`` by itself
+(~1.1 s or ~1.95 s a run on an unchanged tree). For a tail workload (its
 cycles carry ``lag_segments``) it prints each side's cycle mix: the share
 of cycles that picked up one segment pair and the share that picked up
 two or more, with each group's median ``commit_s`` and median events /
@@ -77,15 +81,17 @@ def run_once(tree: str, cmd: list[str], workload: str, seed: int,
     return res
 
 
-def phase_medians(runs: dict[str, list[dict]]
+def phase_medians(runs: dict[str, list[dict]],
+                  of=lambda c: c.get("timings", {})
                   ) -> dict[str, tuple[float | None, float | None]]:
-    """Per ``ReplayResult.timings`` key, the (parent, change) median over
-    every cycle of every run of that side (None: the side never had it)."""
+    """Per key of ``of(cycle)`` (default: the cycle's ``ReplayResult.timings``),
+    the (parent, change) median over every cycle of every run of that side
+    (None: the side never had it)."""
     samples: dict[str, dict[str, list[float]]] = {}
     for side, rs in runs.items():
         for r in rs:
             for c in r.get("record", {}).get("cycles", []):
-                for k, v in c.get("timings", {}).items():
+                for k, v in of(c).items():
                     if isinstance(v, (int, float)):
                         by_side = samples.setdefault(k, {})
                         by_side.setdefault(side, []).append(v)
@@ -215,9 +221,19 @@ def main(argv: list[str]) -> int:
     if args.timings:
         print("replay timings (median over all cycles, seconds except "
               "counts such as folds): parent → change")
-        for key, meds in phase_medians(runs).items():
+        reads = phase_medians(runs, lambda c: {
+            k: c[k] for k in ("read_s", "asof_s") if k in c})
+        for key, meds in list(phase_medians(runs).items()) + list(
+                reads.items()):
             print(f"  {key}: " + " → ".join(
                 "-" if m is None else f"{m:.4g}" for m in meds))
+        print("setup.ray_start_s per run (Ray's start, before olrx code):")
+        for side, rs in runs.items():
+            starts = [r.get("record", {}).get("setup", {}).get("ray_start_s")
+                      for r in rs]
+            print(f"  {side}: " + ", ".join(
+                f"seed {r['seed']} " + ("-" if v is None else f"{v:.3g}")
+                for r, v in zip(rs, starts)))
     if any(cycle_mix(rs) for rs in runs.values()):
         print("tail cycle mix (pairs picked up per cycle; medians):")
         for side, rs in runs.items():
