@@ -38,7 +38,7 @@ import ray.data as rd
 from olrx import schema as S
 from olrx.ops.scaling import coarse_read_blocks
 from olrx.pipelines.replay import ReplayConfig
-from olrx.schema import xid_hash
+from olrx.schema import xid_codes
 from olrx.stages.decode import commit_join, load_control
 from olrx.stages.partition import partition_ids
 
@@ -101,7 +101,7 @@ def message_stream(paths: list[str], cfg: ReplayConfig | None = None,
         if ev.num_rows == 0:
             return _empty_decoded()
         found, commit_scn = commit_join(
-            xid_hash(ev["xid"]), ev["scn"].to_numpy(zero_copy_only=False),
+            *xid_codes(ev["xid"]), ev["scn"].to_numpy(zero_copy_only=False),
             ev["scn_idx"].to_numpy(zero_copy_only=False), ray.get(bc_ref))
         if not found.all():
             ev = ev.take(pa.array(np.flatnonzero(found)))

@@ -20,7 +20,7 @@ import ray.data as rd
 from olrx import schema as S
 from olrx.gen import GenConfig, ensure_changelog, scale_for_sf_dir
 from olrx.pipelines.replay import ReplayConfig, replay_dataset
-from olrx.stages.decode import commit_join, load_control
+from olrx.stages.decode import commit_join, commits_only, load_control
 
 
 def changelog_paths_for(sf_dir: str) -> list[str]:
@@ -234,11 +234,10 @@ def q_cdc_rollback_audit(sf_dir: str) -> pa.Table:
     bc_ref = ray.put(load_control(paths).decode_broadcast())
 
     def fn(t: pa.Table) -> pa.Table:
-        h, scn, _ = ray.get(bc_ref)
         dml = t.filter(pc.is_in(t["op"], value_set=pa.array(["I", "U", "D"])))
         # commit lookup only: a PR-undone op of a committed txn is no rollback
-        found, _ = commit_join(S.xid_hash(dml["xid"]), None, None,
-                               (h, scn, np.zeros(0, np.uint64)))
+        found, _ = commit_join(*S.xid_codes(dml["xid"]), None, None,
+                               commits_only(ray.get(bc_ref)))
         dropped = dml.filter(pa.array(~found))
         return dropped.group_by("op").aggregate([("op", "count")]) \
                       .rename_columns(["op", "n"])

@@ -421,9 +421,11 @@ def replay_dataset(paths: list[str], cfg: ReplayConfig | None = None) -> ReplayR
     control, run, read = _plan(paths, cfg or ReplayConfig(), timings,
                                prev_ms={})
     # result stays distributed: appliers return block refs, the driver
-    # never concatenates the full table (VERDICT "what's wrong" #2)
+    # never concatenates the full table (VERDICT "what's wrong" #2);
+    # marked executed: consuming it starts no executor (``read_snapshots``)
     refs = run_actor_exchange(**run, timings=timings)
-    return ReplayResult(control=control, dataset=rd.from_arrow_refs(refs),
+    return ReplayResult(control=control,
+                        dataset=rd.from_arrow_refs(refs).materialize(),
                         timings=timings, segments_read=read)
 
 

@@ -211,6 +211,13 @@ def xid_hash(xids) -> np.ndarray:
     return string_hash(xids)
 
 
+def xid_codes(xids) -> "tuple[np.ndarray, np.ndarray]":
+    """``(hashes, codes)``: the ``xid_hash`` of each distinct id of
+    ``xids`` and each row's index into them (a ``commit_join``'s keys)."""
+    codes, values = dictionary_codes(xids)
+    return hash_values(values), codes
+
+
 def control_rows(paths: list[str]) -> pa.Table:
     """The control rows of the segments ``paths``, in order: their
     ``CONTROL_COLUMNS`` filtered to ``CONTROL_OPS``, plus ``xid_h``. This is

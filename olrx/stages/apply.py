@@ -12,11 +12,14 @@ Reproduces the semantics of the reference's row-image merge
   Builder.cpp:1614-1624)
 
 Implementation note: the big payload columns (text!) are NEVER moved into
-sort order. Only the int key columns are sorted (numpy lexsort + fancy
-index); segment reductions run on those, producing *global* winner row
-indices; the one and only payload copy is the final winner gather straight
-from the unsorted input. This matters: on memory-bound nodes the naive
-"sort the whole table then reduce" shape doubles DRAM traffic.
+sort order. Only the int key columns are sorted (numpy lexsort over the
+order columns and one packed int64 row key + fancy index); segment
+reductions run on those, producing *global* winner row indices; the one
+and only payload copy is the final winner gather straight from the
+unsorted input. This matters: on memory-bound nodes the naive "sort the
+whole table then reduce" shape doubles DRAM traffic. A column that every
+alive row sets (full images) skips the per-column reduction: its winner
+is each key's last alive row.
 """
 
 from __future__ import annotations
@@ -50,25 +53,29 @@ class _KeySegments:
     contiguous. ``order`` maps a sorted position to its row, ``seg_starts``
     are the first sorted position of each key, ``idx`` the sorted
     positions, and ``is_d`` / ``mask_s`` the delete flag and ``changed_mask`` in sorted
-    order. Only int key columns move; no payload is touched."""
+    order; ``full_bits`` the ``changed_mask`` bits every alive row sets.
+    Only int key columns move; no payload is touched."""
 
     def __init__(self, group: pa.Table) -> None:
         n = group.num_rows
         codes = S.dictionary_codes(group["conv_id"])[0].astype(np.int64)
-        turn = _as_np(group["turn_idx"]).astype(np.int64)
+        # one int64 row key: (conv code, turn) packed as (code << 32) |
+        # (turn + 2^31), which sorts as the pair does
+        key = (codes << 32) | (_as_np(group["turn_idx"]).astype(np.int64)
+                               + (1 << 31))
         sort_keys = (_as_np(group["scn_idx"]).astype(np.int64),
                      _as_np(group["scn"]).astype(np.int64),
-                     _as_np(group["commit_scn"]).astype(np.int64), turn, codes)
+                     _as_np(group["commit_scn"]).astype(np.int64), key)
         multi = "table_name" in group.column_names
         if multi:
             tcodes = S.dictionary_codes(group["table_name"])[0].astype(
                 np.int64)
             sort_keys = sort_keys + (tcodes,)
         self.order = order = np.lexsort(sort_keys)
-        codes_s, turn_s = codes[order], turn[order]
+        key_s = key[order]
         new_seg = np.empty(n, bool)
         new_seg[0] = True
-        new_seg[1:] = (codes_s[1:] != codes_s[:-1]) | (turn_s[1:] != turn_s[:-1])
+        new_seg[1:] = key_s[1:] != key_s[:-1]
         if multi:
             tcodes_s = tcodes[order]
             new_seg[1:] |= tcodes_s[1:] != tcodes_s[:-1]
@@ -76,12 +83,17 @@ class _KeySegments:
         self.idx = np.arange(n, dtype=np.int64)
         self.is_d = _as_np(group["op_code"])[order] == OP_D
         self.mask_s = _as_np(group["changed_mask"]).astype(np.int64)[order]
+        self.full_bits = int(np.bitwise_and.reduce(self.mask_s[~self.is_d]))
 
     def last_where(self, cond: np.ndarray) -> np.ndarray:
         """Per key, the last sorted position where the sorted-domain
         ``cond`` holds (-1: none) — a segment max."""
         return np.maximum.reduceat(np.where(cond, self.idx, -1),
                                    self.seg_starts)
+
+    def last_setting(self, bit: int) -> np.ndarray:
+        """Per key, the last alive sorted position that sets column ``bit``."""
+        return self.last_where(((self.mask_s >> bit) & 1 == 1) & ~self.is_d)
 
 
 def merge_apply(group: pa.Table, schema_version: int,
@@ -104,36 +116,39 @@ def merge_apply(group: pa.Table, schema_version: int,
     ``renamed``: physical → current name from committed RENAME DDLs
     (reference SystemTransaction::processUpdate, SystemTransaction.cpp:525)
     — applied only when labeling the output columns; the merge itself runs
-    entirely on physical identities (mask bits, ``v_<physical>``)."""
+    entirely on physical identities (mask bits, ``v_<physical>``). The
+    keys and the ``full_bits`` columns are one take of the row winners;
+    only the others (pre-DDL added columns, partial images) reduce."""
     payload = [n for n, _ in S.payload_columns(schema_version)
                if n not in dropped]
     rn = renamed or {}
     multi = "table_name" in group.column_names
+    out_schema = S.transcripts_schema(schema_version, include_table=multi,
+                                      dropped=dropped, renamed=rn)
     if group.num_rows == 0:
-        return S.transcripts_schema(schema_version, include_table=multi,
-                                    dropped=dropped,
-                                    renamed=rn).empty_table()
+        return out_schema.empty_table()
 
     ks = _KeySegments(group)
     order, is_d = ks.order, ks.is_d
     last_d = ks.last_where(is_d)
-    exists = ks.last_where(~is_d) > last_d            # row survives its last delete
+    last_alive = ks.last_where(~is_d)
+    exists = last_alive > last_d                      # row survives its last delete
 
     keep = np.flatnonzero(exists)
-    key_global = order[ks.seg_starts[keep]]           # one row per kept key
-    key_take = pa.array(key_global)
-    out_cols: dict[str, object] = {}
-    if multi:
-        out_cols["table_name"] = group["table_name"].take(key_take)
-    out_cols.update({
-        "conv_id": group["conv_id"].take(key_take),
-        "turn_idx": group["turn_idx"].take(key_take).cast(pa.int32()),
-    })
-
-    for bit, name in enumerate([nm for nm, _ in S.payload_columns(S.MAX_SCHEMA_VERSION)]):
+    keys = (["table_name"] if multi else []) + ["conv_id", "turn_idx"]
+    names = [nm for nm, _ in S.payload_columns(S.MAX_SCHEMA_VERSION)]
+    full = [nm for bit, nm in enumerate(names) if ks.full_bits >> bit & 1]
+    # one row per kept key, its last alive row: the row winner
+    winners = group.select(keys + [f"v_{nm}" for nm in full if nm in payload]
+                           ).take(pa.array(order[last_alive[keep]]))
+    out_cols = {k: winners[k] for k in keys}
+    for bit, name in enumerate(names):
         if name not in payload:
             continue
-        val_idx = ks.last_where(((ks.mask_s >> bit) & 1 == 1) & ~is_d)
+        if name in full:
+            out_cols[rn.get(name, name)] = winners[f"v_{name}"]
+            continue
+        val_idx = ks.last_setting(bit)
         valid = (val_idx > last_d) & exists           # never read across a delete
         # map sorted-domain winner positions back to global row indices and
         # gather straight from the unsorted table — the only payload copy
@@ -144,27 +159,25 @@ def merge_apply(group: pa.Table, schema_version: int,
             vals = pc.if_else(pa.array(invalid),
                               pa.nulls(len(gather_global), vals.type), vals)
         out_cols[rn.get(name, name)] = vals
-
-    out = pa.table(out_cols)
-    return out.cast(S.transcripts_schema(schema_version, include_table=multi,
-                                         dropped=dropped, renamed=rn))
+    return pa.table(out_cols).cast(out_schema)
 
 
 def compact_rows(group: pa.Table) -> np.ndarray:
     """The rows of ``group`` that can still influence any future merge, in
     ascending order: per key, the last delete row, the last alive row, and
-    each column's latest setting row. Reads only ``KEY_SEGMENT_COLUMNS``."""
+    each column's latest setting row (the last alive row itself for a
+    column every alive row sets). Reads only ``KEY_SEGMENT_COLUMNS``."""
     if group.num_rows == 0:
         return np.zeros(0, np.int64)
     ks = _KeySegments(group)
-    keep_sorted = [ks.last_where(ks.is_d), ks.last_where(~ks.is_d)]
+    picks = [ks.last_where(ks.is_d), ks.last_where(~ks.is_d)]
     n_cols = len(S.payload_columns(S.MAX_SCHEMA_VERSION))
-    for bit in range(n_cols):
-        keep_sorted.append(
-            ks.last_where(((ks.mask_s >> bit) & 1 == 1) & ~ks.is_d))
-    kept = np.unique(np.concatenate(keep_sorted))
-    kept = kept[kept >= 0]
-    return np.sort(ks.order[kept])
+    picks += [ks.last_setting(bit) for bit in range(n_cols)
+              if not ks.full_bits >> bit & 1]
+    kept = np.zeros(group.num_rows, bool)
+    for p in picks:
+        kept[ks.order[p[p >= 0]]] = True
+    return np.flatnonzero(kept)
 
 
 def compact_events(group: pa.Table) -> pa.Table:

@@ -38,7 +38,7 @@ case where whole transactions are present in the input (SURVEY §2.2-2.3):
   struct image into payload columns, attaches the hash partition id. Its
   commit lookup and partial-rollback anti-join are ``commit_join``, which
   every consumer of the broadcast (``emit``, the DDL facts, the rollback
-  audit) calls too.
+  audit) calls too, once per distinct transaction of a batch.
 
 Scale note: the checkpoint is O(segments + open txns + DDL rows). The
 broadcast is 16 B a transaction (hash + commit SCN) of the segments read,
@@ -64,7 +64,7 @@ import pyarrow.parquet as pq
 import ray
 
 from olrx import schema as S
-from olrx.schema import OP_D, OP_I, OP_U, xid_hash
+from olrx.schema import OP_D, OP_I, OP_U
 from olrx.stages import partition
 from olrx.stages.partition import partition_ids
 
@@ -83,34 +83,45 @@ def mix_pr_keys(xid_h: np.ndarray, scn: np.ndarray, scn_idx: np.ndarray
             ^ ((scn_idx.astype(np.int64).astype(np.uint64) + np.uint64(1)) * _MIX2))
 
 
-def commit_join(xid_h: np.ndarray, scn: "np.ndarray | None",
-                scn_idx: "np.ndarray | None",
-                broadcast: "tuple[np.ndarray, np.ndarray, np.ndarray]"
+def commit_join(xid_h: np.ndarray, codes: np.ndarray,
+                scn: "np.ndarray | None", scn_idx: "np.ndarray | None",
+                broadcast: "tuple[np.ndarray, ...]"
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The commit join of events (xid hashes ``xid_h`` with their ``scn``
-    and ``scn_idx``) against the broadcast (``ControlInfo.decode_broadcast``):
-    ``(keep, commit_scn)``, aligned with the events. ``keep`` is True for an
-    event of a committed transaction that no partial rollback undid, and
-    ``commit_scn`` holds its transaction's commit SCN (undefined where
-    ``keep`` is False). ``scn`` and ``scn_idx`` are read only when the
-    broadcast has PR keys.
+    """The commit join of events (transaction hashes ``xid_h``, each
+    distinct one once, and each event's index ``codes`` into them:
+    ``schema.xid_codes``) against the broadcast
+    (``ControlInfo.decode_broadcast``): ``(keep, commit_scn)``, aligned
+    with the events. ``keep`` is True for an event of a committed
+    transaction that no partial rollback undid, and ``commit_scn`` holds
+    its transaction's commit SCN (undefined where ``keep`` is False).
+    ``scn`` and ``scn_idx`` are read only for events of a transaction with
+    a PR row.
 
-    The lookup is a binary search into the sorted hash array: O(events ·
-    log #txns) with zero per-batch build cost — an Acero hash join rebuilds
-    its O(#txns) hash table for EVERY batch, which measured 16× the probe
-    cost. The anti-join drops DML ops named by a PR undo vector (the
-    reference's rollbackLastOp removing the op from the txn buffer,
-    ``Transaction.cpp:73-148``)."""
-    hashes, cscns, pr = broadcast
+    Each transaction is looked up once, as the reference resolves one by
+    its Xid (``TransactionBuffer.h:54-109``): a binary search into the
+    sorted hash array, with zero per-batch build cost — an Acero hash join
+    rebuilds its O(#txns) hash table for EVERY batch, which measured 16×
+    the probe cost. The anti-join drops DML ops named by a PR undo vector
+    (the reference's rollbackLastOp removing the op from the txn buffer,
+    ``Transaction.cpp:73-148``); it probes only the events of the
+    transactions with a PR row."""
+    hashes, cscns, pr, pr_xids = broadcast
     if not len(hashes):
-        return np.zeros(len(xid_h), bool), np.zeros(len(xid_h), np.int64)
+        return np.zeros(len(codes), bool), np.zeros(len(codes), np.int64)
     pos = np.clip(np.searchsorted(hashes, xid_h), 0, len(hashes) - 1)
-    keep = hashes[pos] == xid_h
-    if len(pr):
-        keys = mix_pr_keys(xid_h, scn, scn_idx)
+    keep = (hashes[pos] == xid_h)[codes]
+    if len(pr_xids):
+        at = np.clip(np.searchsorted(pr_xids, xid_h), 0, len(pr_xids) - 1)
+        rows = np.flatnonzero(keep & (pr_xids[at] == xid_h)[codes])
+        keys = mix_pr_keys(xid_h[codes[rows]], scn[rows], scn_idx[rows])
         ppos = np.clip(np.searchsorted(pr, keys), 0, len(pr) - 1)
-        keep &= pr[ppos] != keys
-    return keep, cscns[pos]
+        keep[rows[pr[ppos] == keys]] = False
+    return keep, cscns[pos][codes]
+
+
+def commits_only(broadcast: tuple) -> tuple:
+    """``broadcast``'s commit lookup alone, without partial rollbacks."""
+    return (*broadcast[:2], np.zeros(0, np.uint64), np.zeros(0, np.uint64))
 
 
 #: columns the decode pass reads (no ``before`` image — apply never needs it)
@@ -215,20 +226,23 @@ class ControlInfo:
             pc.less_equal(rows["scn"], self.max_commit_scn)))["scn"].to_numpy()
 
     def decode_broadcast(self, paths: "list[str] | None" = None
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sorted xid-hashes, aligned commit_scns, sorted PR keys) of the
-        segments ``paths`` (None: all of this control's) — the one broadcast
-        value every decode task reads (``commit_join``). Commits above
-        ``max_commit_scn`` are left out; a PR key past it names an op of a
-        txn the lookup lacks. 64-bit xid hashes: collision odds at 10^8
-        txns are ~(10^8)²/2^64 ≈ 5e-4 per run; widen the hash if ever not."""
+                         ) -> tuple[np.ndarray, ...]:
+        """(sorted xid-hashes, aligned commit_scns, sorted PR keys, sorted
+        distinct xid-hashes of the PR rows) of the segments ``paths`` (None:
+        all of this control's) — the one broadcast value every decode task
+        reads (``commit_join``). Commits above ``max_commit_scn`` are left
+        out; a PR key past it names an op of a txn the lookup lacks. 64-bit
+        xid hashes: collision odds at 10^8 txns are ~(10^8)²/2^64 ≈ 5e-4
+        per run; widen the hash if ever not."""
         rows = _control_rows(list(self.segments) if paths is None else paths,
                              commits=True)
         pr = rows.filter(pc.equal(rows["op"], "PR"))
-        keys = mix_pr_keys(pr["xid_h"].to_numpy(),
+        pr_h = pr["xid_h"].to_numpy()
+        keys = mix_pr_keys(pr_h,
                            pr["undo_scn"].cast(pa.int64()).to_numpy(),
                            pr["undo_scn_idx"].cast(pa.int64()).to_numpy())
-        return (*_commits(rows, self.max_commit_scn), np.sort(keys))
+        return (*_commits(rows, self.max_commit_scn), np.sort(keys),
+                np.unique(pr_h))
 
 
 #: bump when the checkpoint layout or the ControlInfo derivation changes —
@@ -341,8 +355,9 @@ def _commits(rows: pa.Table, cap: "int | None" = None) -> tuple:
 def _with_commits(ddl: pa.Table, lookup: tuple) -> pa.Table:
     """``ddl`` (``_DDL_SCHEMA``) with each missing commit SCN taken from the
     commit lookup ``lookup`` where its transaction is there."""
-    found, cscn = commit_join(ddl["xid_h"].to_numpy(), None, None,
-                              (*lookup, np.zeros(0, np.uint64)))
+    found, cscn = commit_join(ddl["xid_h"].to_numpy(),
+                              np.arange(ddl.num_rows), None, None,
+                              commits_only(lookup))
     return ddl.set_column(2, "cscn", pc.coalesce(
         ddl["cscn"], pa.array(cscn, pa.int64(), mask=~found)))
 
@@ -765,13 +780,13 @@ class CommitResolver:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Index-cascade decode: all filter/join steps operate on a shrinking
-        numpy index array, gathering only the (small) column each step needs.
-        The payload-heavy columns (``after`` text!) are gathered exactly ONCE
-        at the end, in stream order — the late-materialization router puts
-        them into plasma as one blob per batch and owner-sorts only the light
-        meta columns. Halves the per-event DRAM traffic vs the
-        filter-cascade formulation (measured; bandwidth is the scaling
-        limiter on shared-DRAM nodes)."""
+        numpy index array, gathering each (small) column a step needs once.
+        The payload-heavy ``after`` image is filtered exactly ONCE at the
+        end, in stream order (kept rows come in long runs) — the
+        late-materialization router puts it into plasma as one blob per
+        batch and owner-sorts only the light meta columns. Halves the
+        per-event DRAM traffic vs the filter-cascade formulation (measured;
+        bandwidth is the scaling limiter on shared-DRAM nodes)."""
         if not len(self._broadcast[0]):
             # nothing committed (only rolled-back/open txns in the input, or
             # an incremental window with no new commits) ⇒ every event drops
@@ -807,57 +822,59 @@ class CommitResolver:
                                                        self.conv_regex))]
         if len(idx) == 0:
             return self._empty()
-        keep, commit_scn = commit_join(
-            xid_hash(gather("xid")),
-            gather("scn").to_numpy(zero_copy_only=False),
-            gather("scn_idx").to_numpy(zero_copy_only=False), self._broadcast)
+        scn = gather("scn").to_numpy(zero_copy_only=False)
+        scn_idx = gather("scn_idx").to_numpy(zero_copy_only=False)
+        keep, commit_scn = commit_join(*S.xid_codes(gather("xid")), scn,
+                                       scn_idx, self._broadcast)
         if not keep.all():
-            idx = idx[keep]
-            commit_scn = commit_scn[keep]
+            idx, commit_scn = idx[keep], commit_scn[keep]
+            scn, scn_idx = scn[keep], scn_idx[keep]
         if len(idx) == 0:
             return self._empty()
 
-        tbl_arr = gather("table_name") if self.include_table else None
-        part = partition_ids(gather("conv_id"), gather("turn_idx"),
+        # the light columns, each gathered once (xid stays behind)
+        names = (["table_name"] if self.include_table else []) + [
+            "conv_id", "turn_idx", "op", "changed_mask"]
+        light = batch.select(names).take(pa.array(idx))
+        part = partition_ids(light["conv_id"], light["turn_idx"],
                              self.num_partitions, self.hot, self.salt_block,
-                             table=tbl_arr)
+                             table=light["table_name"] if self.include_table
+                             else None)
         if self.floors is not None:
             # the one exactly-once cut, the reference's Metadata::isNewData
             # (src/metadata/Metadata.cpp:716-727)
             new = commit_scn > self.floors[part]
             if not new.all():
                 idx, commit_scn, part = idx[new], commit_scn[new], part[new]
+                scn, scn_idx = scn[new], scn_idx[new]
+                light = light.filter(pa.array(new))
             if len(idx) == 0:
                 return self._empty()
-        # THE payload gather: one take over only the columns the stream needs
-        # (xid/op stay behind — already consumed above)
-        want = (["table_name"] if self.include_table else []) + [
-            "conv_id", "turn_idx", "op", "scn", "scn_idx", "changed_mask",
-            "after"]
-        final = batch.select(want).take(pa.array(idx))
-        after = final["after"].combine_chunks()
+        rows = np.zeros(batch.num_rows, bool)
+        rows[idx] = True
+        after = batch["after"].filter(pa.array(rows)).combine_chunks()
         present = {f.name for f in after.type}
-        op_str = final["op"].to_numpy(zero_copy_only=False)
+        op_str = light["op"].to_numpy(zero_copy_only=False)
         op_code = np.full(len(op_str), OP_U, np.int8)
         op_code[op_str == "I"] = OP_I
         op_code[op_str == "D"] = OP_D
         cols: dict[str, object] = {}
         if self.include_table:
-            cols["table_name"] = final["table_name"]
+            cols["table_name"] = light["table_name"]
         cols.update({
-            "conv_id": final["conv_id"],
-            "turn_idx": final["turn_idx"],
+            "conv_id": light["conv_id"],
+            "turn_idx": light["turn_idx"],
             "op_code": pa.array(op_code, pa.int8()),
             "commit_scn": pa.array(commit_scn, pa.int64()),
-            "scn": final["scn"],
-            "scn_idx": final["scn_idx"],
-            "changed_mask": final["changed_mask"],
+            "scn": pa.array(scn),
+            "scn_idx": pa.array(scn_idx),
+            "changed_mask": light["changed_mask"],
         })
         for name, typ in zip(self.payload_cols, self.payload_types):
             if name in present:
                 cols[f"v_{name}"] = pc.struct_field(after, name)
             else:  # narrower pre-DDL segment schema: additive column reads null
-                cols[f"v_{name}"] = pa.nulls(final.num_rows, typ)
+                cols[f"v_{name}"] = pa.nulls(len(idx), typ)
         cols["part"] = pa.array(part, pa.int32())
         return pa.table(cols)
 

@@ -58,9 +58,10 @@ shipping can never stand in for a shard still on its way.
 
 Lake-mode finalize (``PartitionApplier.finalize_commit``) turns one
 applier's holding into per-partition commits. The stream-end fold
-compacts and materializes only the since-last-fold tail and appends it,
-in partition order, as a second run beside the first: no compaction or
-``take`` over the whole holding is left for finalize. Each partition is
+materializes the since-last-fold tail without compacting it (each
+partition's merge reduces it right after) and appends it, in partition
+order, as a second run beside the first: no compaction or ``take`` over
+the whole holding is left for finalize. Each partition is
 its zero-copy slices of the runs, concatenated as chunks
 (``partition_slices``); every partition's lineage counters are a row of
 the applier's dense per-partition arrays (op counts and birth SCNs, summed
@@ -417,14 +418,17 @@ class PartitionApplier:
         A mid-stream fold runs ONE compaction over the runs and the tail
         (heap stays bounded by the winner set), materializes only the
         tail's survivors, and puts the union in partition order with one
-        take. The stream-end fold (``final``) compacts and materializes the
-        tail alone and appends it as one more run: ``merge_apply`` over
-        ``compact(A) ∪ compact(B)`` equals ``merge_apply(A ∪ B)``
-        (tests/test_property.py), so finalize never compacts or gathers the
-        whole holding."""
+        take. The stream-end fold (``final``) materializes the tail without
+        compacting it, since finalize merges each partition right after
+        (``merge_apply`` over ``compact(A) ∪ B`` equals ``merge_apply(A ∪
+        B)``, tests/test_property.py), and appends it as one more run, so
+        finalize never compacts or gathers the whole holding."""
         t0 = time.perf_counter()
         tail = pa.concat_tables(snapshot, promote_options="default")
-        base = [] if final else self.runs
+        if final:
+            self.runs.append(partition_order(materialize_events(tail, blobs)))
+            return
+        base = self.runs
         held = sum(r.num_rows for r in base)
         keys = pa.concat_tables(
             [t.select([c for c in KEY_SEGMENT_COLUMNS
@@ -436,13 +440,9 @@ class PartitionApplier:
             base = base + [materialize_events(
                 tail.take(pa.array(kept[cut:] - held)), blobs)]
         union = pa.concat_tables(base, promote_options="default")
-        run = partition_order(union, np.concatenate(
-            [kept[:cut], np.arange(held, union.num_rows)]))
-        if final:
-            self.runs.append(run)
-            return
-        self.runs = [run]
-        self.folded_rows = run.num_rows
+        self.runs = [partition_order(union, np.concatenate(
+            [kept[:cut], np.arange(held, union.num_rows)]))]
+        self.folded_rows = self.runs[0].num_rows
         self.folds += 1
         self.fold_s += time.perf_counter() - t0
 
@@ -598,17 +598,19 @@ def make_router(appliers: list, num_appliers: int,
                 "blob_id", pa.array(np.full(batch.num_rows, blob_id, np.int64)))
             meta = meta.append_column(
                 "row_idx", pa.array(np.arange(batch.num_rows, dtype=np.int32)))
-            part = meta["part"].to_numpy(zero_copy_only=False)
-            owner = part % num_appliers
-            order = np.argsort(owner, kind="stable")
-            meta_sorted = meta.take(pa.array(order))
-            owner_sorted = owner[order]
+            part_s = meta["part"].to_numpy(zero_copy_only=False)
+            owner_sorted = part_s % num_appliers
+            meta_sorted = meta
+            if (owner_sorted[1:] < owner_sorted[:-1]).any():
+                # not yet in owner order (never with one applier)
+                order = np.argsort(owner_sorted, kind="stable")
+                meta_sorted = meta.take(pa.array(order))
+                owner_sorted, part_s = owner_sorted[order], part_s[order]
             # deterministic per-shard content digests (retry dedupe): the
             # same input group decodes to the same rows in the same order,
             # so a retried task's shards hash identically
             scn_s = meta_sorted["scn"].combine_chunks().to_numpy(zero_copy_only=False)
             sidx_s = meta_sorted["scn_idx"].combine_chunks().to_numpy(zero_copy_only=False)
-            part_s = part[order]
             bounds = np.searchsorted(owner_sorted, np.arange(num_appliers + 1))
             for a in range(num_appliers):
                 lo, hi = bounds[a], bounds[a + 1]

@@ -120,10 +120,10 @@ def test_compaction_preserves_merge(events, split_at):
                 unique_by=lambda e: (e[0], e[1], e[3], e[4], e[5])),
        st.integers(0, 4), st.integers(1, 3))
 def test_partition_ordered_runs_merge_like_the_union(events, split_at, nparts):
-    """merge(concat(compact(A), compact(B))) == merge(A ∪ B) with each run
-    in partition order — the applier's stream-end fold appends its tail
-    as a second run instead of compacting the union — and so does every
-    partition's concatenated slices of the runs."""
+    """merge(concat(compact(A), B)) == merge(A ∪ B) with each run in
+    partition order — the applier's stream-end fold appends its tail, not
+    compacted, as a second run instead of compacting the union — and so
+    does every partition's concatenated slices of the runs."""
     from olrx.stages.apply import compact_events
     from olrx.stages.exchange import partition_order, partition_slices
 
@@ -131,8 +131,8 @@ def test_partition_ordered_runs_merge_like_the_union(events, split_at, nparts):
     t = t.append_column("part", pa.array([e[0] % nparts for e in events],
                                          pa.int32()))
     cut = (len(events) * split_at) // 4
-    runs = [partition_order(compact_events(r))
-            for r in (t.slice(0, cut), t.slice(cut))]
+    runs = [partition_order(compact_events(t.slice(0, cut))),
+            partition_order(t.slice(cut))]
     for r in runs:
         part = r["part"].to_numpy()
         assert (np.diff(part) >= 0).all()
@@ -148,3 +148,81 @@ def test_partition_ordered_runs_merge_like_the_union(events, split_at, nparts):
     got = (pa.concat_tables(per_part) if per_part
            else merge_apply(t.slice(0, 0), 1))
     assert got.sort_by(key).equals(want)
+
+
+@st.composite
+def mixed_mask_events(draw):
+    """Events where the columns of a drawn bit set ``full`` are set by
+    every alive row and the others are not: a U row first, setting only
+    ``full``, then rows whose masks all include it. So one group runs both
+    of ``merge_apply``'s paths (the row winner's take and the per-column
+    reduction), as a full-image stream with a pre-DDL added column or
+    partial images does."""
+    full = draw(st.integers(1, (1 << N_COLS) - 2))
+    first = draw(event)
+    first = first[:2] + (1,) + first[3:6] + (full,) + first[7:]
+    rest = draw(st.lists(event, min_size=0, max_size=40))
+    out, seen = [], set()
+    for e in [first] + rest:
+        if (e[0], e[1], e[3], e[4], e[5]) not in seen:
+            seen.add((e[0], e[1], e[3], e[4], e[5]))
+            out.append(e[:6] + (e[6] | full,) + e[7:])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_mask_events(), st.integers(0, 3))
+def test_mixed_full_and_partial_columns_merge_like_dict_apply(events,
+                                                              split_at):
+    """Both merge paths in one group match the dict interpretation, and
+    compacting a prefix first changes nothing."""
+    from olrx.stages.apply import compact_events
+
+    t = to_table(events)
+    got = merge_apply(t, 1)
+    expect = dict_apply(events)
+    got_rows = {(r["conv_id"], r["turn_idx"]): r for r in got.to_pylist()}
+    assert set(got_rows) == {(f"c{c}", tn) for c, tn in expect}
+    names = [n for n, _ in S.payload_columns(1) if n != "ts"]
+    for (conv, turn), row in expect.items():
+        g = got_rows[(f"c{conv}", turn)]
+        for nm in names:
+            assert g[nm] == row[nm], ((conv, turn), nm, g, row)
+    cut = (len(events) * split_at) // 4
+    recombined = pa.concat_tables([compact_events(t.slice(0, cut)),
+                                   t.slice(cut)])
+    key = [("conv_id", "ascending"), ("turn_idx", "ascending")]
+    assert merge_apply(recombined, 1).sort_by(key).equals(got.sort_by(key))
+
+
+def influence_rows(events):
+    """The rows ``compact_rows`` must keep, by the plain definition: per
+    key, in apply order (ties keep stream order), the last delete row, the
+    last alive row and each column's last alive setting row; ascending."""
+    order = sorted(range(len(events)), key=lambda i: (
+        events[i][0], events[i][1], events[i][3], events[i][4], events[i][5]))
+    last = {}
+    for i in order:
+        conv, turn, op, *_ = events[i]
+        mask = S.full_mask(1) if op == 0 else events[i][6]
+        k = (conv, turn)
+        if op == 2:
+            last[(k, "d")] = i
+            continue
+        last[(k, "alive")] = i
+        for bit in range(N_COLS):
+            if (mask >> bit) & 1:
+                last[(k, bit)] = i
+    return sorted(set(last.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(event, min_size=0, max_size=40),
+                 mixed_mask_events()))
+def test_compact_rows_is_the_influence_set(events):
+    """``compact_rows`` keeps exactly the influence rows, ascending, on
+    arbitrary streams (equal order keys included) and on streams where
+    some columns are set by every alive row."""
+    from olrx.stages.apply import compact_rows
+
+    assert compact_rows(to_table(events)).tolist() == influence_rows(events)

@@ -169,19 +169,20 @@ def test_pr_anti_join_drops_exactly_the_named_ops(gen_small):
     import numpy as np
     import pyarrow.compute as pc
 
-    from olrx.schema import xid_hash
-    from olrx.stages.decode import commit_join, load_control
+    from olrx.schema import xid_codes
+    from olrx.stages.decode import commit_join, commits_only, load_control
 
     _, _, paths, full = gen_small
-    hashes, cscns, pr = load_control(paths).decode_broadcast()
+    broadcast = load_control(paths).decode_broadcast()
+    pr = broadcast[2]
     assert len(pr), "the default generator mix has partial rollbacks"
     dml = full.filter(pc.is_in(full["op"], value_set=pa.array(["I", "U", "D"])))
     dml = dml.select(["xid", "scn", "scn_idx"]).append_column(
         "row", pa.array(np.arange(dml.num_rows)))
-    args = (xid_hash(dml["xid"]), dml["scn"].to_numpy(),
+    args = (*xid_codes(dml["xid"]), dml["scn"].to_numpy(),
             dml["scn_idx"].to_numpy())
-    committed, _ = commit_join(*args, (hashes, cscns, np.zeros(0, np.uint64)))
-    keep, _ = commit_join(*args, (hashes, cscns, pr))
+    committed, _ = commit_join(*args, commits_only(broadcast))
+    keep, _ = commit_join(*args, broadcast)
     named = dml.join(
         full.filter(pc.equal(full["op"], "PR")).select(
             ["xid", "undo_scn", "undo_scn_idx"]),
@@ -190,6 +191,102 @@ def test_pr_anti_join_drops_exactly_the_named_ops(gen_small):
     want = sorted(r for r in named["row"].to_pylist() if committed[r])
     assert want, "some PR must undo an op of a committed transaction"
     assert np.flatnonzero(committed & ~keep).tolist() == want
+
+
+def _per_row_decode(batch: pa.Table, broadcast, skip_xids=(), conv_regex=None
+                    ) -> pa.Table:
+    """What the resolver keeps of ``batch``, joined row by row: DML rows
+    not skipped, matching ``conv_regex``, of a committed transaction, and
+    whose own (xid, scn, scn_idx) key no PR names."""
+    import pyarrow.compute as pc
+
+    from olrx.schema import xid_hash
+    from olrx.stages.decode import mix_pr_keys
+
+    hashes, cscns, pr = broadcast[:3]
+    keep = pc.is_in(batch["op"], value_set=pa.array(["I", "U", "D"]))
+    if skip_xids:
+        keep = pc.and_(keep, pc.invert(pc.is_in(
+            batch["xid"], value_set=pa.array(list(skip_xids)))))
+    if conv_regex:
+        keep = pc.and_(keep, pc.match_substring_regex(batch["conv_id"],
+                                                      conv_regex))
+    dml = batch.filter(keep)
+    h = xid_hash(dml["xid"])
+    pos = np.clip(np.searchsorted(hashes, h), 0, len(hashes) - 1)
+    keys = mix_pr_keys(h, dml["scn"].to_numpy(), dml["scn_idx"].to_numpy())
+    mask = (hashes[pos] == h) & ~np.isin(keys, pr)
+    return dml.filter(pa.array(mask)).select(
+        ["conv_id", "turn_idx", "scn", "scn_idx"]).append_column(
+        "commit_scn", pa.array(cscns[pos][mask], pa.int64()))
+
+
+@pytest.mark.parametrize("filters", [{}, {"skip_xids": True,
+                                          "conv_regex": "[0-7]$"}])
+@pytest.mark.parametrize("pr_heavy", [False, True])
+def test_distinct_xid_join_is_the_per_row_join(gen_small, filters, pr_heavy):
+    """The resolver joins each distinct transaction once and probes the PR
+    anti-join only for transactions with a PR row; what it keeps, with
+    which commit SCN, is exactly the row-by-row join's, on the default mix
+    and on a PR-heavy one, with and without ``skip_xids`` and
+    ``conv_regex``."""
+    import ray
+
+    from olrx.stages.decode import (EVENT_COLUMNS, CommitResolver,
+                                    commits_only, load_control)
+
+    if pr_heavy:
+        paths = sorted(glob.glob(ensure_changelog(GenConfig(
+            seed=11, scale=0.001, partial_rollback_frac=0.6)) + "/*.parquet"))
+    else:
+        paths = gen_small[2]
+    broadcast = load_control(paths).decode_broadcast()
+    assert len(broadcast[2]) and len(broadcast[3]) < len(broadcast[0])
+    batches = [pq.read_table(p, columns=EVENT_COLUMNS) for p in paths]
+    skip = ()
+    if filters.get("skip_xids"):
+        xids = pa.concat_tables(batches)["xid"].unique()
+        skip = tuple(xids.to_pylist()[::7])
+    resolver = CommitResolver(ray.put(broadcast), 8, skip_xids=skip,
+                              conv_regex=filters.get("conv_regex"))
+    undone = 0
+    for batch in batches:
+        got = resolver(batch).select(
+            ["conv_id", "turn_idx", "scn", "scn_idx", "commit_scn"])
+        want = _per_row_decode(batch, broadcast, skip,
+                               filters.get("conv_regex"))
+        assert got.equals(want)
+        undone += _per_row_decode(batch, commits_only(broadcast), skip,
+                                  filters.get("conv_regex")).num_rows \
+            - want.num_rows
+    assert undone > 0, "some committed DML row is undone by a PR"
+
+
+def test_dropped_replay_dataset_leaves_the_object_store(gen_small):
+    """Once the caller drops ``replay_dataset``'s Dataset and the tables it
+    took, no reference to its blocks is left, without a garbage
+    collection: the result is materialized, so consuming it starts no
+    executor whose reference cycles would pin them."""
+    import gc
+
+    import ray
+
+    _, _, paths, _ = gen_small
+    core = ray._private.worker.global_worker.core_worker
+    gc.collect()
+    gc.disable()
+    try:
+        ds = replay_dataset(paths, ReplayConfig(num_partitions=8)).dataset
+        refs = ds.to_arrow_refs()
+        ids = {r.hex() for r in refs}
+        tables = ray.get(refs)
+        assert sum(t.num_rows for t in tables) == ds.count() > 0
+        assert ids <= {k.decode() for k in core.get_all_reference_counts()}
+        del ds, refs, tables
+        assert not ids & {k.decode()
+                          for k in core.get_all_reference_counts()}
+    finally:
+        gc.enable()
 
 
 def test_multitable_twin_keys_stay_separate(tmp_path):
@@ -294,7 +391,7 @@ def test_string_hash_is_hash_array_over_objects(chunks):
     ``xid_h`` are persisted."""
     import pandas as pd
 
-    from olrx.schema import string_hash, xid_hash
+    from olrx.schema import string_hash, xid_codes, xid_hash
 
     rows = [v for c in chunks for v in c]
     want = pd.util.hash_array(np.asarray(rows, dtype=object))
@@ -303,6 +400,9 @@ def test_string_hash_is_hash_array_over_objects(chunks):
                     pa.concat_arrays(arrays)):
         assert np.array_equal(string_hash(strings), want)
         assert np.array_equal(xid_hash(strings), want)
+        hashes, codes = xid_codes(strings)
+        assert np.array_equal(hashes[codes], want)
+        assert len(hashes) == len(set(rows))
         assert string_hash(strings).dtype == np.uint64
 
 

@@ -355,7 +355,7 @@ def test_control_summary_roundtrip(tmp_path, gen_small):
     read = _ControlState.read(cp)
     _assert_same_state(read, _folded_state(paths))
     assert pa.compute.count(read.ddl_rows["cscn"]).as_py() > 0
-    h, scn, _ = cached.decode_broadcast()
+    h, scn = cached.decode_broadcast()[:2]
     assert len(h) == len(scn) > 0
     assert (h[1:] >= h[:-1]).all(), "sorted by hash"
     # and no pickle anywhere near the checkpoint
