@@ -351,16 +351,16 @@ def _decoded_events(*args, **kwargs) -> rd.Dataset:
                                        batch_size=1)
 
 
-def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
-          floors: "np.ndarray | None" = None, mdir: str | None = None,
+def _plan(paths: list[str], cfg: ReplayConfig, timings: dict,
+          lake: "MF.LakeState | None" = None,
+          floors: "np.ndarray | None" = None,
           kept_fleet: bool = False,
           session: "ControlSession | None" = None
           ) -> tuple[ControlInfo, dict, list]:
-    """The plan both replay modes run: load and cap the control, fence the
-    schema version, drops and renames against the prior manifests
-    ``prev_ms`` (empty in dataset mode), pick the hot keys (pinned in
-    ``mdir`` when given), decode above the per-partition ``floors`` and
-    size the applier fleet.
+    """The plan both replay modes run: load and cap the control, extend the
+    ``lake``'s schema epoch (``MF.LakeState``; no lake in dataset mode)
+    with the input's committed DDL, pick the hot keys (pinned in the lake),
+    decode above the per-partition ``floors`` and size the applier fleet.
     Returns the control, the ``run_actor_exchange`` arguments and the
     segments the event read gets.
 
@@ -376,6 +376,7 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
     ``timings`` gets ``control`` (the load and cap) and ``plan`` (all of
     this step, the control included)."""
     t0 = time.perf_counter()
+    lake = lake or MF.LakeState(None)
     session = session or ControlSession()
     paths = session.distinct(paths)
     t1 = time.perf_counter()
@@ -383,21 +384,12 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
     if cfg.end_commit_scn is not None:
         control = control.capped(cfg.end_commit_scn)
     timings["control"] = round(time.perf_counter() - t1, 3)
-    prev = prev_ms.values()
-    control.max_txn_span = max([control.max_txn_span]
-                               + [m.max_txn_span for m in prev])
-    # version and rename fences: prior runs' drops and renames persist, this
-    # input's committed ones extend them. A column the input names by a
-    # prior run's display name (the input only holds the later segments)
-    # resolves through the inverse of the prior mapping.
-    renamed = MF.current_renames(prev_ms)
-    inv_prev = {v: k for k, v in renamed.items()}
-    dropped = tuple(sorted({c for m in prev for c in m.dropped_columns}
-                           | {inv_prev.get(c, c)
-                              for c in control.dropped_columns}))
-    for ph, new in control.renamed_columns.items():
-        renamed[inv_prev.get(ph, ph)] = new
-    hot = _resolved_hot_keys(paths, cfg, mdir)
+    control.max_txn_span = max(control.max_txn_span, lake.max_txn_span)
+    epoch = lake.epoch.then(control)
+    hot = None
+    if cfg.salt_hot:
+        hot = lake.hot_keys(cfg.salt_block, lambda: detect_hot_keys(
+            paths, frac_threshold=cfg.hot_frac_threshold))
     # fleet sizing counts every landed byte, so a kept fleet keeps its size
     nbytes = sum(control.segments[p][0] for p in paths)
     read: list[str] = []
@@ -406,10 +398,10 @@ def _plan(paths: list[str], cfg: ReplayConfig, timings: dict, prev_ms: dict,
                           read=read),
         num_appliers=cfg.resolved_num_appliers(nbytes, kept_fleet=kept_fleet),
         num_partitions=cfg.num_partitions,
-        schema_version=max([control.schema_version]
-                           + [m.schema_version for m in prev]),
+        schema_version=epoch.schema_version,
         compact_threshold=cfg.applier_compact_threshold,
-        multi_table=cfg.multi_table, dropped=dropped, renamed=renamed)
+        multi_table=cfg.multi_table, dropped=epoch.dropped,
+        renamed=epoch.renamed)
     timings["plan"] = round(time.perf_counter() - t0, 3)
     return control, run, read
 
@@ -418,8 +410,7 @@ def replay_dataset(paths: list[str], cfg: ReplayConfig | None = None) -> ReplayR
     """Replay to final transcript rows (no sink)."""
     from olrx.stages.exchange import run_actor_exchange
     timings: dict = {}
-    control, run, read = _plan(paths, cfg or ReplayConfig(), timings,
-                               prev_ms={})
+    control, run, read = _plan(paths, cfg or ReplayConfig(), timings)
     # result stays distributed: appliers return block refs, the driver
     # never concatenates the full table (VERDICT "what's wrong" #2);
     # marked executed: consuming it starts no executor (``read_snapshots``)
@@ -448,17 +439,16 @@ def replay_to_lake(paths: list[str], out_dir: str,
     if not resume and os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    mdir = os.path.join(out_dir, "_manifest")
-    # one manifest read per replay: the floor, the txn span, the fences and
-    # the per-partition watermarks all derive from it
-    ms = MF.read_all(mdir) if resume else {}
-    if ms:  # an old-layout lake fails here, before any write could mix it
-        snapshot_footer(os.path.join(out_dir, ms[min(ms)].files[0]))
+    # one lake read per replay: the floors, the txn span, the epoch and the
+    # hot-key pin derive from it
+    lake = MF.read_lake_state(out_dir)
+    if lake.manifests:  # an old-layout lake fails before any write mixes it
+        snapshot_footer(lake.files[0])
     # each partition's resume cut: decode drops every event at or below it,
     # so the exchange and the commit only ever see events they apply
-    floors = resume_floors(mdir, ms, cfg.num_partitions) if resume else None
+    floors = lake.resume_floors(cfg.num_partitions)
     timings: dict = {}
-    control, run, read = _plan(paths, cfg, timings, ms, floors, mdir,
+    control, run, read = _plan(paths, cfg, timings, lake, floors,
                                kept_fleet=fleet is not None,
                                session=control_session)
     safe_wm = cfg.safe_watermark(control)
@@ -471,63 +461,12 @@ def replay_to_lake(paths: list[str], out_dir: str,
                     snapshot_keep=cfg.snapshot_keep))
     # all partitions with events committed ≥ safe_wm; event-less partitions
     # are trivially complete — record the lake-level floor so sparse lakes
-    # still advance their resume point (judge ADVICE r1)
-    MF.write_lake_watermark(mdir, safe_wm, run["schema_version"])
+    # still advance their resume point (judge ADVICE r1), and the epoch, so
+    # an increment that commits no partition still shows its DDL
+    MF.write_lake_watermark(lake, safe_wm, MF.Epoch(
+        run["schema_version"], run["dropped"], run["renamed"]))
     return ReplayResult(control=control, stats=stats, out_dir=out_dir,
                         timings=timings, segments_read=read)
-
-
-def resume_floors(mdir: str, ms: dict, num_partitions: int) -> np.ndarray:
-    """Per-partition resume cut of the lake whose manifests ``ms`` live in
-    ``mdir``: the partition's confirmed watermark, at least the global floor
-    (``MF.global_watermark``, which covers partitions that never committed).
-    A lake partitioned differently raises ``ValueError``: a key would hash
-    to another partition, and a resume would commit it twice."""
-    had = {m.num_partitions for m in ms.values()} - {-1}
-    if had - {num_partitions} or max(ms, default=-1) >= num_partitions:
-        was = "/".join(map(str, sorted(had))) or f"at least {max(ms) + 1}"
-        raise ValueError(
-            f"num_partitions changed ({was} → {num_partitions}); the "
-            "partitioning is pinned at first commit — rebuild the lake "
-            "(resume=False) to change it")
-    floors = np.full(num_partitions,
-                     MF.global_watermark(mdir, ms, num_partitions), np.int64)
-    for p, m in ms.items():
-        floors[p] = max(floors[p], m.watermark_commit_scn)
-    return floors
-
-
-def _resolved_hot_keys(paths: list[str], cfg: ReplayConfig,
-                       mdir: str | None) -> frozenset | None:
-    """Stable hot set across resumes: detected once, persisted in the
-    manifest directory ``mdir``, reused verbatim afterwards (``mdir=None``:
-    detect, persist nothing). Re-detecting per run would move a
-    conversation that crosses the frequency threshold between runs to a
-    different partition, orphaning its committed rows (partition stability
-    is the invariant `partition.py` documents)."""
-    if not cfg.salt_hot:
-        return None
-    import json as _json
-    hp = os.path.join(mdir, "hot.json") if mdir else None
-    if hp and os.path.exists(hp):
-        with open(hp) as f:
-            d = _json.load(f)
-        if d.get("salt_block") != cfg.salt_block:
-            raise ValueError(
-                f"salt_block changed ({d.get('salt_block')} → {cfg.salt_block}); "
-                "hot-key partitioning is pinned at first commit — rebuild the "
-                "lake (resume=False) to change it")
-        return frozenset(d["hot"])
-    hot = detect_hot_keys(paths, frac_threshold=cfg.hot_frac_threshold)
-    if hp:
-        os.makedirs(mdir, exist_ok=True)
-        tmp = hp + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            _json.dump({"hot": sorted(hot), "salt_block": cfg.salt_block}, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, hp)
-    return hot
 
 
 def read_snapshots(files: list[str], schema: pa.Schema,
@@ -565,21 +504,17 @@ def read_lake(out_dir: str) -> rd.Dataset:
     files.
 
     Snapshots store physical payload names (``stages.commit``), so every
-    file reads under one pinned schema whatever rename epoch wrote it: the
-    newest schema version without any dropped column. A partition that no
-    increment touched since a column was added null-fills it; one written
-    before a drop has the column projected away. The display names of the
-    newest rename epoch (``MF.current_renames``) are one relabel at read
-    time (renames never touch physical identity,
-    SystemTransaction.cpp:525)."""
-    ms = MF.read_all(os.path.join(out_dir, "_manifest"))
-    files = [os.path.join(out_dir, rel) for m in ms.values() for rel in m.files]
-    schema_version = max((m.schema_version for m in ms.values()), default=0)
-    dropped = tuple(sorted(
-        {c for m in ms.values() for c in m.dropped_columns}))
+    file reads under one pinned schema, the lake's epoch
+    (``MF.LakeState.epoch``, which shows a DDL-only increment too): a
+    partition that no increment touched since a column was added
+    null-fills it, one written before a drop has it projected away, and
+    the newest rename epoch's display names are one relabel at read time
+    (renames never touch physical identity, SystemTransaction.cpp:525)."""
+    lake = MF.read_lake_state(out_dir)
+    files, epoch = lake.files, lake.epoch
     inc = bool(files) and "table_name" in snapshot_footer(files[0])[0].names
-    schema = S.transcripts_schema(schema_version, include_table=inc,
-                                  dropped=dropped)
+    schema = S.transcripts_schema(epoch.schema_version, include_table=inc,
+                                  dropped=epoch.dropped)
     if not files:
         return rd.from_arrow(schema.empty_table())
-    return read_snapshots(files, schema, MF.current_renames(ms))
+    return read_snapshots(files, schema, epoch.renamed)

@@ -1,7 +1,7 @@
 """SCN time travel over the lake's retained checkpoint snapshots.
 
-Every checkpoint writes a full per-partition snapshot named
-``data-w{watermark}.parquet`` (``stages.commit.apply_and_commit``); with
+Every checkpoint writes a full per-partition snapshot at its watermark
+(``stages.commit.apply_and_commit``, ``state.manifest`` names it); with
 ``ReplayConfig.snapshot_keep > 1`` the GC retains the newest K snapshots
 per partition instead of deleting the superseded one — the lake-sink
 analog of the reference's checkpoint retention (``keep-checkpoints``,
@@ -25,35 +25,21 @@ footer fetch per read.
 
 from __future__ import annotations
 
-import glob
 import os
-import re
 
 import ray.data as rd
 
 from olrx import schema as S
 from olrx.pipelines.replay import read_snapshots, replay_to_lake
 from olrx.stages.commit import snapshot_footer
-
-_SNAP_RE = re.compile(r"data-w(\d+)\.parquet$")
-
-
-def snapshot_watermarks(out_dir: str) -> dict[int, list[int]]:
-    """partition → retained snapshot watermarks (ascending)."""
-    out: dict[int, list[int]] = {}
-    for pdir in sorted(glob.glob(os.path.join(out_dir, "part-*"))):
-        part = int(os.path.basename(pdir).split("-")[1])
-        wms = sorted(int(m.group(1)) for f in os.listdir(pdir)
-                     if (m := _SNAP_RE.search(f)))
-        if wms:
-            out[part] = wms
-    return out
+from olrx.state import manifest as MF
 
 
 def snapshot_files_asof(out_dir: str, commit_scn: int) -> list[str]:
-    """Per partition, the newest retained snapshot with watermark ≤ scn.
-    A snapshot above its partition's manifest watermark was never published
-    (a crashed run's leftover) and is never chosen.
+    """Per published partition, the newest retained snapshot with
+    watermark ≤ scn, in ascending watermark order. A snapshot above its
+    manifest's watermark, or of a partition without one, was never
+    published (a crashed run's leftover): ``read_lake`` skips it too.
 
     A partition that PROVABLY had no committed events at ``commit_scn``
     (manifest ``first_data_scn`` — the min commit SCN ever applied — is
@@ -64,31 +50,27 @@ def snapshot_files_asof(out_dir: str, commit_scn: int) -> list[str]:
     newer-than-asked answer would be wrong (ADVICE r4 #1: a lake built by
     one full replay checkpoints only at the end — its ``first_watermark``
     says nothing about when data was born)."""
-    from olrx.state import manifest as MF
-
-    ms = MF.read_all(os.path.join(out_dir, "_manifest"))
-    files: list[str] = []
-    snaps = snapshot_watermarks(out_dir)
-    if not snaps:
-        raise FileNotFoundError(f"no snapshots under {out_dir}")
-    for part, wms in snaps.items():
-        m = ms.get(part)
-        top = commit_scn if m is None else min(commit_scn,
-                                               m.watermark_commit_scn)
-        eligible = [w for w in wms if w <= top]
+    ms = MF.read_lake_state(out_dir).manifests
+    if not ms:
+        raise FileNotFoundError(f"no published snapshots under {out_dir}")
+    chosen: list[tuple[int, str]] = []
+    for part, m in ms.items():
+        wms = MF.retained_snapshots(out_dir, part)
+        eligible = [w for w in wms
+                    if w <= min(commit_scn, m.watermark_commit_scn)]
         if eligible:
-            files.append(os.path.join(out_dir, f"part-{part:05d}",
-                                      f"data-w{eligible[-1]}.parquet"))
+            chosen.append((eligible[-1], os.path.join(
+                out_dir, MF.snapshot_file(part, eligible[-1]))))
             continue
-        birth = m.first_data_scn if m is not None else -1
-        if birth >= 0 and birth > commit_scn:
+        birth = m.first_data_scn   # -1: unknown
+        if birth > max(commit_scn, -1):
             continue  # partition provably had no committed events then
         raise ValueError(
             f"partition {part}: snapshot history at commit SCN {commit_scn} "
             f"is pruned or was never checkpointed (oldest retained: "
-            f"{wms[0]}, data birth: {birth if birth >= 0 else 'unknown'}); "
+            f"{wms[:1]}, data birth: {birth if birth >= 0 else 'unknown'}); "
             "raise ReplayConfig.snapshot_keep or checkpoint earlier")
-    return files
+    return [f for _, f in sorted(chosen)]
 
 
 def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
@@ -98,7 +80,7 @@ def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
 
     Snapshots store physical payload names and record their rename epoch's
     display mapping in the footer (``stages.commit``). The newest chosen
-    snapshot (the largest ``data-w{W}``) was written under the schema and
+    snapshot (the largest watermark) was written under the schema and
     names current at the as-of point, so its footer — the only one this
     read fetches — pins the schema of every chosen file and is the relabel:
     a column added later null-fills in older snapshots, and a column
@@ -106,9 +88,7 @@ def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
     files = snapshot_files_asof(out_dir, commit_scn)
     if not files:  # every partition born after the as-of point
         return rd.from_arrow(S.transcripts_schema(0).empty_table())
-    newest = max(files, key=lambda f: int(_SNAP_RE.search(f).group(1)))
-    schema, renamed = snapshot_footer(newest)
-    return read_snapshots(files, schema, renamed)
+    return read_snapshots(files, *snapshot_footer(files[-1]))
 
 
 # ---------------------------------------------------------------------------

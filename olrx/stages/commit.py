@@ -5,7 +5,7 @@ table.
 
 Runs inside ``PartitionApplier.finalize_commit`` (stages/exchange.py), on a
 thread pool when the applier holds several partitions: a call reads and
-writes only its own partition's files (``part-NNNNN/`` and its manifest),
+writes only its own partition's files (its snapshots and its manifest),
 so concurrent calls for different partitions need no lock. Importing it
 deliberately imports neither pandas nor Ray Data: it is on the import path
 of every applier process, whose spawn time is part of each replay's wall
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -58,17 +57,15 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
     ``counters``: exact pre-compaction stream counts from the exchange (the
     in-``group`` events may already be folded to winners). Decode already
     dropped every event at or below the partition's watermark
-    (``replay.resume_floors``), so the counts are the applied stream's. The
+    (``LakeState.resume_floors``), so the counts are the applied stream's. The
     watermark filter below is a safety net for a manifest that moved since
     the replay read it: when it drops a row, the counters are recounted
     from the folded winners. ``_min_scn`` is the receive-time min commit
     SCN (folded winners would over-state birth)."""
     part = int(group["part"][0].as_py())
-    mdir = os.path.join(out_dir, "_manifest")
-    prev = MF.read_manifest(mdir, part)
+    prev = MF.read_manifest(MF.manifest_dir(out_dir), part)
     counters = dict(counters)
-    fm = counters.pop("_min_scn", -1)
-    fresh_min = fm if fm >= 0 else None   # min commit SCN applied THIS run
+    fm = counters.pop("_min_scn", -1)   # min commit SCN applied THIS run
     target_watermark = max(safe_watermark, prev.watermark_commit_scn if prev else -1)
 
     if prev is not None:
@@ -93,27 +90,19 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
     final = merge_apply(group, schema_version, dropped).replace_schema_metadata(
         {RENAMES_KEY: json.dumps(renamed or {}, sort_keys=True)})
 
-    part_dir = os.path.join(out_dir, f"part-{part:05d}")
-    os.makedirs(part_dir, exist_ok=True)
-    fname = f"data-w{target_watermark}.parquet"
-    fpath = os.path.join(part_dir, fname)
-    tmp = fpath + f".tmp.{os.getpid()}"
+    rel = MF.snapshot_file(part, target_watermark)
     # zstd-1 snapshots: ~3× fewer disk/storage bytes than snappy on text —
     # the write leg shares one storage backend across all appliers, while
     # finalize CPUs have headroom (measured: the hi-CPU leg is write-bound).
     # Only the low-cardinality columns are dictionary-encoded: a dictionary
     # of per-row-unique text or timestamps costs time and bytes (a 3.5k-row
     # tail snapshot: write 1.58 → 1.29 ms, read 1.02 → 0.68 ms, 62.4 →
-    # 52.4 KB)
-    with open(tmp, "wb") as f:
-        pq.write_table(final, f, compression=output_codec,
-                       compression_level=1 if output_codec == "zstd" else None,
-                       use_dictionary=list(S.SNAPSHOT_DICTIONARY_COLUMNS))
-        # durable BEFORE it is published: the manifest written below must
-        # never point at snapshot bytes a host crash can lose
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, fpath)
+    # 52.4 KB). Durable BEFORE it is published: the manifest written below
+    # must never point at snapshot bytes a host crash can lose
+    MF.write_durably(os.path.join(out_dir, rel), lambda f: pq.write_table(
+        final, f, compression=output_codec,
+        compression_level=1 if output_codec == "zstd" else None,
+        use_dictionary=list(S.SNAPSHOT_DICTIONARY_COLUMNS)))
 
     first_wm = target_watermark
     if prev is not None:
@@ -123,19 +112,16 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
     # old-format prev manifest (-1) keeps birth unknown — claiming a later
     # birth than the truth would let as-of reads silently answer "empty"
     # for SCNs where committed state existed (ADVICE r4 #1).
-    if prev is not None and prev.first_data_scn < 0:
-        first_data = -1
-    else:
-        cands = [x for x in (prev.first_data_scn if prev is not None else None,
-                             fresh_min) if x is not None and x >= 0]
-        first_data = min(cands) if cands else -1
+    first_data = fm if prev is None else prev.first_data_scn
+    if fm >= 0 and first_data >= 0:
+        first_data = min(first_data, fm)
     m = MF.PartitionManifest(
         partition=part,
         watermark_commit_scn=target_watermark,
         schema_version=schema_version,
         dropped_columns=sorted(dropped),
         renamed_columns=dict(renamed or {}),
-        files=[os.path.join(f"part-{part:05d}", fname)],
+        files=[rel],
         rows=final.num_rows,
         counters=counters,
         max_txn_span=max_txn_span,
@@ -143,22 +129,19 @@ def apply_and_commit(group: pa.Table, out_dir: str, schema_version: int,
         first_data_scn=first_data,
         num_partitions=num_partitions,
     )
-    MF.write_manifest(mdir, m)
+    MF.write_manifest(MF.manifest_dir(out_dir), m)
     # GC superseded snapshots, keeping the newest `snapshot_keep` at or
     # below the watermark just published (reference keep-checkpoints; >1
     # enables SCN time travel). One above it was never published (the
     # leftover of a crashed run with a higher cut) and goes too. Best-effort
     # and idempotent under task retries: a retry recomputes the same file
     # set and the same survivors.
-    snaps = sorted(((int(g.group(1)), f)
-                    for f in os.listdir(part_dir)
-                    if (g := re.match(r"data-w(\d+)\.parquet$", f))),
-                   reverse=True)
-    published = [f for w, f in snaps if w <= target_watermark]
-    for f in ([f for w, f in snaps if w > target_watermark]
+    snaps = MF.retained_snapshots(out_dir, part)[::-1]
+    published = [w for w in snaps if w <= target_watermark]
+    for w in ([w for w in snaps if w > target_watermark]
               + published[max(1, snapshot_keep):]):
         try:
-            os.remove(os.path.join(part_dir, f))
+            os.remove(os.path.join(out_dir, MF.snapshot_file(part, w)))
         except OSError:
             pass
     return stats_row(part, final.num_rows, target_watermark, False, counters)

@@ -891,23 +891,16 @@ class CommitResolver:
         return pa.table({n: pa.array([], t) for n, t in fields})
 
 
-def make_resolver(commit_ref, num_partitions: int, hot_ref=None,
-                  salt_block: int = 64, floors: "np.ndarray | None" = None,
-                  skip_xids: tuple[str, ...] = (), conv_regex: str | None = None,
-                  condition: str | None = None, include_table: bool = False,
-                  table_regex: str | None = None):
+def make_resolver(*args, **kwargs):
     """The decode fn of a :class:`DecodePlan`: a picklable closure that
-    builds its :class:`CommitResolver` at its first call. Every task gets
-    its own unpickled copy, so the resolver is built once per task and
-    reused for each run of its group."""
+    builds its :class:`CommitResolver` (of these arguments) at its first
+    call. Every task gets its own unpickled copy, so the resolver is built
+    once per task and reused for each run of its group."""
     holder: list[CommitResolver] = []
 
     def fn(batch: pa.Table) -> pa.Table:
         if not holder:
-            holder.append(CommitResolver(commit_ref, num_partitions, hot_ref,
-                                         salt_block, floors,
-                                         skip_xids, conv_regex, condition,
-                                         include_table, table_regex))
+            holder.append(CommitResolver(*args, **kwargs))
         return holder[0](batch)
 
     return fn

@@ -74,7 +74,7 @@ also the unit a spill to disk would write.
 
 Exactly-once is not the exchange's concern: on a resume, decode drops
 every event at or below its partition's confirmed watermark
-(``replay.resume_floors``), so an applier buffers, folds, counts and
+(``LakeState.resume_floors``), so an applier buffers, folds, counts and
 commits only events it applies. A partition whose watermark covers the
 whole input receives nothing and has no row in the stats.
 
@@ -251,12 +251,6 @@ def partition_slices(run: pa.Table) -> "list[tuple[int, pa.Table]]":
     ends = np.r_[starts[1:], len(parts)]
     return [(int(parts[lo]), run.slice(lo, hi - lo))
             for lo, hi in zip(starts, ends)]
-
-
-def split_by_partition(events: pa.Table) -> "list[tuple[int, pa.Table]]":
-    """``(part_id, rows)`` per partition of ``events``, in partition order:
-    one stable take (:func:`partition_order`), then zero-copy slices."""
-    return partition_slices(partition_order(events))
 
 
 @ray.remote
@@ -561,19 +555,23 @@ def make_router(appliers: list, num_appliers: int,
     owner-sort only the light meta columns, and ship per-applier meta
     slices + the blob ref. Returns the ``(applier, content digest)`` of
     every shipped shard (the driver's per-applier fence totals count
-    distinct digests) and the blob's bytes. The driver builds it once a
-    call; each task unpickles its own copy, so its state is per task."""
+    distinct digests), the blob's bytes and the seconds it waited for the
+    appliers to be ready. The driver builds it once a call; each task
+    unpickles its own copy, so its state is per task."""
     import hashlib
 
     holder: dict = {}
 
-    def route(batch: pa.Table) -> "tuple[list, int]":
+    def route(batch: pa.Table) -> "tuple[list, int, float]":
+        ready_s = 0.0
         if ready_refs is not None and not holder.get("ready"):
             # the appliers' begin refs: ray.put(_owner=applier) needs live
             # owners, and a shard must not arrive before its applier reset
             # for this run. Actor spawn overlaps with the read+decode of
-            # the first blocks, so this wait is short
+            # the first blocks, so this wait is short unless one is cold
+            t0 = time.perf_counter()
             ray.get(ready_refs)
+            ready_s = time.perf_counter() - t0
             holder["ready"] = True
         pending: list = holder.setdefault("pending", [])
         shards: "list[tuple[int, bytes]]" = []
@@ -629,13 +627,14 @@ def make_router(appliers: list, num_appliers: int,
                 done, rest = ray.wait(pending,
                                       num_returns=len(pending) - ACK_WINDOW)
                 holder["pending"] = rest
-        return shards, blob_bytes
+        return shards, blob_bytes, ready_s
 
     return route
 
 
-#: per-task route profile keys: task seconds, then bytes
-ROUTE_PROFILE = ("read", "decode", "ship", "raw_bytes", "blob_bytes")
+#: per-task route profile keys: task seconds (``ready``: the wait for the
+#: appliers' ``begin``, apart from ``ship``), then bytes
+ROUTE_PROFILE = ("read", "decode", "ready", "ship", "raw_bytes", "blob_bytes")
 
 
 @ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
@@ -651,8 +650,9 @@ def _route_group(group: list, decode, route) -> "tuple[list, dict]":
     shards: list = []
     for batch in decode(group, profile):
         t0 = time.perf_counter()
-        sent, blob_bytes = route(batch)
-        profile["ship"] += time.perf_counter() - t0
+        sent, blob_bytes, ready_s = route(batch)
+        profile["ready"] += ready_s
+        profile["ship"] += time.perf_counter() - t0 - ready_s
         profile["blob_bytes"] += blob_bytes
         shards += sent
     return shards, profile
@@ -885,13 +885,9 @@ def _pid_running(pid: int) -> bool:
 
 def run_actor_exchange(plan, num_appliers: int, schema_version: int,
                        commit: dict | None = None,
-                       num_partitions: int = 32,
-                       compact_threshold: int = 0,
-                       multi_table: bool = False,
-                       dropped: tuple = (),
-                       renamed: "dict[str, str] | None" = None,
                        timings: "dict | None" = None,
-                       fleet: "ApplierFleet | None" = None):
+                       fleet: "ApplierFleet | None" = None,
+                       num_partitions: int = 32, **run):
     """Route the decode ``plan`` (a ``decode.DecodePlan``: one Ray task a
     segment group, :func:`_route_group`) and finalize.
 
@@ -900,13 +896,15 @@ def run_actor_exchange(plan, num_appliers: int, schema_version: int,
     concatenates on the driver). With ``commit`` kwargs → the stats table
     (small: one row per partition that received events). The decoded
     events carry partition ids below ``num_partitions`` (default:
-    ``ReplayConfig``'s).
-    On a resume, decode has already dropped every event at or below its
-    partition's cut, so every event routed here is applied.
+    ``ReplayConfig``'s); ``run`` holds the other ``PartitionApplier.begin``
+    keywords (``compact_threshold``, ``multi_table``, ``dropped``,
+    ``renamed``). On a resume, decode has already dropped every event at
+    or below its partition's cut, so every event routed here is applied.
 
     ``timings`` receives the phase walls ``route``, ``fence`` and
     ``finalize``; the route profile summed over the group tasks:
-    ``route_read``, ``route_decode`` and ``route_ship`` (task seconds),
+    ``route_read``, ``route_decode``, ``route_ready`` (the wait for the
+    appliers' ``begin``) and ``route_ship`` (task seconds),
     ``route_raw_bytes`` (decoded) and ``route_blob_bytes`` (lz4 payload),
     and ``route_groups``; and the fold profile of the applier that spent longest
     in off-path folds: its ``fold`` seconds and ``folds`` count. Lake mode
@@ -925,10 +923,7 @@ def run_actor_exchange(plan, num_appliers: int, schema_version: int,
     try:
         out = _exchange(fleet, plan, num_appliers, schema_version, commit,
                         {} if timings is None else timings, own,
-                        num_partitions=num_partitions,
-                        compact_threshold=compact_threshold,
-                        multi_table=multi_table,
-                        dropped=dropped, renamed=renamed)
+                        num_partitions=num_partitions, **run)
     except BaseException:
         fleet.close()
         STANDBY.drain()

@@ -10,6 +10,7 @@ aggregates them into one report without touching data files.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 from olrx.state import manifest as MF
@@ -27,24 +28,17 @@ class LakeMetrics:
 
 
 def lake_metrics(out_dir: str) -> LakeMetrics:
-    ms = MF.read_all(os.path.join(out_dir, "_manifest"))
-    if not ms:
-        return LakeMetrics(partitions=0, rows=0, watermark_min=-1,
-                           watermark_max=-1, schema_version=0)
-    counters: dict[str, int] = {}
-    for m in ms.values():
-        for k, v in (m.counters or {}).items():
-            counters[k] = counters.get(k, 0) + int(v)
-    wms = [m.watermark_commit_scn for m in ms.values()]
+    lake = MF.read_lake_state(out_dir)
+    ms = lake.manifests.values()
+    counters: Counter = Counter()
+    for m in ms:
+        counters.update(m.counters or {})
+    wms = [m.watermark_commit_scn for m in ms] or [-1]
     return LakeMetrics(
-        partitions=len(ms),
-        rows=sum(m.rows for m in ms.values()),
-        watermark_min=min(wms),
-        watermark_max=max(wms),
-        schema_version=max(m.schema_version for m in ms.values()),
-        counters=counters,
-        lag_partitions=sum(1 for w in wms if w < max(wms)),
-    )
+        partitions=len(ms), rows=sum(m.rows for m in ms),
+        watermark_min=min(wms), watermark_max=max(wms),
+        schema_version=lake.epoch.schema_version, counters=dict(counters),
+        lag_partitions=sum(1 for w in wms if w < max(wms)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import ray
 
 from olrx.pipelines.replay import (ReplayConfig, read_lake, replay_dataset,
                                    replay_to_lake)
-from olrx.stages.exchange import ApplierFleet, split_by_partition
+from olrx.stages.exchange import (ApplierFleet, partition_order,
+                                  partition_slices)
 from olrx.state import manifest as MF
 from tests.conftest import sorted_table
 from tests.test_fleet import _alive_appliers
@@ -22,7 +23,7 @@ from tests.test_fleet import _alive_appliers
 CFG1 = ReplayConfig(num_partitions=16, num_appliers=1)
 
 
-def test_split_by_partition_is_one_stable_gather():
+def test_partition_slices_of_one_stable_gather():
     rng = np.random.default_rng(7)
     chunks = []
     for c in range(9):
@@ -34,7 +35,7 @@ def test_split_by_partition_is_one_stable_gather():
         }))
     events = pa.concat_tables(chunks)
     assert events["v_text"].num_chunks == 9
-    groups = split_by_partition(events)
+    groups = partition_slices(partition_order(events))
 
     ids = [p for p, _ in groups]
     assert ids == sorted(set(ids)) and len(ids) >= 5

@@ -269,11 +269,10 @@ def test_late_commit_below_floor_is_applied(tmp_path):
     pairs = _pairs(paths)
     early = os.path.join(os.path.dirname(paths[0]), "shard00-seg0001.parquet")
     land, lake = str(tmp_path / "land"), str(tmp_path / "lake")
-    mdir = os.path.join(lake, "_manifest")
     landed = _land([p for pr in pairs[:5] for p in pr], land)
     replay_to_lake(sorted(landed), lake, TAIL)
     landed += _land(pairs[5], land)
-    floor = MF.global_watermark(mdir, MF.read_all(mdir), TAIL.num_partitions)
+    floor = MF.global_watermark(MF.read_lake_state(lake), TAIL.num_partitions)
     res = replay_to_lake(sorted(landed), lake, TAIL)
     assert not _committed(res, xid)
     assert begin <= floor - res.control.max_txn_span

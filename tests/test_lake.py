@@ -83,7 +83,8 @@ def test_manifest_atomicity(tmp_path):
 def test_resume_reads_manifests_once(tmp_path, gen_small, expected_small,
                                      monkeypatch):
     """A resume replay lists ``_manifest/`` once: the floor, the txn span,
-    the fences and the per-partition watermarks all come from one read."""
+    the fences and the per-partition watermarks all come from one read.
+    So does a ``read_lake``: its files and its schema epoch."""
     _, _, paths, _ = gen_small
     out = str(tmp_path / "lake")
     first = [p for p in paths if "seg0000" in p or "seg0001" in p]
@@ -98,8 +99,10 @@ def test_resume_reads_manifests_once(tmp_path, gen_small, expected_small,
     monkeypatch.setattr(MF, "read_all", spy)
     replay_to_lake(paths, out, CFG, resume=True)
     assert calls == [os.path.join(out, "_manifest")]
+    got = _lake_table(out, expected_small.schema)
+    assert calls == [os.path.join(out, "_manifest")] * 2
     monkeypatch.undo()
-    assert _lake_table(out, expected_small.schema).equals(expected_small)
+    assert got.equals(expected_small)
 
 
 def _files(out: str) -> dict:
@@ -163,7 +166,7 @@ def test_resume_floors_cut_decode_per_partition(tmp_path, gen_small):
     """On a lake whose manifests sit at two watermarks and that has no
     lake-level watermark file, decode with the resume floors emits no event
     at or below its partition's floor and every committed event above it."""
-    from olrx.pipelines.replay import _decoded_events, resume_floors
+    from olrx.pipelines.replay import _decoded_events
     from olrx.stages.decode import load_control
 
     _, _, paths, _ = gen_small
@@ -184,7 +187,7 @@ def test_resume_floors_cut_decode_per_partition(tmp_path, gen_small):
         ms[p].watermark_commit_scn = lo
         MF.write_manifest(mdir, ms[p])
 
-    floors = resume_floors(mdir, MF.read_all(mdir), cfg.num_partitions)
+    floors = MF.read_lake_state(out).resume_floors(cfg.num_partitions)
     assert floors.tolist() == [lo, hi] * 4
     got = _events(_decoded_events(paths, cfg, control, floors=floors))
     part = got["part"].to_numpy()

@@ -91,10 +91,10 @@ def test_detect_hot_keys_threshold_and_task_count(tmp_path):
 
 def test_hot_json_is_fsynced_before_replace(tmp_path, monkeypatch):
     """The pinned hot set reaches the disk before it is renamed into
-    place, as the manifests do."""
+    place, as the manifests do, and reads back under its salt block."""
     import os
 
-    from olrx.pipelines.replay import _resolved_hot_keys
+    from olrx.state import manifest as MF
 
     synced: list[str] = []
     fsync = os.fsync
@@ -104,15 +104,15 @@ def test_hot_json_is_fsynced_before_replace(tmp_path, monkeypatch):
         return fsync(fd)
 
     monkeypatch.setattr(os, "fsync", spy)
-    seg = str(tmp_path / "seg.parquet")
-    pq.write_table(pa.table({"conv_id": ["a"] * 9 + ["b"]}), seg)
-    mdir = str(tmp_path / "_manifest")
-    hot = _resolved_hot_keys([seg], ReplayConfig(salt_hot=True,
-                                                 hot_frac_threshold=0.5), mdir)
-    assert hot == frozenset({"a"})
+    lake = MF.read_lake_state(str(tmp_path / "lake"))
+    assert lake.hot_keys(64, lambda: frozenset({"a"})) == frozenset({"a"})
+    mdir = MF.manifest_dir(lake.root)
     hp = os.path.join(mdir, "hot.json")
     assert any(s.startswith(hp + ".tmp.") for s in synced), synced
     assert os.listdir(mdir) == ["hot.json"]
+    assert lake.hot_keys(64, frozenset) == frozenset({"a"})
+    with pytest.raises(ValueError, match=r"salt_block changed \(64 → 8\)"):
+        lake.hot_keys(8, frozenset)
 
 
 def test_no_ddl_narrow_schema():

@@ -297,12 +297,13 @@ def _rename_increment(d: str, seq: int, scn: int, rename: str,
                           conv_id)
 
 
-def _ddl_increment(d: str, seq: int, scn: int, ddl: str,
-                   conv_id: str) -> str:
+def _ddl_increment(d: str, seq: int, scn: int, ddl: "str | None",
+                   conv_id: "str | None") -> str:
     """Append segment ``seq``: one committed DDL ``ddl`` at ``scn + 1`` plus
     one committed single-row INSERT of the brand-new conversation
     ``conv_id`` at ``scn + 50`` — exactly one partition sees fresh events.
-    Returns the segment's path."""
+    A None ``ddl`` or ``conv_id`` leaves that transaction out. Returns the
+    segment's path."""
     full = pa.concat_tables(
         [pq.read_table(p) for p in sorted(glob.glob(d + "/*.parquet"))])
     donor_i = full.filter(pc.equal(full["op"], "I")).slice(0, 1).to_pylist()[0]
@@ -319,11 +320,12 @@ def _ddl_increment(d: str, seq: int, scn: int, ddl: str,
         _row(donor_b, xid=xr, scn=scn, scn_idx=0),
         _row(donor_b, xid=xr, op="DDL", scn=scn + 1, scn_idx=1, ddl=ddl),
         _row(donor_c, xid=xr, scn=scn + 1, scn_idx=1048576),
+    ] * (ddl is not None) + [
         _row(donor_b, xid=xn, scn=scn + 49, scn_idx=0),
         _row(donor_i, xid=xn, scn=scn + 50, scn_idx=0,
              conv_id=conv_id, turn_idx=0),
         _row(donor_c, xid=xn, scn=scn + 50, scn_idx=1048576),
-    ]
+    ] * (conv_id is not None)
     seg = pa.Table.from_pylist(rows, schema=full.schema)
     out = os.path.join(d, f"shard00-seg{seq:04d}.parquet")
     pq.write_table(seg, out)
@@ -412,8 +414,7 @@ def test_rename_epochs_resolve_to_the_newest(tmp_path, monkeypatch):
     for reverse in (False, True):
         monkeypatch.setattr(MF, "read_all", lambda mdir: dict(
             sorted(read_all(mdir).items(), reverse=reverse)))
-        assert MF.current_renames(MF.read_all(
-            os.path.join(out, "_manifest"))) == {"tool": "tool_tag"}
+        assert MF.read_lake_state(out).epoch.renamed == {"tool": "tool_tag"}
         assert sorted_table(read_lake(out), exp.schema).equals(exp), reverse
         asof = sorted_table(read_lake_asof(out, 9150), exp.schema)
         assert asof.equals(exp), reverse
@@ -468,13 +469,50 @@ def test_asof_across_drop(tmp_path):
     assert sorted_table(asof, exp.schema).equals(exp)
 
 
+@pytest.mark.parametrize("ddl,gen,shown", [
+    ('{"drop_columns": ["tool_meta"]}', {}, False),
+    ('{"add_columns": [{"name": "tool_meta", "type": "string"}]}',
+     {"ddl": False}, True),
+], ids=["drop", "add"])
+def test_ddl_only_increment_shows_in_read_lake(tmp_path, ddl, gen, shown):
+    """A resume whose only new committed change is a DDL routes no events,
+    so it commits no partition. ``read_lake``'s columns still show the DDL
+    at once (the lake record carries the replay's epoch), and the next
+    resume that carries events, given only its new segment, stays
+    oracle-equal: its plan starts from the same epoch."""
+    from olrx.pipelines.replay import read_lake, replay_to_lake
+
+    d = _copy_stream(tmp_path, **gen)
+    out = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=8)
+    replay_to_lake(sorted(glob.glob(d + "/*.parquet")), out, cfg)
+    assert ("tool_meta" in read_lake(out).schema().names) != shown
+    _ddl_increment(d, 4, 9000, ddl, None)
+    paths = sorted(glob.glob(d + "/*.parquet"))
+    res = replay_to_lake(paths, out, cfg)
+    assert not res.stats.num_rows or res.stats["skipped"].to_pylist() == [
+        True] * res.stats.num_rows, "test premise: no partition commits"
+    exp = _naive(paths)
+    assert ("tool_meta" in exp.schema.names) == shown
+    got = read_lake(out)
+    assert got.schema().names == exp.schema.names
+    assert sorted_table(got, exp.schema).equals(exp)
+    seg = _ddl_increment(d, 5, 9100, None, "zz-new-conv")
+    replay_to_lake([seg], out, cfg)
+    exp = _naive(sorted(glob.glob(d + "/*.parquet")))
+    got = read_lake(out)
+    assert got.schema().names == exp.schema.names
+    assert sorted_table(got, exp.schema).equals(exp)
+
+
 def test_old_layout_lake_fails_fast(tmp_path):
     """A snapshot without the footer display mapping was written before
     snapshots stored physical names. Every entry point refuses such a lake
     with a rebuild hint instead of nulling renamed columns, and a resume
     refuses before writing anything."""
     from olrx.pipelines.replay import read_lake, replay_to_lake
-    from olrx.pipelines.timetravel import read_lake_asof, snapshot_watermarks
+    from olrx.pipelines.timetravel import read_lake_asof
+    from olrx.state.manifest import retained_snapshots
 
     paths = sorted(glob.glob(
         ensure_changelog(GenConfig(scale=0.001)) + "/*.parquet"))
@@ -488,7 +526,7 @@ def test_old_layout_lake_fails_fast(tmp_path):
     msg = "lake written before physical column names"
     with pytest.raises(ValueError, match=msg):
         read_lake(out)
-    (wm,) = snapshot_watermarks(out)[0]
+    (wm,) = retained_snapshots(out, 0)
     with pytest.raises(ValueError, match=msg):
         read_lake_asof(out, wm)
     with pytest.raises(ValueError, match=msg):

@@ -245,7 +245,7 @@ def test_row_block_stays_out_of_the_appliers(gen_small, expected_small):
     fleet = ApplierFleet()
     try:
         _, run, _ = _plan(paths, ReplayConfig(num_partitions=8,
-                                              num_appliers=2), {}, {})
+                                              num_appliers=2), {})
         refs = run_actor_exchange(**run, fleet=fleet)
         loaded = ray.get([a.__ray_call__.remote(
             lambda self: "ray.data" in __import__("sys").modules)
@@ -259,14 +259,16 @@ def test_row_block_stays_out_of_the_appliers(gen_small, expected_small):
 
 
 def test_route_profile_in_timings(tmp_path, gen_small):
-    """Each group task reports its read, decode and ship seconds and its
-    decoded and lz4 blob bytes; the replay sums them into its timings."""
+    """Each group task reports its read, decode and ship seconds, its wait
+    for the appliers apart from its ship, and its decoded and lz4 blob
+    bytes; the replay sums them into its timings."""
     _, _, paths, _ = gen_small
     res = replay_to_lake(paths, str(tmp_path / "lake"),
                          ReplayConfig(num_partitions=8), resume=False)
     t = res.timings
     for k in ("route_read", "route_decode", "route_ship"):
         assert t[k] > 0, k
+    assert t["route_ready"] >= 0
     # a ~370 KB input is well under one group's bytes: one group a CPU
     cpus = int(ray.cluster_resources()["CPU"])
     assert t["route_groups"] == min(cpus, len(paths))

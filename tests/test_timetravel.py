@@ -15,9 +15,8 @@ import pytest
 
 from olrx.pipelines.replay import ReplayConfig, read_lake, replay_to_lake
 from olrx.pipelines.timetravel import (q_cdc_time_travel, read_lake_asof,
-                                       snapshot_watermarks, _split_scn,
-                                       sql_cdc_time_travel)
-
+                                       _split_scn, sql_cdc_time_travel)
+from olrx.state import manifest as MF
 from tests.conftest import sorted_table
 
 SF = "/root/testdata/sf0.001"
@@ -25,6 +24,12 @@ SF = "/root/testdata/sf0.001"
 #: a snapshot name above any watermark the test streams reach: the leftover
 #: of a crashed run with a higher cut, never published by a manifest
 ORPHAN = "data-w999999999.parquet"
+
+
+def snapshot_watermarks(lake: str) -> dict[int, list[int]]:
+    """Published partition → its retained snapshot watermarks."""
+    return {p: MF.retained_snapshots(lake, p)
+            for p in MF.read_all(MF.manifest_dir(lake))}
 
 
 def _cfg(**kw) -> ReplayConfig:
@@ -74,8 +79,6 @@ def test_asof_data_birth_semantics(gen_small, tmp_path):
     no snapshot is retained), while an SCN before any data was born is
     legitimately empty (ADVICE r4 #1 — `first_watermark` is checkpoint time,
     not data birth; `first_data_scn` is)."""
-    from olrx.state import manifest as MF
-
     _, _, paths, _ = gen_small
     lake = str(tmp_path / "lake")
     replay_to_lake(paths, lake, _cfg(snapshot_keep=2), resume=False)
@@ -132,7 +135,8 @@ def test_gc_keeps_the_published_snapshot(gen_small, expected_small, tmp_path):
 
 def test_asof_skips_unpublished_snapshot(gen_small, expected_small, tmp_path):
     """An as-of read never picks a snapshot above its partition's manifest
-    watermark."""
+    watermark, nor one of a partition no manifest published: it reads what
+    ``read_lake`` reads."""
     _, _, paths, _ = gen_small
     lake = str(tmp_path / "lake")
     replay_to_lake(paths, lake, _cfg(num_partitions=4), resume=False)
@@ -140,6 +144,11 @@ def test_asof_skips_unpublished_snapshot(gen_small, expected_small, tmp_path):
     shutil.copy(other, os.path.join(lake, "part-00000", ORPHAN))
     got = read_lake_asof(lake, 999999999)
     assert sorted_table(got, expected_small.schema).equals(expected_small)
+    os.remove(MF.manifest_path(MF.manifest_dir(lake), 3))
+    want = sorted_table(read_lake(lake), expected_small.schema)
+    assert 0 < want.num_rows < expected_small.num_rows
+    got = read_lake_asof(lake, 999999999)
+    assert sorted_table(got, expected_small.schema).equals(want)
 
 
 def test_resume_onto_missing_snapshot_raises(gen_small, tmp_path):

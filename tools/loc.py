@@ -1,11 +1,13 @@
-"""Line counts of the ``olrx/`` package, per module and in total.
+"""Line counts of the ``olrx/`` package, per module, in total and for
+the CDC core.
 
     python tools/loc.py [--rev REV]
 
 Counts the lines of every ``*.py`` file under ``olrx/`` in the working
 tree, as ``wc -l`` does. With ``--rev``, also counts each module at the
 git revision REV (``git show REV:<path>``) and prints the change; a module
-present on one side only counts 0 on the other. Standard library only.
+present on one side only counts 0 on the other. The ``cdc core`` row sums
+the modules of :data:`CORE`. Standard library only.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ import subprocess
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = "olrx"
+#: the CDC core: the replay engine (decode, exchange, apply, commit), its
+#: state and schema, and the replay, job and time-travel pipelines
+CORE = ("olrx/stages/", "olrx/state/", "olrx/schema.py",
+        "olrx/pipelines/replay.py", "olrx/pipelines/job.py",
+        "olrx/pipelines/timetravel.py")
 
 
 def _git(*args: str) -> str:
@@ -42,6 +49,10 @@ def rev_counts(rev: str) -> dict[str, int]:
             for n in names.split() if n.endswith(".py")}
 
 
+def core(counts: dict[str, int]) -> int:
+    return sum(n for m, n in counts.items() if m.startswith(CORE))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", help="git revision to compare against")
@@ -54,10 +65,12 @@ def main() -> None:
         for m in mods:
             print(f"{m:<{width}}  {now[m]:>6}")
         print(f"{'total':<{width}}  {sum(now.values()):>6}")
+        print(f"{'cdc core':<{width}}  {core(now):>6}")
         return
     print(f"{'module':<{width}}  {args.rev[:10]:>10}  {'now':>6}  {'delta':>6}")
     rows = [(m, then.get(m, 0), now.get(m, 0)) for m in mods]
     rows.append(("total", sum(then.values()), sum(now.values())))
+    rows.append(("cdc core", core(then), core(now)))
     for m, a, b in rows:
         print(f"{m:<{width}}  {a:>10}  {b:>6}  {b - a:>+6}")
 
