@@ -15,12 +15,10 @@ invariant the reference maintains by checkpointing only at LWN
 boundaries).
 
 Scale shape: the as-of read is the lake's one snapshot reader
-(``replay.read_snapshots``: plain Ray tasks over byte-balanced groups of
-the chosen files) over one file per partition — no replay, no shuffle;
-retention cost is disk only (K× snapshot bytes), never extra write
-traffic. Snapshots store physical column names, so snapshots of different
-schema or rename epochs read together under one pinned schema, with one
-footer fetch per read.
+(``replay.read_snapshots``) over one file per partition: its tasks read,
+cap and report their blocks, and the Dataset comes back executed. No
+replay, no shuffle; retention costs disk only (K× snapshot bytes). One
+footer fetch pins one physical schema for snapshots of every epoch.
 """
 
 from __future__ import annotations
@@ -75,8 +73,8 @@ def snapshot_files_asof(out_dir: str, commit_scn: int) -> list[str]:
 
 def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
     """Table state as of ``commit_scn``: the chosen snapshots, read when
-    this is called (``replay.read_snapshots``), so the Dataset keeps that
-    state even after a later commit's GC deletes the files.
+    this is called into an executed Dataset (``replay.read_snapshots``)
+    that keeps that state even after a later commit's GC deletes them.
 
     Snapshots store physical payload names and record their rename epoch's
     display mapping in the footer (``stages.commit``). The newest chosen
@@ -87,7 +85,7 @@ def read_lake_asof(out_dir: str, commit_scn: int) -> rd.Dataset:
     dropped later is projected away."""
     files = snapshot_files_asof(out_dir, commit_scn)
     if not files:  # every partition born after the as-of point
-        return rd.from_arrow(S.transcripts_schema(0).empty_table())
+        return read_snapshots([], S.transcripts_schema(0), {})
     return read_snapshots(files, *snapshot_footer(files[-1]))
 
 

@@ -14,8 +14,8 @@ time. pandas still arrives at run time: pyarrow imports it on the first
 ``PartitionApplier.warm`` before they are taken.
 
 The lake's one snapshot reader lives here too (:func:`read_snapshot_group`):
-a plain Ray task over a group of files, reading each under a pinned
-physical schema, so a lake read starts no Ray Data execution either.
+a plain Ray task that reads files under a pinned physical schema and
+reports its blocks' rows and bytes, so a lake read runs no Ray Data task.
 """
 
 from __future__ import annotations
@@ -180,21 +180,24 @@ def read_snapshot_group(files: list[str], schema: pa.Schema,
                         names: list[str], max_bytes: int):
     """One task of a lake read (``replay.read_snapshots``): the snapshots
     ``files`` in order (:func:`read_snapshot`), relabelled to the display
-    ``names`` (positional, in ``schema``'s order), yielded as blocks, each
-    its own object owned by the caller: consecutive files concatenated
-    under ``max_bytes`` bytes, a larger file a block of its own
-    (``decode.read_runs``' rule). Retried like a route group task
-    (``exchange._route_group``); a retry re-reads the same files into the
-    same blocks."""
+    ``names`` (positional, in ``schema``'s order), yielded as one-chunk
+    blocks owned by the caller: consecutive files under ``max_bytes``
+    bytes, a larger file alone (``decode.read_runs``' rule); then each
+    block's ``(num_rows, size_bytes, schema)``. Retried like a route group
+    task (``exchange._route_group``); a retry re-reads the same blocks."""
     run: list[pa.Table] = []
-    for p in files:
-        t = read_snapshot(p, schema).rename_columns(names)
-        if run and sum(r.nbytes for r in run) + t.nbytes > max_bytes:
-            yield pa.concat_tables(run)
-            run = []
-        run.append(t)
-    if run:
-        yield pa.concat_tables(run)
+    size, metas = 0, []
+    for p in [*files, None]:  # None: flush the last run
+        t = read_snapshot(p, schema).rename_columns(names) if p else None
+        if run and (t is None or size + t.nbytes > max_bytes):
+            block = pa.concat_tables(run).combine_chunks()
+            metas.append((block.num_rows, block.nbytes, block.schema))
+            yield block
+            run, size = [], 0
+        if t is not None:
+            run.append(t)
+            size += t.nbytes
+    yield metas
 
 
 def _read_base(out_dir: str, m: MF.PartitionManifest) -> pa.Table | None:

@@ -159,7 +159,7 @@ def to_ipc(t: pa.Table, compression: "str | None" = None) -> pa.Buffer:
     argument or return value goes through Ray's Arrow reducer, whose import
     of ``ray.air`` (and with it ``ray.data``) would land in the applier.
     ``finalize_rows`` returns its rows this way too; a small task
-    (:func:`_ipc_block`) turns them into a Ray Data block."""
+    (:func:`_ipc_block`) turns them into a block."""
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(
             sink, t.schema,
@@ -891,9 +891,9 @@ def run_actor_exchange(plan, num_appliers: int, schema_version: int,
     """Route the decode ``plan`` (a ``decode.DecodePlan``: one Ray task a
     segment group, :func:`_route_group`) and finalize.
 
-    ``commit=None`` → final transcript rows as a list of per-applier Arrow
-    ObjectRefs (feed ``ray.data.from_arrow_refs`` — the result never
-    concatenates on the driver). With ``commit`` kwargs → the stats table
+    ``commit=None`` → the final transcript rows, never concatenated on the
+    driver: the per-applier block refs and each block's ``(num_rows,
+    size_bytes, schema)``. With ``commit`` kwargs → the stats table
     (small: one row per partition that received events). The decoded
     events carry partition ids below ``num_partitions`` (default:
     ``ReplayConfig``'s); ``run`` holds the other ``PartitionApplier.begin``
@@ -901,15 +901,16 @@ def run_actor_exchange(plan, num_appliers: int, schema_version: int,
     ``renamed``). On a resume, decode has already dropped every event at
     or below its partition's cut, so every event routed here is applied.
 
-    ``timings`` receives the phase walls ``route``, ``fence`` and
-    ``finalize``; the route profile summed over the group tasks:
+    ``timings`` receives the phase walls ``fleet_begin`` (``begin`` calls,
+    standby top-up), ``route``, ``fence``, ``finalize`` and ``fleet_close``
+    (call-scoped); the route profile summed over the group tasks:
     ``route_read``, ``route_decode``, ``route_ready`` (the wait for the
     appliers' ``begin``) and ``route_ship`` (task seconds),
     ``route_raw_bytes`` (decoded) and ``route_blob_bytes`` (lz4 payload),
-    and ``route_groups``; and the fold profile of the applier that spent longest
-    in off-path folds: its ``fold`` seconds and ``folds`` count. Lake mode
-    adds ``finalize_gather`` and ``finalize_commit``, the largest such
-    split of any applier's ``finalize_commit``.
+    and ``route_groups``; and the fold profile of the applier that spent
+    longest in off-path folds: its ``fold`` seconds and ``folds`` count.
+    Lake mode adds ``finalize_gather`` and ``finalize_commit``, the largest
+    such split of any applier's ``finalize_commit``.
 
     ``fleet``: the caller's :class:`ApplierFleet`, reused and left open;
     None → a fleet scoped to this call, which also tops up the
@@ -920,33 +921,38 @@ def run_actor_exchange(plan, num_appliers: int, schema_version: int,
     own = fleet is None
     if own:
         fleet = ApplierFleet()
+    timings = {} if timings is None else timings
     try:
         out = _exchange(fleet, plan, num_appliers, schema_version, commit,
-                        {} if timings is None else timings, own,
-                        num_partitions=num_partitions, **run)
+                        timings, own, num_partitions=num_partitions, **run)
     except BaseException:
         fleet.close()
         STANDBY.drain()
         raise
     if own:
+        t0 = time.perf_counter()
         fleet.close()
+        timings["fleet_close"] = round(time.perf_counter() - t0, 3)
     return out
 
 
-@ray.remote
-def _ipc_block(buf: pa.Buffer) -> pa.Table:
-    """The Ray Data block of an applier's ``finalize_rows`` buffer. Built
-    in a task, so the block's Arrow reducer, which imports ``ray.data``,
-    never runs in an applier."""
-    return from_ipc(buf)
+@ray.remote(num_returns=2)
+def _ipc_block(buf: pa.Buffer) -> "tuple[pa.Table, tuple]":
+    """The block of an applier's ``finalize_rows`` buffer and its
+    ``(num_rows, size_bytes, schema)``. Built in a task, so the block's
+    Arrow reducer, which imports ``ray.data``, never runs in an applier."""
+    t = from_ipc(buf)
+    return t, (t.num_rows, t.nbytes, t.schema)
 
 
 def _exchange(fleet: ApplierFleet, plan, num_appliers: int,
               schema_version: int, commit: "dict | None", timings: dict,
               top_up: bool, **run):
+    t0 = time.perf_counter()
     appliers, ready_refs = fleet.begin(num_appliers, schema_version, **run)
     if top_up:
         STANDBY.top_up(num_appliers)
+    timings["fleet_begin"] = round(time.perf_counter() - t0, 3)
     t0 = time.perf_counter()
     # every group at once: each task takes a CPU, so Ray runs as many as
     # there are CPUs and queues the rest (at most 3× CPUs groups)
@@ -982,10 +988,10 @@ def _exchange(fleet: ApplierFleet, plan, num_appliers: int,
         else (lambda i: appliers[i].finalize_commit.remote(**commit)))
     t2 = time.perf_counter()
     if commit is None:
-        out = [_ipc_block.remote(r) for r, _ in refs]
-        # block until the blocks are durably in plasma: the refs stay valid
-        # (owned by the driver) when a call-scoped fleet is closed next
-        ray.wait(out, num_returns=len(out), fetch_local=False)
+        blocks, metas = zip(*[_ipc_block.remote(r) for r, _ in refs])
+        # the blocks are in plasma once their sizes land: the refs stay
+        # valid (owned by the driver) when a call-scoped fleet is closed next
+        out = list(blocks), ray.get(list(metas))
         profiles = ray.get([p for _, p in refs])
     else:
         bufs, profiles = zip(*ray.get(refs))

@@ -17,7 +17,8 @@ import ray.data as rd
 
 from olrx.gen import GenConfig, ensure_changelog
 from olrx.oracle import apply_naive
-from olrx.pipelines.replay import ReplayConfig, read_lake, replay_to_lake
+from olrx.pipelines.replay import (ReplayConfig, read_lake, replay_dataset,
+                                   replay_to_lake)
 from olrx.pipelines.timetravel import (q_cdc_time_travel, read_lake_asof,
                                        sql_cdc_time_travel)
 from tests.conftest import sorted_table
@@ -131,3 +132,45 @@ def test_dropped_read_leaves_the_object_store(cut_stream, tmp_path):
                           for k in core.get_all_reference_counts()}
     finally:
         gc.enable()
+
+
+def test_results_come_back_executed(cut_stream, tmp_path, monkeypatch):
+    """``read_lake``, ``read_lake_asof`` and ``replay_dataset`` return
+    Datasets already executed (``replay.executed_dataset``): building and
+    consuming them with ``to_arrow_refs``, ``iter_batches``, ``count`` and
+    ``take_all`` constructs no ``StreamingExecutor`` and runs no
+    ``get_table_block_metadata_schema``, and ``num_blocks()``, ``count()``
+    and ``schema()`` equal a plain ``from_arrow_refs`` read of the same
+    blocks. A Ray upgrade that changes the internals the helper builds on
+    fails here."""
+    from ray.data._internal import util
+    from ray.data._internal.execution import streaming_executor
+
+    paths, _ = cut_stream
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=8)
+    res = replay_to_lake(paths, lake, cfg, resume=False)
+    want = apply_naive(pa.concat_tables(
+        [pq.read_table(p) for p in paths])).num_rows
+
+    def forbidden(*a, **k):
+        raise AssertionError("an executed Dataset ran Ray Data again")
+
+    got = []
+    with monkeypatch.context() as m:
+        m.setattr(streaming_executor.StreamingExecutor, "__init__", forbidden)
+        for mod in (util, rd.read_api):
+            m.setattr(mod, "get_table_block_metadata_schema", forbidden)
+        for ds in (read_lake(lake),
+                   read_lake_asof(lake, res.control.max_commit_scn),
+                   replay_dataset(paths, cfg).dataset):
+            refs = ds.to_arrow_refs()
+            batches = sum(b.num_rows for b in ds.iter_batches(
+                batch_format="pyarrow", batch_size=None))
+            rows = len(ds.take_all())
+            assert batches == rows == ds.count() == want > 0
+            got.append((ds.num_blocks(), ds.count(), ds.schema(), refs))
+    for blocks, rows, schema, refs in got:
+        plain = rd.from_arrow_refs(refs)
+        assert (blocks, rows) == (plain.num_blocks(), plain.count())
+        assert schema == plain.schema()

@@ -5,6 +5,7 @@ group, with no Parquet datasource or Ray Data execution behind the
 stream."""
 
 import glob
+import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -238,7 +239,7 @@ def test_row_block_stays_out_of_the_appliers(gen_small, expected_small):
     """A dataset-mode exchange on a kept fleet returns oracle-equal rows,
     and its appliers never import ``ray.data``: their rows leave as IPC
     buffers, and a task builds the Ray Data blocks."""
-    from olrx.pipelines.replay import _plan
+    from olrx.pipelines.replay import _plan, executed_dataset
     from olrx.stages.exchange import ApplierFleet, run_actor_exchange
 
     _, _, paths, _ = gen_small
@@ -246,11 +247,11 @@ def test_row_block_stays_out_of_the_appliers(gen_small, expected_small):
     try:
         _, run, _ = _plan(paths, ReplayConfig(num_partitions=8,
                                               num_appliers=2), {})
-        refs = run_actor_exchange(**run, fleet=fleet)
+        blocks, metas = run_actor_exchange(**run, fleet=fleet)
         loaded = ray.get([a.__ray_call__.remote(
             lambda self: "ray.data" in __import__("sys").modules)
             for a in fleet.appliers])
-        rows = ray.data.from_arrow_refs(refs)
+        rows = executed_dataset(blocks, metas)
         assert sorted_table(rows, expected_small.schema).equals(
             expected_small)
     finally:
@@ -273,6 +274,23 @@ def test_route_profile_in_timings(tmp_path, gen_small):
     cpus = int(ray.cluster_resources()["CPU"])
     assert t["route_groups"] == min(cpus, len(paths))
     assert 0 < t["route_blob_bytes"] < t["route_raw_bytes"]
+
+
+def test_phase_timings_cover_the_call(tmp_path, gen_small):
+    """A call-scoped lake replay's phase timings, the wipe of the old lake
+    and the fleet's begin and close included, add up to its wall time
+    within 10%."""
+    _, _, paths, _ = gen_small
+    lake = str(tmp_path / "lake")
+    cfg = ReplayConfig(num_partitions=8)
+    replay_to_lake(paths, lake, cfg, resume=False)
+    t0 = time.perf_counter()
+    t = replay_to_lake(paths, lake, cfg, resume=False).timings
+    wall = time.perf_counter() - t0
+    phases = sum(t[k] for k in ("reset", "plan", "fleet_begin", "route",
+                                "fence", "finalize", "fleet_close",
+                                "publish"))
+    assert abs(phases - wall) <= 0.1 * wall, (phases, wall, t)
 
 
 def test_replay_starts_no_ray_data_execution(tmp_path, gen_small,
